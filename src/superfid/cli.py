@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +40,16 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# --method value -> estimator; each looks its function up in ``ed`` at call time
+ESTIMATORS = {
+    "exact": lambda cfg: ed.c_g_exact(cfg.dim),
+    "jensen": lambda cfg: ed.c_g_jensen_bound(cfg.dim),
+    "series": lambda cfg: ed.c_g_series(cfg.dim, cfg.k_max, RngStream(cfg.seed),
+                                        samples=cfg.samples),
+    "mc": lambda cfg: ed.c_g_monte_carlo(cfg.dim, cfg.samples, RngStream(cfg.seed)),
+    "quadrature": lambda cfg: ed.c_g_quadrature(cfg.dim),
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +83,8 @@ class RunConfig:
             raise ValueError("dim must be >= 2")
         if self.verify_dim is not None and self.verify_dim < 2:
             raise ValueError("dim must be >= 2")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and > 0")
 
 
 def _fmt(x: float) -> str:
@@ -93,8 +106,6 @@ def _chunk_sizes(count: int, workers: int) -> list[int]:
 
 def _sample_chunk(args):
     measure, dim, chunk, seed, worker, max_proposals, keep = args
-    if chunk == 0:
-        return None
     batch, mats, report = sm.sample_batch(measure, dim, chunk, RngStream(seed, worker),
                                           max_proposals=max_proposals, keep_matrices=keep)
     return batch.eigen_records, batch.purity_records, mats, report
@@ -102,7 +113,7 @@ def _sample_chunk(args):
 
 def cmd_sample(cfg: RunConfig) -> int:
     jobs = [(cfg.measure, cfg.dim, chunk, cfg.seed, w, cfg.max_proposals, cfg.full_matrix)
-            for w, chunk in enumerate(_chunk_sizes(cfg.count, cfg.workers))]
+            for w, chunk in enumerate(_chunk_sizes(cfg.count, cfg.workers)) if chunk]
     try:
         if cfg.workers == 1:
             results = [_sample_chunk(jobs[0])]
@@ -116,7 +127,6 @@ def cmd_sample(cfg: RunConfig) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
-    results = [r for r in results if r is not None]
     eigs = np.concatenate([r[0] for r in results])
     purity = np.concatenate([r[1] for r in results])
     mats = np.concatenate([r[2] for r in results]) if cfg.full_matrix else None
@@ -193,21 +203,8 @@ def _sample_json(cfg, eigs, purity, mats, report) -> str:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    rng = RngStream(cfg.seed)
     try:
-        if cfg.method == "exact":
-            est = ed.c_g_exact(cfg.dim)
-        elif cfg.method == "jensen":
-            est = ed.c_g_jensen_bound(cfg.dim)
-        elif cfg.method == "series":
-            est = ed.c_g_series(cfg.dim, cfg.k_max, rng, samples=cfg.samples)
-        elif cfg.method == "mc":
-            est = ed.c_g_monte_carlo(cfg.dim, cfg.samples, rng)
-        elif cfg.method == "quadrature":
-            est = ed.c_g_quadrature(cfg.dim)
-        else:
-            sys.stderr.write(f"error: unknown method {cfg.method!r}\n")
-            return EXIT_USAGE
+        est = ESTIMATORS[cfg.method](cfg)
     except (UnsupportedDimensionError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -310,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the superfidelity normalization constant")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--method", choices=["exact", "jensen", "series", "mc", "quadrature"],
-                   required=True)
+    p.add_argument("--method", choices=list(ESTIMATORS), required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--k-max", type=int, default=20)
     common(p)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import DomainError, InstabilityWarning, SingularityError, UnsupportedDimensionError
-from .qstate import Measure
+from .qstate import Measure, _maybe_scalar
 from .rng import RngStream
 from .statlab import mc_mean, simplex_quadrature
 
@@ -61,8 +61,8 @@ class NormalizationEstimate:
     truncation_tail: float | None = None       # series only: tail estimate added to the 1/C sum
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError(f"normalization constant must be positive, got {self.value}")
+        if not (np.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"normalization constant must be finite and positive, got {self.value}")
         if (self.std_error is not None) != (self.method == "monte-carlo"):
             raise ValueError("std_error is present exactly for monte-carlo estimates")
 
@@ -83,10 +83,6 @@ def _vandermonde_sq(eigs: np.ndarray) -> np.ndarray:
     n = eigs.shape[-1]
     i, j = np.triu_indices(n, k=1)
     return np.prod((eigs[..., i] - eigs[..., j]) ** 2, axis=-1)
-
-
-def _maybe_scalar(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
 
 
 def density_hs_unnormalized(eigs: np.ndarray):
@@ -145,16 +141,6 @@ def log_density_bures_unnormalized(eigs: np.ndarray):
         pair = np.sum(2.0 * np.log(np.abs(eigs[..., i] - eigs[..., j]))
                       - np.log(eigs[..., i] + eigs[..., j]), axis=-1)
     return _maybe_scalar(pair - 0.5 * np.sum(np.log(eigs), axis=-1))
-
-
-def density_unnormalized(measure: Measure | str):
-    """The unnormalized eigenvalue density function for ``measure``."""
-    measure = Measure(measure)
-    return {
-        Measure.HILBERT_SCHMIDT: density_hs_unnormalized,
-        Measure.BURES: density_bures_unnormalized,
-        Measure.SUPERFIDELITY: density_g_unnormalized,
-    }[measure]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +240,6 @@ def _series_tail(terms: np.ndarray, alpha: float) -> float:
 
 
 def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
-               moment_source: str = "monte-carlo-oracle",
                return_partial_sums: bool = False):
     """Series estimator 1/C_G = (1/C_HS) sum_k c_k E[(tr rho^2)^k] with a tail estimate.
 
@@ -267,18 +252,16 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     alpha = (N-1)^2 + 1/2 (for N = 2, E[p^k] -> 3/k exactly).  The tail is
     fitted as t_k ~ k^(-alpha) (a + b/k) to the last two terms (see
     :func:`_series_tail`) and reported as ``truncation_tail``; the last term
-    is still reported as ``truncation_last_term``.  Purity moments come from
-    a shared Hilbert-Schmidt Monte-Carlo batch; the closed-form moment
-    formula is unvalidated and refused.
+    is still reported as ``truncation_last_term``.  All purity moments come
+    from one Hilbert-Schmidt Monte-Carlo batch of ``samples`` states, so
+    ``samples`` must be at least 1.
     """
     if dim < 2:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if moment_source != "monte-carlo-oracle":
-        raise ValueError(
-            f"moment source {moment_source!r} is not validated; "
-            "use moment_source='monte-carlo-oracle'")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     p = _hs_purities(dim, samples, rng)
     coeff = series_coefficients(k_max)
     inv_chs = 1.0 / c_hs(dim).value
@@ -319,17 +302,18 @@ def c_bures_quadrature(dim: int, tolerance: float = 1e-9) -> NormalizationEstima
 
 
 def normalized_density(measure: Measure | str, dim: int):
-    """Normalized eigenvalue density for ``measure`` at dimension ``dim`` (2 or 3)."""
-    measure = Measure(measure)
-    if measure is Measure.HILBERT_SCHMIDT:
-        const = c_hs(dim).value
-    elif measure is Measure.SUPERFIDELITY:
-        const = c_g_exact(dim).value if dim in (2, 3) else None
-    else:
-        const = c_bures_quadrature(dim).value
-    if const is None:
-        raise UnsupportedDimensionError(f"no normalization available for {measure} at dim {dim}")
-    base = density_unnormalized(measure)
+    """Normalized eigenvalue density for ``measure`` at dimension ``dim``.
+
+    The constant is exact for Hilbert-Schmidt (any N) and superfidelity
+    (N = 2, 3) and from quadrature for Bures (N = 2, 3); other dimensions
+    raise :class:`UnsupportedDimensionError`.
+    """
+    base, constant = {
+        Measure.HILBERT_SCHMIDT: (density_hs_unnormalized, c_hs),
+        Measure.SUPERFIDELITY: (density_g_unnormalized, c_g_exact),
+        Measure.BURES: (density_bures_unnormalized, c_bures_quadrature),
+    }[Measure(measure)]
+    const = constant(dim).value
     return lambda eigs: const * np.asarray(base(eigs))
 
 
@@ -426,13 +410,6 @@ def density_grid_qutrit(resolution: int,
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     measure = Measure(measure)
-    if measure is Measure.HILBERT_SCHMIDT:
-        const = c_hs(3).value
-    elif measure is Measure.SUPERFIDELITY:
-        const = c_g_exact(3).value
-    else:
-        const = c_bures_quadrature(3).value
-    base = density_unnormalized(measure)
 
     ii, jj = [], []
     for i in range(resolution + 1):
@@ -457,7 +434,7 @@ def density_grid_qutrit(resolution: int,
     lam = np.stack([l1, l2, l3], axis=-1)
     density = np.full(len(ii), np.nan)
     ok = ~singular
-    density[ok] = const * np.asarray(base(lam[ok]))
+    density[ok] = normalized_density(measure, 3)(lam[ok])
     return DensityGrid(measure=measure, resolution=resolution,
                        lambda1=l1, lambda2=l2, density=density, singular=singular)
 

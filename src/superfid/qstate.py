@@ -35,6 +35,11 @@ class Measure(str, Enum):
     SUPERFIDELITY = "g"
 
 
+def _maybe_scalar(x: np.ndarray):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if x.ndim == 0 else x
+
+
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
@@ -169,13 +174,18 @@ def spectrum(rho: np.ndarray) -> np.ndarray:
 
 
 def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
-    """Apply the clamping policy to a descending eigenvalue vector."""
+    """Apply the clamping policy to descending eigenvalues along the last axis.
+
+    Accepts one vector or an (n, N) stack.  Values in [-1e-10, 0) are set to
+    zero and each vector is renormalized to unit sum; anything below the
+    floor anywhere in the input raises :class:`InvalidStateError`.
+    """
     evals = np.asarray(evals, dtype=float)
     if evals.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(
             f"eigenvalue {evals.min():.3e} below the PSD floor {EIGENVALUE_FLOOR}")
     clamped = np.clip(evals, 0.0, None)
-    return clamped / clamped.sum()
+    return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
 def purity(rho: np.ndarray) -> float:

@@ -34,14 +34,6 @@ class RngStream:
                                     spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(ss))
 
-    def substream(self, index: int) -> "RngStream":
-        """Derived stream for worker/shard ``index`` under the same seed.
-
-        Indices are offset so that substreams of stream 0 never collide with
-        plain streams handed out by the caller.
-        """
-        return RngStream(self.seed, (self.stream + 1) * 1_000_003 + index)
-
 
 def seed_from_env(default: int = DEFAULT_SEED) -> int:
     """Master seed from the SUPERFID_SEED environment variable, else ``default``."""

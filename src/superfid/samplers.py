@@ -11,8 +11,9 @@
   is attained at the maximally mixed point; that claim is audited numerically
   (random probes plus local polish) before any rejection run, failing closed.
 
-Single-state functions return validated density matrices; ``*_batch``
-variants vectorize over the sample index and feed the statistics layer.
+Each single-state function returns row 0 of its ``*_batch`` variant drawn
+from the same stream; the batch variants vectorize over the sample index and
+feed the statistics layer.
 """
 from __future__ import annotations
 
@@ -23,9 +24,8 @@ import numpy as np
 from scipy import optimize
 
 from .eigendensities import cdf_g2
-from .errors import (EnvelopeAuditError, InvalidDimensionError, InvalidStateError,
-                     SamplingBudgetError)
-from .qstate import (EIGENVALUE_FLOOR, Measure, _as_generator, ginibre_batch,
+from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetError
+from .qstate import (Measure, _as_generator, _maybe_scalar, clamp_spectrum, ginibre_batch,
                      haar_unitary_batch)
 from .rng import RngStream
 from .statlab import SampleBatch
@@ -83,12 +83,7 @@ class RejectionReport:
 
 def _eig_records(rhos: np.ndarray) -> np.ndarray:
     """Descending, clamped, renormalized eigenvalues of a (n, N, N) stack."""
-    evals = np.linalg.eigvalsh(rhos)[..., ::-1].copy()
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise InvalidStateError(
-            f"sampled state has eigenvalue {evals.min():.3e} below the PSD floor")
-    evals = np.clip(evals, 0.0, None)
-    return evals / evals.sum(axis=-1, keepdims=True)
+    return clamp_spectrum(np.linalg.eigvalsh(rhos)[..., ::-1].copy())
 
 
 def _hs_matrix_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -106,16 +101,9 @@ def _bures_matrix_batch(dim: int, count: int, gen: np.random.Generator) -> np.nd
     return w / tr[:, None, None]
 
 
-def _validated_single(rhos: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rhos[0] + rhos[0].conj().T)
-    return rho / np.trace(rho).real
-
-
 def sample_hs(dim: int, rng) -> np.ndarray:
     """One Hilbert-Schmidt distributed density matrix."""
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return _validated_single(_hs_matrix_batch(dim, 1, _as_generator(rng)))
+    return sample_hs_batch(dim, 1, rng)[0]
 
 
 def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
@@ -138,9 +126,7 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
 
 def sample_bures(dim: int, rng) -> np.ndarray:
     """One Bures-distributed density matrix."""
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return _validated_single(_bures_matrix_batch(dim, 1, _as_generator(rng)))
+    return sample_bures_batch(dim, 1, rng)[0]
 
 
 def sample_bures_batch(dim: int, count: int, rng) -> np.ndarray:
@@ -182,7 +168,7 @@ def invert_cdf_g2(u):
     t = np.where(u_arr == 0.0, 0.0, t)
     t = np.where(u_arr == 0.5, 0.5, t)
     t = np.where(u_arr == 1.0, 1.0, t)
-    return float(t) if t.ndim == 0 else t
+    return _maybe_scalar(t)
 
 
 def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
@@ -207,7 +193,7 @@ def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
 def sample_g_qubit(rng) -> np.ndarray:
     """One qubit state distributed with the superfidelity measure."""
     matrices, _ = sample_g_qubit_batch(1, rng, keep_matrices=True)
-    return _validated_single(matrices)
+    return matrices[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +215,7 @@ def _log_ratio_g_over_bures(eigs: np.ndarray) -> np.ndarray:
 
 def density_ratio_g_over_bures(eigs: np.ndarray):
     """Unnormalized ratio sqrt(prod l) prod_{i<j}(l_i + l_j) / sqrt(1 - sum l^2)."""
-    out = np.exp(_log_ratio_g_over_bures(eigs))
-    return float(out) if out.ndim == 0 else out
+    return _maybe_scalar(np.exp(_log_ratio_g_over_bures(eigs)))
 
 
 def sup_density_ratio_unnormalized(dim: int) -> float:
@@ -264,14 +249,14 @@ class EnvelopeAudit:
 
 
 def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
-                            probes: int = 10 ** 5, polish: bool = True,
+                            probes: int = 10 ** 5,
                             tolerance: float = 1e-9) -> EnvelopeAudit:
     """Probe the density ratio over random simplex points, then polish locally.
 
-    Draws ``probes`` uniform simplex points, evaluates the ratio, and (when
-    ``polish`` is set) runs Nelder-Mead ascent from the best probes and from
-    the maximally mixed point.  The envelope is declared valid when no point
-    beats the closed-form bound by more than ``tolerance``.
+    Draws ``probes`` uniform simplex points, evaluates the ratio, then runs
+    Nelder-Mead ascent from the three best probes and from the maximally
+    mixed point.  The envelope is declared valid when no point beats the
+    closed-form bound by more than ``tolerance``.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
@@ -284,23 +269,22 @@ def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
     max_ratio = float(ratios[best_idx])
     argmax = lam[best_idx]
 
-    if polish:
-        def neg_ratio(x):
-            w = np.exp(x - x.max())
-            lam_x = w / w.sum()
-            return -float(np.exp(_log_ratio_g_over_bures(lam_x)))
+    def neg_ratio(x):
+        w = np.exp(x - x.max())
+        lam_x = w / w.sum()
+        return -float(np.exp(_log_ratio_g_over_bures(lam_x)))
 
-        starts = [lam[k] for k in np.argsort(-ratios)[:3]]
-        starts.append(np.full(dim, 1.0 / dim))
-        for start in starts:
-            x0 = np.log(np.clip(start, 1e-12, None))
-            res = optimize.minimize(neg_ratio, x0, method="Nelder-Mead",
-                                    options={"xatol": 1e-12, "fatol": 1e-14,
-                                             "maxiter": 2000})
-            if -res.fun > max_ratio:
-                max_ratio = -float(res.fun)
-                w = np.exp(res.x - res.x.max())
-                argmax = w / w.sum()
+    starts = [lam[k] for k in np.argsort(-ratios)[:3]]
+    starts.append(np.full(dim, 1.0 / dim))
+    for start in starts:
+        x0 = np.log(np.clip(start, 1e-12, None))
+        res = optimize.minimize(neg_ratio, x0, method="Nelder-Mead",
+                                options={"xatol": 1e-12, "fatol": 1e-14,
+                                         "maxiter": 2000})
+        if -res.fun > max_ratio:
+            max_ratio = -float(res.fun)
+            w = np.exp(res.x - res.x.max())
+            argmax = w / w.sum()
 
     return EnvelopeAudit(dim=dim, bound=bound, max_ratio=max_ratio,
                          argmax=argmax, probes=probes, tolerance=tolerance)
@@ -417,7 +401,7 @@ def sample_g_rejection(dim: int, rng, max_proposals: int | None = None):
     mats, _, report = sample_g_rejection_batch(dim, 1, rng,
                                                max_proposals=max_proposals,
                                                keep_matrices=True)
-    return _validated_single(mats), report
+    return mats[0], report
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +422,9 @@ def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
         raise ValueError(f"count must be >= 1, got {count}")
 
     report = None
-    if measure is Measure.HILBERT_SCHMIDT:
-        mats = sample_hs_batch(dim, count, rng)
-        eigs = _eig_records(mats)
-        if not keep_matrices:
-            mats = None
-    elif measure is Measure.BURES:
-        mats = sample_bures_batch(dim, count, rng)
+    if measure is not Measure.SUPERFIDELITY:
+        draw = sample_hs_batch if measure is Measure.HILBERT_SCHMIDT else sample_bures_batch
+        mats = draw(dim, count, rng)
         eigs = _eig_records(mats)
         if not keep_matrices:
             mats = None

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidStateError, SingularityError, StepSizeError
-from .qstate import EIGENVALUE_FLOOR, check_density_matrix, check_tangent
+from .qstate import EIGENVALUE_FLOOR, _maybe_scalar, check_density_matrix, check_tangent
 
 PURITY_RADICAND_CLIP = -1e-12   # tolerated negative noise in 1 - tr rho^2
 DEFAULT_FD_STEP = 1e-3
@@ -50,10 +50,7 @@ def superfidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     t = _hs_inner(rho, sigma)
     r1 = _radicand(_hs_inner(rho, rho))
     r2 = _radicand(_hs_inner(sigma, sigma))
-    g = t + np.sqrt(r1) * np.sqrt(r2)
-    if g.ndim == 0:
-        return float(g)
-    return g
+    return _maybe_scalar(t + np.sqrt(r1) * np.sqrt(r2))
 
 
 def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
@@ -81,10 +78,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     # below numerical rank the sqrt would amplify O(eps) noise to O(1e-8)
     mu = np.where(mu < 1e-14 * mu[..., -1:], 0.0, mu)
     f = np.sum(np.sqrt(mu), axis=-1) ** 2
-    f = np.clip(f, 0.0, 1.0)
-    if f.ndim == 0:
-        return float(f)
-    return f
+    return _maybe_scalar(np.clip(f, 0.0, 1.0))
 
 
 def _dist_g_squared(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -105,19 +99,13 @@ def dist_g(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     _check_pair_dims(rho, sigma)
-    d = np.sqrt(_dist_g_squared(rho, sigma))
-    if d.ndim == 0:
-        return float(d)
-    return d
+    return _maybe_scalar(np.sqrt(_dist_g_squared(rho, sigma)))
 
 
 def dist_bures(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Bures distance d_B = sqrt(2 - 2 sqrt(F(rho, sigma)))."""
     f = np.asarray(fidelity(rho, sigma))
-    d = np.sqrt(np.clip(2.0 - 2.0 * np.sqrt(f), 0.0, None))
-    if d.ndim == 0:
-        return float(d)
-    return d
+    return _maybe_scalar(np.sqrt(np.clip(2.0 - 2.0 * np.sqrt(f), 0.0, None)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,10 @@ class TestEstimateCommand:
                          "--k-max", "0"]) == 2
         assert cli.main(["estimate", "--dim", "2", "--method", "mc",
                          "--samples", "10"]) == 2
+        assert cli.main(["estimate", "--dim", "2", "--method", "series",
+                         "--samples", "0"]) == 2
+        for scale in ("nan", "inf"):
+            assert cli.main(["verify", "purity", "--scale", scale]) == 2
         assert cli.main(["grid", "--measure", "g", "--resolution", "1"]) == 2
         assert cli.main(["sample", "--measure", "hs", "--dim", "1",
                          "--count", "5"]) == 2

@@ -12,7 +12,7 @@ from superfid import (DomainError, InstabilityWarning, RngStream, SingularityErr
                       log_density_hs_unnormalized, pdf_g2_marginal,
                       projective_unitary_volume, purity_mean_hs, purity_moment_hs,
                       purity_variance_hs, simplex_quadrature)
-from superfid.eigendensities import NormalizationEstimate
+from superfid.eigendensities import NormalizationEstimate, normalized_density
 from superfid.qstate import Measure
 
 PI_OVER_2SQRT2 = 1.1107207345395915   # integral of the unnormalized qubit density
@@ -154,6 +154,9 @@ class TestNormalizationConstants:
             NormalizationEstimate(dim=2, value=1.0, method="exact", std_error=0.1)
         with pytest.raises(ValueError):
             NormalizationEstimate(dim=2, value=-1.0, method="exact")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                NormalizationEstimate(dim=2, value=bad, method="series")
 
 
 class TestSeries:
@@ -181,10 +184,6 @@ class TestSeries:
         assert 0 < est.truncation_last_term < 0.01
         assert est.method == "series"
         assert est.std_error is None
-
-    def test_closed_form_moments_refused(self):
-        with pytest.raises(ValueError, match="monte-carlo-oracle"):
-            c_g_series(2, 10, RngStream(0), moment_source="closed-form")
 
     def test_tail_estimate(self):
         # same draw at k_max = 20 and 400: the tail fitted to terms 19 and 20
@@ -319,6 +318,17 @@ class TestDensityGrid:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             density_grid_qutrit(1)
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_values_are_the_normalized_density(self, measure):
+        res = 15
+        grid = density_grid_qutrit(res, measure)
+        ii = np.rint(grid.lambda1 * res)
+        jj = np.rint(grid.lambda2 * res)
+        lam = np.stack([grid.lambda1, grid.lambda2, (res - ii - jj) / res], axis=-1)
+        ok = ~grid.singular
+        expected = normalized_density(measure, 3)(lam[ok])
+        assert np.array_equal(grid.density[ok], expected)
 
     def test_grid_integral_near_one(self):
         for measure in (Measure.SUPERFIDELITY, Measure.BURES):

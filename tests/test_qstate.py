@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from superfid import (InvalidDimensionError, InvalidStateError, RngStream,
                       compose_state, ginibre, haar_unitary, haar_unitary_batch,
                       ks_test, ks_test_two_sample, mc_mean, purity, spectrum)
-from superfid.qstate import check_density_matrix, check_eigenvalue_vector, random_tangent
+from superfid.qstate import (check_density_matrix, check_eigenvalue_vector, clamp_spectrum,
+                             random_tangent)
 
 from conftest import basis_state, random_state
 
@@ -101,6 +102,15 @@ class TestComposeAndSpectrum:
         bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(InvalidStateError):
             spectrum(bad)
+
+    def test_clamp_spectrum_on_a_stack_matches_rows(self):
+        gen = RngStream(14).generator()
+        stack = -np.sort(-gen.dirichlet(np.ones(4), size=50), axis=-1)
+        stack[::5, -1] = -5e-11  # noise within the floor: clamped, then renormalized
+        rows = np.array([clamp_spectrum(row) for row in stack])
+        assert np.array_equal(clamp_spectrum(stack), rows)
+        with pytest.raises(InvalidStateError):
+            clamp_spectrum(stack - 1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 6))

@@ -12,7 +12,8 @@ from superfid import (EnvelopeAudit, InvalidDimensionError, Measure, RejectionRe
                       purity_mean_hs, purity_variance_hs, rejection_constant_c,
                       sample_batch, sample_bures, sample_g_qubit,
                       sample_g_qubit_batch, sample_g_rejection,
-                      sample_g_rejection_batch, sample_hs,
+                      sample_g_rejection_batch, sample_hs, sample_hs_batch,
+                      sample_bures_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid.eigendensities import c_bures_quadrature, c_g_jensen_bound, normalized_density
 
@@ -47,6 +48,36 @@ class TestHilbertSchmidtSampler:
     def test_dim_validation(self):
         with pytest.raises(InvalidDimensionError):
             sample_hs(1, RngStream(0))
+
+
+class TestSingleStateFunctions:
+    # each single-state function is row 0 of its batch of one from the same stream
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_hs_and_bures(self, dim):
+        for seed in range(200):
+            for single, batch in ((sample_hs, sample_hs_batch),
+                                  (sample_bures, sample_bures_batch)):
+                rho = single(dim, RngStream(seed, dim))
+                assert np.array_equal(rho, batch(dim, 1, RngStream(seed, dim))[0])
+                check_density_matrix(rho)
+
+    def test_g_qubit(self):
+        for seed in range(50):
+            rho = sample_g_qubit(RngStream(seed))
+            mats, _ = sample_g_qubit_batch(1, RngStream(seed), keep_matrices=True)
+            assert np.array_equal(rho, mats[0])
+            check_density_matrix(rho)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_g_rejection(self, dim):
+        for seed in range(5):
+            rho, report = sample_g_rejection(dim, RngStream(seed))
+            mats, _, batch_report = sample_g_rejection_batch(dim, 1, RngStream(seed),
+                                                             keep_matrices=True)
+            assert np.array_equal(rho, mats[0])
+            assert report == batch_report
+            check_density_matrix(rho)
 
 
 class TestBuresSampler:
