@@ -170,24 +170,19 @@ def _sample_csv(cfg, eigs, purity, mats, report) -> str:
             for j in range(cfg.dim):
                 header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
     lines.append(",".join(header))
-    for idx in range(len(purity)):
-        row = [_fmt(v) for v in eigs[idx]] + [_fmt(purity[idx])]
-        if mats is not None:
-            flat = mats[idx].reshape(-1)
-            for z in flat:
-                row += [_fmt(z.real), _fmt(z.imag)]
-        lines.append(",".join(row))
+    columns = [eigs, purity[:, None]]
+    if mats is not None:
+        columns.append(mats.reshape(len(purity), -1).view(float))
+    # row by row: one tolist() of the whole table holds every float at once
+    lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack(columns))
     return "\n".join(lines) + "\n"
 
 
 def _sample_json(cfg, eigs, purity, mats, report) -> str:
-    records = []
-    for idx in range(len(purity)):
-        rec = {"eigenvalues": [float(v) for v in eigs[idx]], "purity": float(purity[idx])}
-        if mats is not None:
-            flat = mats[idx].reshape(-1)
-            rec["matrix_re_im"] = [[float(z.real), float(z.imag)] for z in flat]
-        records.append(rec)
+    records = [{"eigenvalues": e, "purity": p} for e, p in zip(eigs.tolist(), purity.tolist())]
+    if mats is not None:
+        for rec, re_im in zip(records, mats.view(float).reshape(len(records), -1, 2).tolist()):
+            rec["matrix_re_im"] = re_im
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "sample",

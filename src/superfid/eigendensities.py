@@ -365,7 +365,7 @@ def cdf_g2(t):
     F(1/2) = 1/2 and F(1) = 1 hold exactly in floating point.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("cdf_g2 is defined on [0, 1]")
     val = 0.5 + (2.0 / pi) * (np.sqrt(arr * (1.0 - arr)) * (1.0 - 2.0 * arr)
                               + 0.5 * np.arcsin(2.0 * arr - 1.0))
@@ -375,7 +375,7 @@ def cdf_g2(t):
 def pdf_g2_marginal(t):
     """Eigenvalue PDF for one qubit: (2/pi) (2t-1)^2 / sqrt(t(1-t)) on (0, 1)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("pdf_g2_marginal is defined on (0, 1)")
     if np.any(arr == 0.0) or np.any(arr == 1.0):
         raise SingularityError("pdf_g2_marginal diverges at the endpoints (integrably)")

@@ -113,11 +113,7 @@ def check_eigenvalue_vector(eigs: np.ndarray, name: str = "eigs") -> np.ndarray:
 
 def ginibre(dim: int, rng) -> np.ndarray:
     """Square complex Ginibre matrix with unit entry variance."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    gen = _as_generator(rng)
-    z = gen.standard_normal((dim, dim, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return ginibre_batch(dim, 1, rng)[0]
 
 
 def ginibre_batch(dim: int, count: int, rng) -> np.ndarray:
@@ -140,9 +136,7 @@ def _qr_phase_fixed(g: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    return _qr_phase_fixed(ginibre(dim, rng))
+    return haar_unitary_batch(dim, 1, rng)[0]
 
 
 def haar_unitary_batch(dim: int, count: int, rng) -> np.ndarray:

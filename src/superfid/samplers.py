@@ -43,6 +43,7 @@ __all__ = [
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample, N <= 4 default budget
 _REJECTION_CHUNK = 4096
+_NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
 _AUDIT_GATE_SEED = 1597463007
 _audit_gate_cache: dict[int, "EnvelopeAudit"] = {}
@@ -86,21 +87,6 @@ def _eig_records(rhos: np.ndarray) -> np.ndarray:
     return clamp_spectrum(np.linalg.eigvalsh(rhos)[..., ::-1].copy())
 
 
-def _hs_matrix_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    g = ginibre_batch(dim, count, gen)
-    w = g @ np.swapaxes(g.conj(), -2, -1)
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    return w / tr[:, None, None]
-
-def _bures_matrix_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    u = haar_unitary_batch(dim, count, gen)
-    g = ginibre_batch(dim, count, gen)
-    a = (np.eye(dim) + u) @ g
-    w = a @ np.swapaxes(a.conj(), -2, -1)
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    return w / tr[:, None, None]
-
-
 def sample_hs(dim: int, rng) -> np.ndarray:
     """One Hilbert-Schmidt distributed density matrix."""
     return sample_hs_batch(dim, 1, rng)[0]
@@ -109,7 +95,10 @@ def sample_hs(dim: int, rng) -> np.ndarray:
 def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return _hs_matrix_batch(dim, count, _as_generator(rng))
+    g = ginibre_batch(dim, count, _as_generator(rng))
+    w = g @ np.swapaxes(g.conj(), -2, -1)
+    tr = np.trace(w, axis1=-2, axis2=-1).real
+    return w / tr[:, None, None]
 
 
 def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
@@ -132,7 +121,13 @@ def sample_bures(dim: int, rng) -> np.ndarray:
 def sample_bures_batch(dim: int, count: int, rng) -> np.ndarray:
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return _bures_matrix_batch(dim, count, _as_generator(rng))
+    gen = _as_generator(rng)
+    u = haar_unitary_batch(dim, count, gen)
+    g = ginibre_batch(dim, count, gen)
+    a = (np.eye(dim) + u) @ g
+    w = a @ np.swapaxes(a.conj(), -2, -1)
+    tr = np.trace(w, axis1=-2, axis2=-1).real
+    return w / tr[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +135,32 @@ def sample_bures_batch(dim: int, count: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def invert_cdf_g2(u):
-    """Inverse of :func:`superfid.eigendensities.cdf_g2` by bisection.
+    """Inverse of :func:`superfid.eigendensities.cdf_g2`, element by element.
 
-    Bisects in theta with t = sin^2(theta), where the CDF has a bounded
-    derivative, so |cdf(t) - u| <= 1e-12 is always reached well within the
-    80-iteration budget.  (Plain Newton is excluded: the CDF derivative
-    vanishes at t = 1/2.)
+    With t = sin^2(psi/4) the CDF on [0, 1/2] is (psi + sin psi) / 2pi, so
+    F(t) = v is Kepler's equation psi + sin psi = 2 pi v on [0, pi].  Only
+    v = min(u, 1 - u) is solved, since F(1 - t) = 1 - F(t); u > 1/2 returns
+    cos^2(psi/4) = 1 - sin^2(psi/4) without cancellation.  Newton starts from
+    the larger of the end behaviours psi ~ pi v and pi - psi ~ cbrt(6 pi (1 - 2v));
+    psi + sin psi is concave, so after the first step every iterate lies at
+    or below the root, and a fixed step count converges for each element
+    alone.  u = 1/2, where the derivative vanishes, is snapped; u = 0 and 1
+    come out exact because psi underflows to 0.  Any |cdf_g2(t) - u| > 3e-8
+    raises (fail closed).
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+    if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    lo = np.zeros_like(u_arr)
-    hi = np.full_like(u_arr, pi / 2)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f = np.asarray(cdf_g2(np.sin(mid) ** 2))
-        err = f - u_arr
-        if np.max(np.abs(err)) <= 1e-12:
-            lo = hi = mid
-            break
-        low = err < 0
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    t = np.sin(0.5 * (lo + hi)) ** 2
-    # snap the points the CDF maps exactly; near u -> 1 the tolerance is
-    # limited by ulp(t) * pdf(t), so the iteration cap may bind instead
-    t = np.where(u_arr == 0.0, 0.0, t)
+    v = np.minimum(u_arr, 1.0 - u_arr)
+    psi = np.maximum(pi * v, pi - np.cbrt(6.0 * pi * (1.0 - 2.0 * v)))
+    # np.square, not ** 2: a NumPy scalar's power can differ from the array
+    # loop in the last bit, and scalar and batch results must agree bitwise
+    for _ in range(_NEWTON_STEPS):
+        psi = psi - (psi + np.sin(psi) - 2.0 * pi * v) / (2.0 * np.square(np.cos(0.5 * psi)))
+    t = np.where(u_arr > 0.5, np.square(np.cos(0.25 * psi)), np.square(np.sin(0.25 * psi)))
     t = np.where(u_arr == 0.5, 0.5, t)
-    t = np.where(u_arr == 1.0, 1.0, t)
+    if np.any(np.abs(cdf_g2(t) - u_arr) > 3e-8):
+        raise RuntimeError("inverse CDF residual exceeds 3e-8; qubit sampling aborted")
     return _maybe_scalar(t)
 
 
@@ -179,12 +172,13 @@ def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
     """
     gen = _as_generator(rng)
     u = gen.random(count)
-    lam = np.asarray(invert_cdf_g2(u))
-    eigs = np.stack([np.maximum(lam, 1.0 - lam), np.minimum(lam, 1.0 - lam)], axis=-1)
+    small = np.asarray(invert_cdf_g2(np.minimum(u, 1.0 - u)))
+    eigs = np.stack([1.0 - small, small], axis=-1)
     matrices = None
     if keep_matrices:
         haar = haar_unitary_batch(2, count, gen)
-        diag = np.stack([lam, 1.0 - lam], axis=-1)
+        # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
+        diag = np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1])
         matrices = (haar * diag[:, None, :]) @ np.swapaxes(haar.conj(), -2, -1)
         matrices = 0.5 * (matrices + np.swapaxes(matrices.conj(), -2, -1))
     return matrices, eigs
@@ -367,7 +361,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
                 f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
                 report=report)
         m = min(_REJECTION_CHUNK, budget - proposed)
-        rhos = _bures_matrix_batch(dim, m, gen)
+        rhos = sample_bures_batch(dim, m, gen)
         eigs = _eig_records(rhos)
         log_ratio = _log_ratio_g_over_bures(eigs)
         if np.any(log_ratio > log_bound + 1e-9):

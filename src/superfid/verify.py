@@ -37,8 +37,8 @@ def _result(suite, name, passed, detail):
 def _mixed_pairs(dim: int, count: int, rng: RngStream, floor: float = 0.0):
     """Stacked random state pairs, optionally pulled toward I/N for mixedness."""
     gen = rng.generator()
-    a = sm._hs_matrix_batch(dim, count, gen)
-    b = sm._hs_matrix_batch(dim, count, gen)
+    a = sm.sample_hs_batch(dim, count, gen)
+    b = sm.sample_hs_batch(dim, count, gen)
     if floor > 0.0:
         eye = np.eye(dim) / dim
         a = (1 - floor) * a + floor * eye
@@ -71,9 +71,9 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     for dim in (2, 3, 4):
         gen = RngStream(seed, 10 + dim).generator()
         n_tri = max(200, int(3000 * scale))
-        x = sm._hs_matrix_batch(dim, n_tri, gen)
-        y = sm._hs_matrix_batch(dim, n_tri, gen)
-        z = sm._hs_matrix_batch(dim, n_tri, gen)
+        x = sm.sample_hs_batch(dim, n_tri, gen)
+        y = sm.sample_hs_batch(dim, n_tri, gen)
+        z = sm.sample_hs_batch(dim, n_tri, gen)
         viol = si.dist_g(x, z) - si.dist_g(x, y) - si.dist_g(y, z)
         worst_slack = max(worst_slack, float(viol.max()))
         worst_self = max(worst_self, float(np.max(si.dist_g(x, x))))
@@ -104,7 +104,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     for dim in (2, 3):
         gen = RngStream(seed, 30 + dim).generator()
         for _ in range(max(10, int(30 * scale))):
-            rho = 0.8 * sm._hs_matrix_batch(dim, 1, gen)[0] + 0.2 * np.eye(dim) / dim
+            rho = 0.8 * sm.sample_hs(dim, gen) + 0.2 * np.eye(dim) / dim
             drho = random_tangent(dim, gen)
             analytic = si.line_element_g(rho, drho)
             fd = si.fd_second_derivative(lambda x, y: si.dist_g(x, y) ** 2, rho, drho, 1e-3)
@@ -115,7 +115,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     gen = RngStream(seed, 40).generator()
     worst_eq = 0.0
     for _ in range(max(10, int(30 * scale))):
-        rho = 0.8 * sm._hs_matrix_batch(2, 1, gen)[0] + 0.2 * np.eye(2) / 2
+        rho = 0.8 * sm.sample_hs(2, gen) + 0.2 * np.eye(2) / 2
         drho = random_tangent(2, gen)
         worst_eq = max(worst_eq, abs(si.line_element_g(rho, drho)
                                      - si.line_element_bprime(rho, drho)))

@@ -254,6 +254,10 @@ class TestQubitMarginal:
             cdf_g2(-0.1)
         with pytest.raises(DomainError):
             cdf_g2(1.1)
+        with pytest.raises(DomainError):
+            cdf_g2(float("nan"))
+        with pytest.raises(DomainError):
+            cdf_g2(np.array([0.5, np.nan]))
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.floats(0, 1), b=st.floats(0, 1))
@@ -272,6 +276,8 @@ class TestQubitMarginal:
             pdf_g2_marginal(0.0)
         with pytest.raises(DomainError):
             pdf_g2_marginal(1.5)
+        with pytest.raises(DomainError):
+            pdf_g2_marginal(float("nan"))
 
     def test_pdf_integrates_to_one(self):
         val = simplex_quadrature(lambda lam: pdf_g2_marginal(lam[0]), 2, 1e-9)

@@ -15,6 +15,7 @@ from superfid import (EnvelopeAudit, InvalidDimensionError, Measure, RejectionRe
                       sample_g_rejection_batch, sample_hs, sample_hs_batch,
                       sample_bures_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
+from superfid import samplers
 from superfid.eigendensities import c_bures_quadrature, c_g_jensen_bound, normalized_density
 
 
@@ -25,6 +26,17 @@ def _lambda_max_cdf(base_cdf):
         return np.asarray(base_cdf(np.clip(x, 0.5, 1.0))) - \
             np.asarray(base_cdf(np.clip(1.0 - x, 0.0, 0.5)))
     return cdf
+
+
+class _FixedDraws(np.random.Generator):
+    """A Generator whose uniform draws are the given values."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self._draws = draws
+
+    def random(self, size=None):
+        return self._draws
 
 
 class TestHilbertSchmidtSampler:
@@ -133,17 +145,36 @@ class TestInverseCdf:
         assert abs(float(cdf_g2(t)) - u) <= 3e-8
 
     def test_vectorized_matches_scalar(self):
-        # batch and scalar paths may stop at different iterates; both must
-        # satisfy the inversion contract
         us = np.linspace(0.001, 0.999, 101)
         vec = np.asarray(invert_cdf_g2(us))
         assert np.max(np.abs(np.asarray(cdf_g2(vec)) - us)) <= 1e-12
-        for u in us[::10]:
-            assert abs(float(cdf_g2(invert_cdf_g2(float(u)))) - u) <= 1e-12
+        for u, t in zip(us, vec):
+            assert invert_cdf_g2(float(u)) == t
+
+    def test_relative_precision_of_small_eigenvalue(self):
+        # the smaller eigenvalue t = sin^2(psi/4) solves psi + sin psi = 2 pi u
+        # to full relative precision, on both sides of u = 1/2
+        u = 10.0 ** -np.arange(2, 151)
+
+        def kepler_rel_err(t, v):
+            psi = 4.0 * np.arcsin(np.sqrt(t))
+            return np.max(np.abs((psi + np.sin(psi)) / (2.0 * np.pi * v) - 1.0))
+
+        assert kepler_rel_err(np.asarray(invert_cdf_g2(u)), u) <= 1e-14
+        high = 1.0 - u[u > 1e-16]  # below 1e-16, 1 - u rounds to 1
+        for draws, v in ((u, u), (high, 1.0 - high)):
+            _, eigs = sample_g_qubit_batch(draws.size, _FixedDraws(draws), keep_matrices=False)
+            assert kepler_rel_err(eigs[:, 1], v) <= 1e-14
+
+    def test_fails_closed_on_a_bad_residual(self, monkeypatch):
+        monkeypatch.setattr(samplers, "cdf_g2", lambda t: np.asarray(cdf_g2(t)) + 1e-6)
+        with pytest.raises(RuntimeError):
+            invert_cdf_g2(np.linspace(0.1, 0.9, 9))
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            invert_cdf_g2(1.5)
+        for bad in (1.5, -0.1, float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError):
+                invert_cdf_g2(bad)
 
 
 class TestQubitGSampler:
