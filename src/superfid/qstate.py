@@ -51,6 +51,13 @@ def _as_generator(rng) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+# Every comparison with NaN is false, so each check below first rejects
+# non-finite entries explicitly.
+
+def _check_finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise InvalidStateError(f"{name} has non-finite entries")
+
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as complex array."""
@@ -59,6 +66,7 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
         raise InvalidDimensionError(f"{name} must be a square matrix, got shape {rho.shape}")
     if rho.shape[0] < 1:
         raise InvalidDimensionError(f"{name} has dimension 0")
+    _check_finite(rho, name)
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_ATOL:
         raise InvalidStateError(f"{name} is not Hermitian within {HERMITICITY_ATOL}")
     tr = np.trace(rho)
@@ -75,6 +83,7 @@ def check_unitary(u: np.ndarray, name: str = "u") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidDimensionError(f"{name} must be square, got shape {u.shape}")
+    _check_finite(u, name)
     delta = u @ u.conj().T - np.eye(u.shape[0])
     if np.max(np.abs(delta)) > UNITARITY_ATOL:
         raise InvalidStateError(f"{name} is not unitary within {UNITARITY_ATOL}")
@@ -86,6 +95,7 @@ def check_tangent(drho: np.ndarray, name: str = "drho") -> np.ndarray:
     drho = np.asarray(drho, dtype=complex)
     if drho.ndim != 2 or drho.shape[0] != drho.shape[1]:
         raise InvalidDimensionError(f"{name} must be square, got shape {drho.shape}")
+    _check_finite(drho, name)
     if np.max(np.abs(drho - drho.conj().T)) > HERMITICITY_ATOL:
         raise InvalidStateError(f"{name} is not Hermitian within {HERMITICITY_ATOL}")
     scale = max(1.0, float(np.max(np.abs(drho))))
@@ -98,6 +108,7 @@ def check_eigenvalue_vector(eigs: np.ndarray, name: str = "eigs") -> np.ndarray:
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1 or eigs.size < 1:
         raise InvalidDimensionError(f"{name} must be a nonempty vector")
+    _check_finite(eigs, name)
     if np.any(eigs < -TRACE_ATOL) or np.any(eigs > 1 + TRACE_ATOL):
         raise InvalidStateError(f"{name} has entries outside [0, 1]: {eigs}")
     if abs(eigs.sum() - 1.0) > TRACE_ATOL * max(1, eigs.size):
@@ -172,9 +183,10 @@ def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
 
     Accepts one vector or an (n, N) stack.  Values in [-1e-10, 0) are set to
     zero and each vector is renormalized to unit sum; anything below the
-    floor anywhere in the input raises :class:`InvalidStateError`.
+    floor, or non-finite, anywhere in the input raises :class:`InvalidStateError`.
     """
     evals = np.asarray(evals, dtype=float)
+    _check_finite(evals, "spectrum")
     if evals.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(
             f"eigenvalue {evals.min():.3e} below the PSD floor {EIGENVALUE_FLOOR}")

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample, N <= 4 default budget
-_REJECTION_CHUNK = 4096
+_BLOCK = 4096                         # states per block: rejection proposals, HS purities
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
 _AUDIT_GATE_SEED = 1597463007
@@ -102,15 +102,27 @@ def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
 
 
 def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
-    """Purities of a Hilbert-Schmidt batch without storing the states."""
+    """Purities of ``count`` Hilbert-Schmidt states without storing the states.
+
+    The Ginibre matrices are drawn ``_BLOCK`` states at a time, so memory is
+    O(block) plus the 8 B per state of the result.  The generator fills
+    sequentially and each purity depends only on its own draws, so the values
+    and the generator's final position equal those of one whole batch drawn
+    from the same stream.
+    """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     gen = _as_generator(rng)
-    g = ginibre_batch(dim, count, gen)
-    w = g @ np.swapaxes(g.conj(), -2, -1)
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    frob2 = np.real(np.einsum("nij,nij->n", w, w.conj()))
-    return frob2 / tr ** 2
+    out = np.empty(count)
+    for start in range(0, count, _BLOCK):
+        g = ginibre_batch(dim, min(_BLOCK, count - start), gen)
+        w = g @ np.swapaxes(g.conj(), -2, -1)
+        tr = np.trace(w, axis1=-2, axis2=-1).real
+        frob2 = np.real(np.einsum("nij,nij->n", w, w.conj()))
+        out[start:start + len(g)] = frob2 / tr ** 2
+    return out
 
 
 def sample_bures(dim: int, rng) -> np.ndarray:
@@ -360,7 +372,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
             raise SamplingBudgetError(
                 f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
                 report=report)
-        m = min(_REJECTION_CHUNK, budget - proposed)
+        m = min(_BLOCK, budget - proposed)
         rhos = sample_bures_batch(dim, m, gen)
         eigs = _eig_records(rhos)
         log_ratio = _log_ratio_g_over_bures(eigs)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from superfid import (InvalidDimensionError, InvalidStateError, RngStream,
                       compose_state, ginibre, haar_unitary, haar_unitary_batch,
                       ks_test, ks_test_two_sample, mc_mean, purity, spectrum)
-from superfid.qstate import (check_density_matrix, check_eigenvalue_vector, clamp_spectrum,
-                             random_tangent)
+from superfid.qstate import (check_density_matrix, check_eigenvalue_vector, check_tangent,
+                             check_unitary, clamp_spectrum, random_tangent)
 
 from conftest import basis_state, random_state
 
@@ -152,6 +152,40 @@ class TestValidators:
         bad = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(InvalidStateError):
             check_density_matrix(bad)
+
+    # every comparison with NaN is false, so each validator must reject
+    # non-finite entries by name rather than let them through its tolerances
+    NON_FINITE = (np.nan, np.inf, -np.inf)
+
+    def test_eigenvalue_vector_rejects_non_finite(self):
+        for bad in self.NON_FINITE:
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                check_eigenvalue_vector(np.array([bad, 0.5]))
+
+    def test_clamp_spectrum_rejects_non_finite(self):
+        stack = np.tile([0.5, 0.3, 0.2], (6, 1))
+        for bad in self.NON_FINITE:
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                clamp_spectrum(np.array([0.6, bad]))
+            poisoned = stack.copy()
+            poisoned[4, 1] = bad
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                clamp_spectrum(poisoned)
+
+    def test_density_matrix_rejects_non_finite(self):
+        for bad in self.NON_FINITE:
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                check_density_matrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+    def test_unitary_rejects_non_finite(self):
+        for bad in self.NON_FINITE:
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                check_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_tangent_rejects_non_finite(self):
+        for bad in self.NON_FINITE:
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                check_tangent(np.array([[bad, 0.0], [0.0, 0.5]]))
 
     def test_random_tangent_is_traceless_hermitian(self):
         for dim in (2, 3, 4):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from superfid import (EnvelopeAudit, InvalidDimensionError, Measure, RejectionRe
                       RngStream, SamplingBudgetError, audit_sup_density_ratio, cdf_g2,
                       chi_square_gof, chi_square_gof_simplex, check_density_matrix,
                       density_bures_unnormalized, density_ratio_g_over_bures,
-                      invert_cdf_g2, ks_test, ks_test_two_sample,
-                      log_rejection_constant_c, mc_mean, numeric_cdf,
+                      ginibre_batch, hs_purity_batch, invert_cdf_g2, ks_test,
+                      ks_test_two_sample, log_rejection_constant_c, mc_mean, numeric_cdf,
                       purity_mean_hs, purity_variance_hs, rejection_constant_c,
                       sample_batch, sample_bures, sample_g_qubit,
                       sample_g_qubit_batch, sample_g_rejection,
@@ -60,6 +62,50 @@ class TestHilbertSchmidtSampler:
     def test_dim_validation(self):
         with pytest.raises(InvalidDimensionError):
             sample_hs(1, RngStream(0))
+
+
+def _traced_peak(fn, *args):
+    """Peak traced allocation, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHsPurityBatch:
+    BLOCK = samplers._BLOCK
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_blocks_equal_one_whole_batch(self, dim):
+        b = self.BLOCK
+        for count in (1, b - 1, b, b + 1, 3 * b + 5):
+            ref_gen = RngStream(count, dim).generator()
+            g = ginibre_batch(dim, count, ref_gen)
+            w = g @ np.swapaxes(g.conj(), -2, -1)
+            tr = np.trace(w, axis1=-2, axis2=-1).real
+            ref = np.real(np.einsum("nij,nij->n", w, w.conj())) / tr ** 2
+            gen = RngStream(count, dim).generator()
+            got = hs_purity_batch(dim, count, gen)
+            assert got.tobytes() == ref.tobytes()
+            # the generator ends where the whole batch left it
+            assert np.array_equal(gen.random(3), ref_gen.random(3))
+
+    def test_memory_is_bounded_by_the_block(self):
+        b = self.BLOCK
+        hs_purity_batch(5, b, RngStream(0))   # first-use allocations outside the trace
+        small = _traced_peak(hs_purity_batch, 5, 4 * b, RngStream(1))
+        large = _traced_peak(hs_purity_batch, 5, 16 * b, RngStream(1))
+        # a whole-batch build needs ~1.2 kB per state, ~80 MB here
+        assert large < 16 * 2 ** 20
+        # beyond the block's scratch, only the 8 B per state of the result grows
+        assert large - small <= 8 * 12 * b + 4096
+
+    def test_count_validation(self):
+        assert hs_purity_batch(3, 0, RngStream(0)).shape == (0,)
+        with pytest.raises(ValueError, match="count"):
+            hs_purity_batch(3, -1, RngStream(0))
 
 
 class TestSingleStateFunctions:
