@@ -6,9 +6,9 @@ Bures), normalization constants with exact/bound/series/Monte-Carlo/quadrature
 routes, exact and rejection samplers, and a statistical toolkit used to verify
 all of the quantitative claims at desk scale.
 """
-from .eigendensities import (DensityGrid, NormalizationEstimate, c_bures_quadrature,
-                             c_g_exact, c_g_jensen_bound, c_g_monte_carlo,
-                             c_g_quadrature, c_g_series, c_hs, cdf_g2,
+from .eigendensities import (DensityGrid, NormalizationEstimate, c_bures,
+                             c_bures_quadrature, c_g_exact, c_g_jensen_bound,
+                             c_g_monte_carlo, c_g_quadrature, c_g_series, c_hs, cdf_g2,
                              density_bures_unnormalized, density_g_unnormalized,
                              density_grid_qutrit, density_hs_unnormalized,
                              grid_integral, log_density_bures_unnormalized,
@@ -22,7 +22,7 @@ from .errors import (DomainError, EnvelopeAuditError, InstabilityWarning,
 from .qstate import (Measure, check_density_matrix, check_eigenvalue_vector,
                      check_tangent, check_unitary, compose_state, ginibre,
                      ginibre_batch, haar_unitary, haar_unitary_batch, purity,
-                     purity_batch, random_pure_state, random_tangent, spectrum)
+                     random_tangent, spectrum)
 from .rng import RngStream, seed_from_env
 from .samplers import (EnvelopeAudit, RejectionReport, audit_sup_density_ratio,
                        density_ratio_g_over_bures, hs_purity_batch, invert_cdf_g2,

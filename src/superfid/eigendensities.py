@@ -8,16 +8,15 @@ symmetric; ``prod`` runs over pairs i < j):
 * Bures:            prod (l_i - l_j)^2 / (l_i + l_j) / sqrt(l_1 ... l_N)
 
 plus their normalization constants: exact closed forms where known
-(Hilbert-Schmidt for all N; superfidelity for N = 2, 3), a Jensen upper
-bound, Monte-Carlo and series estimators, and quadrature evaluation for
-N = 2, 3.  Also the qubit eigenvalue CDF/PDF for the superfidelity measure
+(Hilbert-Schmidt and Bures for all N; superfidelity for N = 2, 3), a Jensen
+upper bound, Monte-Carlo and series estimators, and a fixed Gauss rule for
+N = 2..5.  Also the qubit eigenvalue CDF/PDF for the superfidelity measure
 and the qutrit density grids with a boundary-extrapolated integration rule.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lgamma, log, pi, sqrt
 from typing import Literal
 
@@ -35,7 +34,7 @@ __all__ = [
     "log_density_g_unnormalized", "log_density_bures_unnormalized",
     "log_density_hs_unnormalized",
     "c_hs", "c_g_exact", "c_g_jensen_bound", "c_g_monte_carlo", "c_g_series",
-    "c_g_quadrature", "c_bures_quadrature",
+    "c_g_quadrature", "c_bures", "c_bures_quadrature",
     "purity_mean_hs", "purity_variance_hs", "purity_moment_hs",
     "projective_unitary_volume", "cdf_g2", "pdf_g2_marginal",
     "density_grid_qutrit", "grid_integral",
@@ -63,8 +62,8 @@ class NormalizationEstimate:
     def __post_init__(self):
         if not (np.isfinite(self.value) and self.value > 0):
             raise ValueError(f"normalization constant must be finite and positive, got {self.value}")
-        if (self.std_error is not None) != (self.method == "monte-carlo"):
-            raise ValueError("std_error is present exactly for monte-carlo estimates")
+        if (self.std_error is not None) != (self.method in ("monte-carlo", "series")):
+            raise ValueError("std_error is present exactly for monte-carlo and series estimates")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def c_g_exact(dim: int) -> NormalizationEstimate:
         value = (432.0 * sqrt(2.0) / (317.0 * pi)) * c_hs(3).value
     else:
         raise UnsupportedDimensionError(
-            f"no closed form for dim {dim}; use the Jensen bound, series, or Monte Carlo")
+            f"no closed form for dim {dim}; use quadrature (dim <= 5), jensen, series or mc")
     return NormalizationEstimate(dim=dim, value=value, method="exact")
 
 
@@ -253,15 +252,16 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     fitted as t_k ~ k^(-alpha) (a + b/k) to the last two terms (see
     :func:`_series_tail`) and reported as ``truncation_tail``; the last term
     is still reported as ``truncation_last_term``.  All purity moments come
-    from one Hilbert-Schmidt Monte-Carlo batch of ``samples`` states, so
-    ``samples`` must be at least 1.
+    from one Hilbert-Schmidt Monte-Carlo batch of ``samples`` >= 2 states;
+    ``std_error`` carries the standard error of their mean of
+    sum_{k<=k_max} c_k p^k through the reciprocal (delta method).
     """
     if dim < 2:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
     p = _hs_purities(dim, samples, rng)
     coeff = series_coefficients(k_max)
     inv_chs = 1.0 / c_hs(dim).value
@@ -274,9 +274,11 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
         terms[k] = coeff[k] * float(p_pow.mean()) * inv_chs
     partial = np.cumsum(terms)
     tail = _series_tail(terms, (dim - 1) ** 2 + 0.5)
+    _, se_f = mc_mean(np.polynomial.polynomial.polyval(p, coeff))
 
+    inv_c = float(partial[k_max] + tail)
     estimate = NormalizationEstimate(
-        dim=dim, value=1.0 / float(partial[k_max] + tail), method="series",
+        dim=dim, value=1.0 / inv_c, method="series", std_error=se_f * inv_chs / inv_c ** 2,
         terms_or_samples=k_max, truncation_last_term=float(terms[k_max]),
         truncation_tail=tail)
     if return_partial_sums:
@@ -284,34 +286,47 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     return estimate
 
 
-def c_g_quadrature(dim: int, tolerance: float = 1e-9) -> NormalizationEstimate:
-    """Reciprocal of the simplex integral of the unnormalized density (N = 2, 3)."""
-    if dim not in (2, 3):
-        raise UnsupportedDimensionError(f"quadrature constants available for dim 2 and 3, not {dim}")
-    integral = simplex_quadrature(density_g_unnormalized, dim, tolerance)
-    return NormalizationEstimate(dim=dim, value=1.0 / integral, method="quadrature")
+def c_g_quadrature(dim: int) -> NormalizationEstimate:
+    """Superfidelity constant by the simplex Gauss rule (N = 2..5).
+
+    The integrand is C_HS times the density, whose integral C_HS / C_G is of
+    order one at every N, so the absolute tolerance 1e-9 is also relative.
+    """
+    if dim not in (2, 3, 4, 5):
+        raise UnsupportedDimensionError(f"quadrature constants available for dim 2 to 5, not {dim}")
+    chs = c_hs(dim).value
+    ratio = simplex_quadrature(lambda lam: chs * density_g_unnormalized(lam), dim, 1e-9)
+    return NormalizationEstimate(dim=dim, value=chs / ratio, method="quadrature")
 
 
-@lru_cache(maxsize=None)
-def c_bures_quadrature(dim: int, tolerance: float = 1e-9) -> NormalizationEstimate:
-    """Bures normalization constant by quadrature (no closed form is assumed)."""
-    if dim not in (2, 3):
-        raise UnsupportedDimensionError(f"quadrature constants available for dim 2 and 3, not {dim}")
-    integral = simplex_quadrature(density_bures_unnormalized, dim, tolerance)
-    return NormalizationEstimate(dim=dim, value=1.0 / integral, method="quadrature")
+def c_bures(dim: int) -> NormalizationEstimate:
+    """Bures constant 2^(N^2-N) Gamma(N^2/2) / (pi^(N/2) prod_{j<=N} Gamma(j+1)).
+
+    Sommers and Zyczkowski, J. Phys. A 36, 10083 (2003).
+    """
+    if dim < 2:
+        raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
+    lg = ((dim * dim - dim) * log(2.0) + lgamma(dim * dim / 2.0) - 0.5 * dim * log(pi)
+          - sum(lgamma(j + 1) for j in range(1, dim + 1)))
+    return NormalizationEstimate(dim=dim, value=float(np.exp(lg)), method="exact")
+
+
+# Callers left: perfbench/worker.py:90 and acceptance criterion 12; delete
+# this alias with the next change to the benchmark.
+c_bures_quadrature = c_bures
 
 
 def normalized_density(measure: Measure | str, dim: int):
     """Normalized eigenvalue density for ``measure`` at dimension ``dim``.
 
-    The constant is exact for Hilbert-Schmidt (any N) and superfidelity
-    (N = 2, 3) and from quadrature for Bures (N = 2, 3); other dimensions
-    raise :class:`UnsupportedDimensionError`.
+    The constant is exact for Hilbert-Schmidt and Bures (any N) and for
+    superfidelity (N = 2, 3); other superfidelity dimensions raise
+    :class:`UnsupportedDimensionError`.
     """
     base, constant = {
         Measure.HILBERT_SCHMIDT: (density_hs_unnormalized, c_hs),
         Measure.SUPERFIDELITY: (density_g_unnormalized, c_g_exact),
-        Measure.BURES: (density_bures_unnormalized, c_bures_quadrature),
+        Measure.BURES: (density_bures_unnormalized, c_bures),
     }[Measure(measure)]
     const = constant(dim).value
     return lambda eigs: const * np.asarray(base(eigs))

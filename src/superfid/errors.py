@@ -26,9 +26,9 @@ class StepSizeError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within its subdivision budget.
+    """The two orders of a fixed quadrature rule disagree, or its result is not finite.
 
-    Carries the best available estimate in ``partial_estimate``.
+    Carries the finer order's estimate in ``partial_estimate``.
     """
 
     def __init__(self, message: str, partial_estimate: float | None = None):

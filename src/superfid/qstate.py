@@ -200,11 +200,6 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.sum(rho * rho.conj())))
 
 
-def purity_batch(rhos: np.ndarray) -> np.ndarray:
-    """tr rho^2 along the last two axes of a stacked array (no validation)."""
-    return np.real(np.einsum("...ij,...ij->...", rhos, rhos.conj()))
-
-
 def random_tangent(dim: int, rng, norm: float = 1.0) -> np.ndarray:
     """Random Hermitian traceless direction with Frobenius norm ``norm``.
 
@@ -220,12 +215,3 @@ def random_tangent(dim: int, rng, norm: float = 1.0) -> np.ndarray:
         h = np.diag(np.linspace(1, -1, dim) - np.mean(np.linspace(1, -1, dim)))
         h_norm = np.linalg.norm(h)
     return h * (norm / h_norm)
-
-
-def random_pure_state(dim: int, rng) -> np.ndarray:
-    """Haar-random pure state projector |psi><psi|."""
-    gen = _as_generator(rng)
-    z = gen.standard_normal((dim, 2))
-    psi = z[:, 0] + 1j * z[:, 1]
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())

@@ -2,22 +2,21 @@
 
 Monte-Carlo summaries with standard errors, one- and two-sample
 Kolmogorov-Smirnov tests, Pearson chi-square goodness of fit (on intervals and
-on the qutrit eigenvalue simplex), and the adaptive simplex quadrature used as
-the numerical oracle for normalization constants.
+on the qutrit eigenvalue simplex), and the fixed Gauss rule over the
+eigenvalue simplex used as the numerical oracle for normalization constants.
 
 The quadrature convention is the plain Lebesgue integral over unordered
 simplex coordinates: for N=2, integral over lambda in (0,1) with
 (lambda, 1-lambda); for N=3, over the triangle {lambda_1, lambda_2 >= 0,
-lambda_1 + lambda_2 <= 1}.  This is the convention under which the
-Hilbert-Schmidt eigenvalue density integrates to Gamma-function closed forms
-(1/3 for N=2, 1/1680 for N=3).
+lambda_1 + lambda_2 <= 1}; likewise over the first N-1 coordinates up to
+N=5.  This is the convention under which the Hilbert-Schmidt eigenvalue
+density integrates to 1/C_HS (1/3 for N=2, 1/1680 for N=3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import kolmogorov
 from scipy.stats import chi2 as chi2_dist
 
@@ -176,10 +175,11 @@ def chi_square_gof(samples: np.ndarray, density, bins: int,
                    support: tuple[float, float], min_expected: float = 5.0) -> GofResult:
     """Pearson chi-square test of 1-D samples against an unnormalized density.
 
-    The density is numerically normalized over ``support`` by quadrature
-    (endpoint-substituted, so integrable inverse-square-root endpoint
-    singularities are fine); bins with expected count below ``min_expected``
-    are pooled with their neighbours.
+    Each bin's mass comes from the sin^2 Gauss rule of
+    :func:`simplex_quadrature` (so integrable inverse-square-root endpoint
+    singularities are fine); if its two orders differ by more than 1e-9 of the
+    total mass, :class:`QuadratureError` is raised.  Bins with expected count
+    below ``min_expected`` are pooled with their neighbours.
     """
     samples = np.asarray(samples, dtype=float)
     if bins < 2:
@@ -188,28 +188,20 @@ def chi_square_gof(samples: np.ndarray, density, bins: int,
     if samples.min() < lo or samples.max() > hi:
         raise ValueError("samples fall outside the stated support")
     edges = np.linspace(lo, hi, bins + 1)
-    masses = np.array([_quad_segment(density, a, b) for a, b in zip(edges[:-1], edges[1:])])
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    coarse, masses = ((np.asarray(density(left + width * s), dtype=float) * width) @ w
+                      for s, _, w in _SIN2_RULES)
     total = masses.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError(f"density integral over support is not finite/positive: {total}")
+    gap = np.max(np.abs(masses - coarse))
+    if not gap <= 1e-9 * total:
+        raise QuadratureError(f"bin masses of the two quadrature orders differ by {gap:.2e}",
+                              partial_estimate=float(total))
     expected = samples.size * masses / total
     counts, _ = np.histogram(samples, bins=edges)
     counts, expected = _merge_small_bins(counts.astype(float), expected, min_expected)
     return _pearson(counts, expected)
-
-
-def _quad_segment(density, a: float, b: float) -> float:
-    """Integral of ``density`` over [a, b] via the sin^2 endpoint substitution."""
-    if b <= a:
-        return 0.0
-    width = b - a
-
-    def g(theta):
-        x = a + width * np.sin(theta) ** 2
-        return density(x) * width * np.sin(2.0 * theta)
-
-    val, _ = integrate.quad(g, 0.0, np.pi / 2, epsabs=1e-11, epsrel=1e-9, limit=200)
-    return val
 
 
 # ----- qutrit-simplex variant -----
@@ -311,59 +303,61 @@ def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12,
 # simplex quadrature
 # ---------------------------------------------------------------------------
 
-def _quad_checked(g, lo, hi, epsabs, epsrel, tolerance):
-    out = integrate.quad(g, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                         limit=400, full_output=True)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 or not np.isfinite(val):
-        raise QuadratureError(f"quadrature did not converge: {out[-1]}",
-                              partial_estimate=val)
-    if abserr > max(tolerance, 1e-3 * abs(val) if tolerance <= 0 else tolerance):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.2e} exceeds tolerance {tolerance:.2e}",
-            partial_estimate=val)
-    return val
+def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule in phi for integrals over s = sin^2 phi in [0, 1].
+
+    Returns sin^2 phi, cos^2 phi and the weights times ds/dphi = sin 2phi.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    phi = 0.25 * np.pi * (x + 1.0)
+    return np.sin(phi) ** 2, np.cos(phi) ** 2, 0.25 * np.pi * w * np.sin(2.0 * phi)
+
+
+_SIN2_RULES = [_sin2_rule(n) for n in (32, 48)]  # coarse, fine
+
+
+def _stick_breaking_rule(parts: int, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Points (m, parts) and weights (m,) of the product rule on the unit simplex.
+
+    Each coordinate takes the fraction sin^2 phi of the stick the previous ones
+    left, the last takes the rest; the Jacobian is the stick length at each break.
+    """
+    s, c, w = rule
+    lam, rest, wts = np.empty((1, 0)), np.ones(1), np.ones(1)
+    for _ in range(parts - 1):
+        lam = np.column_stack([np.repeat(lam, len(s), axis=0), np.outer(rest, s).ravel()])
+        wts = np.outer(wts * rest, w).ravel()
+        rest = np.outer(rest, c).ravel()
+    return np.column_stack([lam, rest]), wts
+
+
+def _simplex_rule(f, dim: int, rule) -> float:
+    # one lambda_1 node per call of f bounds memory: 48^3 points at dim 5
+    inner, inner_w = _stick_breaking_rule(dim - 1, rule)
+    total = 0.0
+    for s1, c1, w1 in zip(*rule):
+        lam = np.column_stack([np.full(len(inner), s1), c1 * inner])
+        total += w1 * c1 ** (dim - 2) * float(np.sum(inner_w * f(lam)))
+    return total
 
 
 def simplex_quadrature(f, dim: int, tolerance: float = 1e-9) -> float:
-    """Adaptive integral of ``f(lambda)`` over the unordered eigenvalue simplex.
+    """Integral of ``f(lambda)`` over the unordered eigenvalue simplex, dim 2 to 5.
 
-    ``f`` receives a length-``dim`` array summing to 1.  For dim=2 the
-    substitution lambda = sin^2(theta) removes inverse-square-root endpoint
-    singularities exactly; for dim=3 the same substitution is applied to both
-    nested coordinates, which also removes the 1/sqrt(lambda_i) boundary
-    singularities of the Bures density.  Supported dims: 2, 3.
+    ``f`` maps (m, dim) stacks of points to m values.  A product Gauss-Legendre
+    rule in the nested angles lambda_1 = sin^2 phi_1, lambda_2 = cos^2 phi_1
+    sin^2 phi_2, ... removes the 1/sqrt boundary singularities of the Bures and
+    superfidelity densities.  Returns the 48-node value; raises
+    :class:`QuadratureError` (carrying it) if it is not finite or differs from
+    the 32-node value by more than ``tolerance``.
     """
-    if dim == 2:
-        def g(theta):
-            lam = np.sin(theta) ** 2
-            return f(np.array([lam, 1.0 - lam])) * np.sin(2.0 * theta)
-
-        return _quad_checked(g, 0.0, np.pi / 2, epsabs=tolerance * 0.5,
-                             epsrel=1e-12, tolerance=tolerance)
-
-    if dim == 3:
-        inner_tol = tolerance * 0.02
-
-        def outer(phi):
-            lam1 = np.sin(phi) ** 2
-            rest = 1.0 - lam1
-            if rest <= 0.0:
-                return 0.0
-
-            def inner(theta):
-                lam2 = rest * np.sin(theta) ** 2
-                lam3 = rest - lam2
-                return f(np.array([lam1, lam2, lam3])) * rest * np.sin(2.0 * theta)
-
-            val, _ = integrate.quad(inner, 0.0, np.pi / 2, epsabs=inner_tol,
-                                    epsrel=1e-12, limit=400)
-            return val * np.sin(2.0 * phi)
-
-        return _quad_checked(outer, 0.0, np.pi / 2, epsabs=tolerance * 0.5,
-                             epsrel=1e-12, tolerance=tolerance)
-
-    raise ValueError(f"simplex_quadrature supports dim 2 and 3, got {dim}")
+    if dim not in (2, 3, 4, 5):
+        raise ValueError(f"simplex_quadrature supports dim 2 to 5, got {dim}")
+    coarse, fine = (_simplex_rule(f, dim, rule) for rule in _SIN2_RULES)
+    if not (np.isfinite(fine) and abs(fine - coarse) <= tolerance):
+        raise QuadratureError(f"32- and 48-node rules give {coarse:.17g} and {fine:.17g}, "
+                              f"more than {tolerance:.2e} apart", partial_estimate=float(fine))
+    return float(fine)
 
 
 def numeric_cdf(density, support: tuple[float, float], n_grid: int = 2000):

@@ -152,7 +152,7 @@ def _density_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     lam = np.linspace(0.01, 0.99, 99)
     pts = np.stack([lam, 1 - lam], axis=-1)
     g_norm = ed.c_g_exact(2).value * np.asarray(ed.density_g_unnormalized(pts))
-    b_norm = ed.c_bures_quadrature(2).value * np.asarray(ed.density_bures_unnormalized(pts))
+    b_norm = ed.c_bures(2).value * np.asarray(ed.density_bures_unnormalized(pts))
     gap = np.max(np.abs(g_norm - b_norm))
     out.append(_result("density", "qubit-g-measure-equals-bures",
                        gap <= 1e-10, f"max pointwise gap = {gap:.2e}"))
@@ -309,8 +309,8 @@ def _purity_checks(seed: int, scale: float = 1.0,
     pg = np.sum(eg ** 2, axis=-1)
     mean, se = st.mc_mean(pg)
     quad = st.simplex_quadrature(
-        lambda lam: float(np.sum(lam ** 2)) * ed.c_g_exact(2).value
-        * float(ed.density_g_unnormalized(lam)), 2, 1e-9)
+        lambda lam: np.sum(lam ** 2, axis=-1) * ed.c_g_exact(2).value
+        * ed.density_g_unnormalized(lam), 2, 1e-9)
     ok = abs(mean - quad) <= 3 * se and mean > ed.purity_mean_hs(2)
     out.append(_result("purity", "g-qubit-mean-purity", ok,
                        f"mean {mean:.5f}, quadrature {quad:.5f}, HS mean 0.8"))

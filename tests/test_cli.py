@@ -93,6 +93,11 @@ class TestEstimateCommand:
         doc = json.loads(out)
         assert abs(doc["value"] - 1030.67) / 1030.67 <= 1e-3
 
+    def test_quadrature_beyond_closed_forms(self):
+        code, out = run_cli(["estimate", "--dim", "4", "--method", "quadrature"])
+        assert code == 0
+        assert abs(json.loads(out)["value"] / 273411668.97822 - 1.0) <= 1e-12
+
     def test_jensen_flagged_as_bound(self):
         code, out = run_cli(["estimate", "--dim", "5", "--method", "jensen"])
         doc = json.loads(out)
@@ -116,7 +121,7 @@ class TestEstimateCommand:
 
     def test_exact_unsupported_dim_is_usage_error(self, capsys):
         assert cli.main(["estimate", "--dim", "4", "--method", "exact"]) == 2
-        assert cli.main(["estimate", "--dim", "5", "--method", "quadrature"]) == 2
+        assert cli.main(["estimate", "--dim", "6", "--method", "quadrature"]) == 2
 
     def test_bad_parameters_are_usage_errors(self, capsys):
         assert cli.main(["estimate", "--dim", "2", "--method", "series",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superfid import (DomainError, InstabilityWarning, RngStream, SingularityError,
-                      UnsupportedDimensionError, c_bures_quadrature, c_g_exact,
+                      UnsupportedDimensionError, c_bures, c_g_exact,
                       c_g_jensen_bound, c_g_monte_carlo, c_g_quadrature, c_g_series,
                       c_hs, cdf_g2, density_bures_unnormalized, density_g_unnormalized,
                       density_grid_qutrit, density_hs_unnormalized, grid_integral,
@@ -113,6 +113,13 @@ class TestNormalizationConstants:
         assert abs(1 / c_g_quadrature(2).value - PI_OVER_2SQRT2) <= 1e-6
         assert abs(c_g_quadrature(3).value - C3G) / C3G <= 1e-6
 
+    @pytest.mark.parametrize("dim, expected", [(4, 273411668.97822), (5, 4.8784056580969e16)])
+    def test_c_g_quadrature_beyond_closed_forms(self, dim, expected):
+        est = c_g_quadrature(dim)
+        assert est.method == "quadrature"
+        assert est.value < c_g_jensen_bound(dim).value
+        assert abs(est.value / expected - 1.0) <= 1e-12
+
     def test_jensen_bound_values(self):
         assert abs(c_g_jensen_bound(2).value - 3 / np.sqrt(5)) <= 1e-12
         assert abs(c_g_jensen_bound(3).value - 1680 * np.sqrt(0.4)) <= 1e-9
@@ -183,7 +190,7 @@ class TestSeries:
         assert est.truncation_last_term is not None
         assert 0 < est.truncation_last_term < 0.01
         assert est.method == "series"
-        assert est.std_error is None
+        assert est.std_error > 0
 
     def test_tail_estimate(self):
         # same draw at k_max = 20 and 400: the tail fitted to terms 19 and 20
@@ -203,6 +210,22 @@ class TestSeries:
             for k_max in (1, 20):
                 tail = c_g_series(dim, k_max, RngStream(18), samples=2000).truncation_tail
                 assert np.isfinite(tail) and tail >= 0
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_error_bars_cover_the_quadrature_constant(self, dim):
+        # seeds 0..19 fixed in advance, a separate stream per estimator; 3 sigma
+        # misses < 1% at the nominal rate, so 18 of 20 leaves room for skew
+        exact = c_g_quadrature(dim).value
+        hits = {"series": 0, "monte-carlo": 0}
+        for seed in range(20):
+            for est in (c_g_series(dim, 20, RngStream(seed, 0), samples=10 ** 4),
+                        c_g_monte_carlo(dim, 10 ** 4, RngStream(seed, 1))):
+                hits[est.method] += abs(est.value - exact) <= 3 * est.std_error
+        assert hits["series"] >= 18 and hits["monte-carlo"] >= 18, hits
+
+    def test_series_needs_two_samples(self):
+        with pytest.raises(ValueError):
+            c_g_series(2, 5, RngStream(0), samples=1)
 
     def test_converges_at_large_truncation_order(self):
         # the 1/C tail decays like 1/sqrt(k): ~0.7% truncation error at k=2e4
@@ -280,7 +303,7 @@ class TestQubitMarginal:
             pdf_g2_marginal(float("nan"))
 
     def test_pdf_integrates_to_one(self):
-        val = simplex_quadrature(lambda lam: pdf_g2_marginal(lam[0]), 2, 1e-9)
+        val = simplex_quadrature(lambda lam: pdf_g2_marginal(lam[..., 0]), 2, 1e-9)
         assert abs(val - 1.0) <= 1e-8
 
     def test_pdf_is_cdf_derivative(self):
@@ -342,15 +365,27 @@ class TestDensityGrid:
             assert abs(total - 1.0) <= 0.02
 
     def test_bures_constant_from_quadrature(self):
-        # no closed form is assumed; the qubit value is 2/pi
-        assert abs(c_bures_quadrature(2).value - 2 / np.pi) <= 1e-9
-        assert abs(c_bures_quadrature(3).value - 11.140846) <= 1e-4
+        # the qubit value is 2/pi
+        assert abs(c_bures(2).value - 2 / np.pi) <= 1e-9
+        assert abs(c_bures(3).value - 11.140846) <= 1e-4
+
+    @pytest.mark.parametrize("dim, rtol", [(2, 1e-12), (3, 2e-8), (4, 2e-8)])
+    def test_bures_closed_form_matches_the_rule(self, dim, rtol):
+        # the orders differ by 1.2e-9 at N = 3: the Bures corners converge algebraically
+        val = simplex_quadrature(density_bures_unnormalized, dim, 1e-8)
+        assert abs(val * c_bures(dim).value - 1.0) <= rtol
+
+    def test_normalized_bures_integrates_to_one_at_dim4(self):
+        # normalized, the order gap at N = 4 is 1.2e-7 absolute; the finer
+        # order itself is within 2e-8 of 1
+        val = simplex_quadrature(normalized_density(Measure.BURES, 4), 4, 2e-7)
+        assert abs(val - 1.0) <= 2e-8
 
     def test_qubit_g_measure_equals_bures_pointwise(self):
         lam = np.linspace(0.02, 0.98, 97)
         pts = np.stack([lam, 1 - lam], axis=-1)
         g_norm = c_g_exact(2).value * np.asarray(density_g_unnormalized(pts))
-        b_norm = c_bures_quadrature(2).value * np.asarray(density_bures_unnormalized(pts))
+        b_norm = c_bures(2).value * np.asarray(density_bures_unnormalized(pts))
         assert np.max(np.abs(g_norm - b_norm)) <= 1e-10
 
 

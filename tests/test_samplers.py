@@ -18,7 +18,7 @@ from superfid import (EnvelopeAudit, InvalidDimensionError, Measure, RejectionRe
                       sample_bures_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
-from superfid.eigendensities import c_bures_quadrature, c_g_jensen_bound, normalized_density
+from superfid.eigendensities import c_bures, c_g_jensen_bound, normalized_density
 
 
 def _lambda_max_cdf(base_cdf):
@@ -237,8 +237,8 @@ class TestQubitGSampler:
         purity = np.sum(eigs ** 2, axis=-1)
         mean, se = mc_mean(purity)
         quad = simplex_quadrature(
-            lambda lam: float(np.sum(lam ** 2)) * 0.9003163161571068
-            * float((lam[0] - lam[1]) ** 2 / np.sqrt(1 - np.sum(lam ** 2))), 2, 1e-9)
+            lambda lam: np.sum(lam ** 2, axis=-1) * 0.9003163161571068
+            * (lam[..., 0] - lam[..., 1]) ** 2 / np.sqrt(1 - np.sum(lam ** 2, axis=-1)), 2, 1e-9)
         assert abs(quad - 0.875) <= 1e-9  # analytic value of E[purity] under this law
         assert abs(mean - quad) <= 3 * se
         assert mean > purity_mean_hs(2)
@@ -283,8 +283,8 @@ class TestRejectionConstant:
         assert abs(rejection_constant_c(3) - 6.6606) <= 1e-3
 
     def test_identity_with_bound_times_constants(self):
-        # c = (Jensen bound on C_3^G / C_3^B) * sup-ratio, with C_3^B by quadrature
-        alt = (c_g_jensen_bound(3).value / c_bures_quadrature(3).value
+        # c = (Jensen bound on C_3^G / C_3^B) * sup-ratio, with C_3^B in closed form
+        alt = (c_g_jensen_bound(3).value / c_bures(3).value
                * sup_density_ratio_unnormalized(3))
         assert abs(rejection_constant_c(3) / alt - 1.0) <= 1e-6
 

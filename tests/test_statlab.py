@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superfid import (GofResult, Measure, QuadratureError, RngStream, SampleBatch,
-                      chi_square_gof, chi_square_gof_simplex, cdf_g2,
+                      c_hs, chi_square_gof, chi_square_gof_simplex, cdf_g2,
                       density_bures_unnormalized, density_g_unnormalized,
                       density_hs_unnormalized, invert_cdf_g2, ks_test,
                       ks_test_two_sample, mc_mean, mc_variance, numeric_cdf,
@@ -116,6 +118,13 @@ class TestChiSquare:
                            lambda x: np.full_like(x, np.inf),
                            bins=10, support=(0.0, 1.0))
 
+    def test_bins_fail_closed_on_a_divergent_density(self):
+        # 1/|x - 1/2| is not integrable at the bin edge 1/2: the two orders
+        # of the bin rule disagree there
+        with pytest.raises(QuadratureError):
+            chi_square_gof(np.linspace(0.05, 0.95, 100), lambda x: 1.0 / np.abs(x - 0.5),
+                           bins=10, support=(0.0, 1.0))
+
     def test_small_bins_are_merged(self):
         gen = RngStream(14).generator()
         lam = np.asarray(invert_cdf_g2(gen.random(300)))
@@ -139,12 +148,33 @@ class TestSimplexQuadrature:
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
-            simplex_quadrature(lambda lam: 1.0, 4, 1e-6)
+            simplex_quadrature(lambda lam: 1.0, 6, 1e-6)
 
     def test_divergent_integrand_raises(self):
-        with pytest.raises(QuadratureError) as info:
-            simplex_quadrature(lambda lam: 1.0 / lam[0], 2, 1e-10)
-        assert info.value.partial_estimate is not None
+        for dim in (2, 3):
+            with pytest.raises(QuadratureError) as info:
+                simplex_quadrature(lambda lam: 1.0 / lam[..., 0], dim, 1e-10)
+            assert info.value.partial_estimate is not None
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_hs_polynomial_integrates_to_inverse_constant(self, dim):
+        val = simplex_quadrature(density_hs_unnormalized, dim, 1e-9)
+        assert abs(val * c_hs(dim).value - 1.0) <= 1e-13
+
+    def test_bures_corners_fail_closed(self):
+        # the Bures density is not smooth where two eigenvalues vanish, so the
+        # rule converges only algebraically there: its orders differ by ~1.2e-9
+        with pytest.raises(QuadratureError):
+            simplex_quadrature(density_bures_unnormalized, 3, 1e-9)
+
+    def test_memory_is_bounded_at_dim5(self):
+        tracemalloc.start()
+        try:
+            simplex_quadrature(density_g_unnormalized, 5, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_numeric_cdf_matches_closed_form(self):
         cdf = numeric_cdf(lambda x: np.asarray(pdf_g2_marginal(x)), (0.0, 1.0))
