@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of the output bytes of a fixed list of CLI commands.
+
+    PYTHONPATH=<checkout>/src python scripts/cli_digest.py > digests.txt
+
+Each command runs in this process through ``superfid.cli.main`` and prints
+one line ``name exit sha256``.  The digest covers stdout, stderr and the file
+that a command writes with ``--out``.  To see which outputs a change moved,
+run this script once with each checkout's ``src`` on ``PYTHONPATH`` and
+``diff`` the two listings.
+
+The list covers ``sample`` for every measure at N = 2..5 (CSV and JSON, with
+and without ``--full-matrix``, ``--workers 2``, and every command shape of
+the benchmark's ``rejection`` and ``export`` workloads at small counts),
+``estimate`` with every method wherever it is supported at N = 2..5,
+``grid`` for both measures, ``verify all --scale 0.01`` and two usage errors.
+"""
+from __future__ import annotations
+
+import hashlib
+import io
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from superfid import cli
+
+OUT = "{out}"   # replaced by a fresh file path; its bytes join the digest
+
+
+def _sample(measure, dim, count, *extra):
+    return ["sample", "--measure", measure, "--dim", str(dim), "--count", str(count),
+            "--seed", "11", *extra]
+
+
+def _estimate(dim, method, *extra):
+    return ["estimate", "--dim", str(dim), "--method", method, "--seed", "12", *extra]
+
+
+COMMANDS: list[tuple[str, list[str]]] = [
+    ("sample-hs-2-csv", _sample("hs", 2, 200)),
+    ("sample-hs-3-json-full", _sample("hs", 3, 50, "--format", "json", "--full-matrix")),
+    ("sample-hs-4-csv-full", _sample("hs", 4, 50, "--full-matrix")),
+    ("sample-hs-5-workers2", _sample("hs", 5, 101, "--workers", "2")),
+    ("sample-bures-2-json", _sample("bures", 2, 100, "--format", "json")),
+    ("sample-bures-3-csv-full", _sample("bures", 3, 50, "--full-matrix")),
+    ("sample-bures-4-workers2", _sample("bures", 4, 101, "--workers", "2")),
+    ("sample-bures-5-csv", _sample("bures", 5, 100)),
+    ("sample-g-2-json-full", _sample("g", 2, 100, "--format", "json", "--full-matrix")),
+    ("sample-g-3-workers2", _sample("g", 3, 201, "--workers", "2")),
+    ("sample-g-4-json", _sample("g", 4, 50, "--format", "json")),
+    # the rejection workload's commands, at small counts
+    ("sample-g-3-csv", _sample("g", 3, 600)),
+    ("sample-g-4-csv", _sample("g", 4, 100)),
+    ("sample-g-5-csv", _sample("g", 5, 5, "--max-proposals", "100000")),
+    # the export workload's commands, at small counts
+    ("sample-g-2-out", _sample("g", 2, 2000, "--out", OUT)),
+    ("sample-hs-3-json-full-out",
+     _sample("hs", 3, 200, "--full-matrix", "--format", "json", "--out", OUT)),
+    ("estimate-exact-2", _estimate(2, "exact")),
+    ("estimate-exact-3", _estimate(3, "exact")),
+    *[(f"estimate-jensen-{d}", _estimate(d, "jensen")) for d in (2, 3, 4, 5)],
+    *[(f"estimate-mc-{d}", _estimate(d, "mc", "--samples", "20000")) for d in (2, 3, 4, 5)],
+    *[(f"estimate-series-{d}", _estimate(d, "series", "--samples", "5000"))
+      for d in (2, 3, 4, 5)],
+    *[(f"estimate-quadrature-{d}", _estimate(d, "quadrature")) for d in (2, 3, 4, 5)],
+    ("estimate-mc-3-out", _estimate(3, "mc", "--samples", "5000", "--out", OUT)),
+    ("grid-g-40", ["grid", "--measure", "g", "--resolution", "40"]),
+    ("grid-bures-40", ["grid", "--measure", "bures", "--resolution", "40"]),
+    ("verify-all", ["verify", "all", "--seed", "0", "--scale", "0.01"]),
+    ("exit2-exact-4", _estimate(4, "exact")),
+    ("exit2-grid-hs", ["grid", "--measure", "hs", "--resolution", "40"]),
+]
+
+
+def digest_line(name: str, argv: list[str]) -> str:
+    """Run one command and return ``name exit sha256`` for its output bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [str(out) if arg == OUT else arg for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings():
+            # every warning is printed, not only its first occurrence in the process
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        parts = [stdout.getvalue().encode(), stderr.getvalue().encode(),
+                 out.read_bytes() if out.exists() else b""]
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(len(part).to_bytes(8, "little"))
+        sha.update(part)
+    return f"{name} {code} {sha.hexdigest()}"
+
+
+def main():
+    for name, argv in COMMANDS:
+        print(digest_line(name, argv), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -89,6 +89,18 @@ def density_hs_unnormalized(eigs: np.ndarray):
     return _maybe_scalar(_vandermonde_sq(_canonical(eigs)))
 
 
+def _g_radicand(eigs: np.ndarray) -> np.ndarray:
+    """1 - sum l_i^2 on the simplex, formed as 2 sum_{i<j} l_i l_j.
+
+    The sum over pairs is 2 sum_i l_i S_i with the suffix sums
+    S_i = sum_{j>i} l_j; it has no cancellation near pure states, where
+    1 - sum l_i^2 loses ~1e-16 / (1 - sum l_i^2) relative.  It is 0 exactly
+    at a vertex.
+    """
+    suffix = np.cumsum(eigs[..., :0:-1], axis=-1)[..., ::-1]
+    return 2.0 * np.sum(eigs[..., :-1] * suffix, axis=-1)
+
+
 def density_g_unnormalized(eigs: np.ndarray):
     """prod_{i<j} (l_i - l_j)^2 / sqrt(1 - sum l_i^2).
 
@@ -96,7 +108,7 @@ def density_g_unnormalized(eigs: np.ndarray):
     :class:`SingularityError` (the divergence there is integrable).
     """
     eigs = _canonical(eigs)
-    radicand = 1.0 - np.sum(eigs ** 2, axis=-1)
+    radicand = _g_radicand(eigs)
     if np.any(radicand <= 0):
         raise SingularityError("superfidelity density diverges at pure states")
     return _maybe_scalar(_vandermonde_sq(eigs) / np.sqrt(radicand))
@@ -124,7 +136,7 @@ def log_density_hs_unnormalized(eigs: np.ndarray):
 
 def log_density_g_unnormalized(eigs: np.ndarray):
     eigs = _canonical(eigs)
-    radicand = 1.0 - np.sum(eigs ** 2, axis=-1)
+    radicand = _g_radicand(eigs)
     if np.any(radicand <= 0):
         raise SingularityError("superfidelity density diverges at pure states")
     return _maybe_scalar(np.asarray(log_density_hs_unnormalized(eigs)) - 0.5 * np.log(radicand))

@@ -1,6 +1,7 @@
 """Random density-matrix generators for three measures.
 
-* Hilbert-Schmidt: rho = G G^dag / tr(G G^dag) with G Ginibre.
+* Hilbert-Schmidt: rho = G G^dag / tr(G G^dag) with G Ginibre.  Purities
+  alone come from the Dumitriu-Edelman bidiagonal model, without matrices.
 * Bures: rho proportional to (I + U) G G^dag (I + U^dag) with U Haar.
 * superfidelity measure: exact inverse-CDF construction for qubits;
   for N >= 3, rejection sampling with Bures proposals.  The acceptance ratio
@@ -23,7 +24,7 @@ from math import exp, lgamma, log, pi
 import numpy as np
 from scipy import optimize
 
-from .eigendensities import cdf_g2
+from .eigendensities import _g_radicand, cdf_g2
 from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetError
 from .qstate import (Measure, _as_generator, _maybe_scalar, clamp_spectrum, ginibre_batch,
                      haar_unitary_batch)
@@ -102,26 +103,36 @@ def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
 
 
 def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
-    """Purities of ``count`` Hilbert-Schmidt states without storing the states.
+    """Purities of ``count`` Hilbert-Schmidt states without forming any matrix.
 
-    The Ginibre matrices are drawn ``_BLOCK`` states at a time, so memory is
-    O(block) plus the 8 B per state of the result.  The generator fills
-    sequentially and each purity depends only on its own draws, so the values
-    and the generator's final position equal those of one whole batch drawn
-    from the same stream.
+    For beta = 2 the spectrum of G G^dag (G an N x N Ginibre matrix) is that
+    of W = B B^T with B lower bidiagonal and independent entries: diagonal
+    a_k ~ chi_{2(N-k)} / sqrt 2 and subdiagonal b_k ~ chi_{2(N-1-k)} / sqrt 2
+    (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)).  So a_k^2 and
+    b_k^2 are Gamma(N - k) and Gamma(N - 1 - k) variates, W is tridiagonal
+    with diagonal d_k = a_k^2 + b_{k-1}^2 and off-diagonal a_k b_k, and the
+    purity tr W^2 / (tr W)^2 is elementwise in 2N - 1 gamma draws per state.
+
+    The draws are made ``_BLOCK`` states at a time, so memory is O(block)
+    plus the 8 B per state of the result.  The generator fills sequentially
+    and each purity depends only on its own draws, so the values and the
+    generator's final position equal those of one whole batch drawn from the
+    same stream.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     gen = _as_generator(rng)
+    shape = np.concatenate([np.arange(dim, 0, -1), np.arange(dim - 1, 0, -1)]).astype(float)
     out = np.empty(count)
     for start in range(0, count, _BLOCK):
-        g = ginibre_batch(dim, min(_BLOCK, count - start), gen)
-        w = g @ np.swapaxes(g.conj(), -2, -1)
-        tr = np.trace(w, axis1=-2, axis2=-1).real
-        frob2 = np.real(np.einsum("nij,nij->n", w, w.conj()))
-        out[start:start + len(g)] = frob2 / tr ** 2
+        x = gen.standard_gamma(shape, size=(min(_BLOCK, count - start), 2 * dim - 1))
+        a2, b2 = x[:, :dim], x[:, dim:]
+        d = a2.copy()
+        d[:, 1:] += b2
+        tr2 = np.sum(d * d, axis=-1) + 2.0 * np.sum(a2[:, :-1] * b2, axis=-1)
+        out[start:start + len(x)] = tr2 / np.sum(d, axis=-1) ** 2
     return out
 
 
@@ -211,7 +222,7 @@ def _log_ratio_g_over_bures(eigs: np.ndarray) -> np.ndarray:
     eigs = np.asarray(eigs, dtype=float)
     n = eigs.shape[-1]
     i, j = np.triu_indices(n, k=1)
-    radicand = 1.0 - np.sum(eigs ** 2, axis=-1)
+    radicand = _g_radicand(eigs)
     with np.errstate(divide="ignore"):
         val = (0.5 * np.sum(np.log(eigs), axis=-1)
                + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1)

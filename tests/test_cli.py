@@ -1,8 +1,10 @@
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,13 @@ class TestEstimateCommand:
         doc = json.loads(out)
         assert doc["std_error"] > 0
         assert abs(doc["value"] - 0.900316) <= 4 * doc["std_error"]
+
+    def test_mc_at_dim_10(self):
+        code, out = run_cli(["estimate", "--dim", "10", "--method", "mc",
+                             "--samples", "100000", "--seed", "3"])
+        assert code == 0
+        doc = json.loads(out)
+        assert np.isfinite(doc["value"]) and doc["std_error"] > 0
 
     def test_series_reports_truncation(self):
         code, out = run_cli(["estimate", "--dim", "2", "--method", "series",
@@ -286,3 +295,19 @@ class TestDeterminism:
             capture_output=True, text=True, check=True)
         doc = json.loads(result.stdout)
         assert abs(doc["value"] - 0.900316) <= 1e-5
+
+
+class TestDigestScript:
+    def test_subset_digests_repeat(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "cli_digest.py"
+        spec = importlib.util.spec_from_file_location("cli_digest", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        subset = [c for c in tool.COMMANDS if c[0] in ("estimate-mc-3-out", "exit2-grid-hs")]
+        assert len(subset) == 2
+        first = [tool.digest_line(name, argv) for name, argv in subset]
+        second = [tool.digest_line(name, argv) for name, argv in subset]
+        assert first == second
+        codes = [line.split()[1] for line in first]
+        assert codes == ["0", "2"]
+        assert all(len(line.split()[2]) == 64 for line in first)

@@ -36,6 +36,13 @@ class TestUnnormalizedDensities:
         with pytest.raises(SingularityError):
             density_g_unnormalized(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(6, 13)])
+    def test_g_qubit_near_pure_has_full_precision(self, eps):
+        # 1 - sum l^2 would lose ~1e-16 / (2 eps) relative to cancellation
+        val = density_g_unnormalized(np.array([1.0 - eps, eps]))
+        ref = (1.0 - 2.0 * eps) ** 2 / np.sqrt(2.0 * eps * (1.0 - eps))
+        assert abs(val / ref - 1.0) <= 1e-14
+
     def test_bures_hand_value(self):
         val = density_bures_unnormalized(np.array([0.9, 0.1]))
         assert abs(val - 0.64 / 0.3) <= 1e-13
@@ -113,6 +120,9 @@ class TestNormalizationConstants:
         assert abs(1 / c_g_quadrature(2).value - PI_OVER_2SQRT2) <= 1e-6
         assert abs(c_g_quadrature(3).value - C3G) / C3G <= 1e-6
 
+    def test_c_g_quadrature_qubit_to_round_off(self):
+        assert abs(c_g_quadrature(2).value - c_g_exact(2).value) <= 2e-14
+
     @pytest.mark.parametrize("dim, expected", [(4, 273411668.97822), (5, 4.8784056580969e16)])
     def test_c_g_quadrature_beyond_closed_forms(self, dim, expected):
         est = c_g_quadrature(dim)
@@ -146,6 +156,11 @@ class TestNormalizationConstants:
     def test_monte_carlo_below_jensen(self):
         est = c_g_monte_carlo(5, 100_000, RngStream(7))
         assert est.value <= c_g_jensen_bound(5).value + 3 * est.std_error
+
+    def test_monte_carlo_at_dim_10(self):
+        est = c_g_monte_carlo(10, 100_000, RngStream(10))
+        assert np.isfinite(est.value) and est.std_error > 0
+        assert est.value <= c_g_jensen_bound(10).value + 3 * est.std_error
 
     def test_monte_carlo_needs_samples(self):
         with pytest.raises(ValueError):

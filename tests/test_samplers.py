@@ -82,22 +82,52 @@ class TestHsPurityBatch:
         b = self.BLOCK
         for count in (1, b - 1, b, b + 1, 3 * b + 5):
             ref_gen = RngStream(count, dim).generator()
-            g = ginibre_batch(dim, count, ref_gen)
-            w = g @ np.swapaxes(g.conj(), -2, -1)
-            tr = np.trace(w, axis1=-2, axis2=-1).real
-            ref = np.real(np.einsum("nij,nij->n", w, w.conj())) / tr ** 2
+            shape = np.concatenate([np.arange(dim, 0, -1), np.arange(dim - 1, 0, -1)])
+            x = ref_gen.standard_gamma(shape.astype(float), size=(count, 2 * dim - 1))
+            a2, b2 = x[:, :dim], x[:, dim:]
+            d = a2.copy()
+            d[:, 1:] += b2
+            ref = ((np.sum(d * d, axis=-1) + 2.0 * np.sum(a2[:, :-1] * b2, axis=-1))
+                   / np.sum(d, axis=-1) ** 2)
             gen = RngStream(count, dim).generator()
             got = hs_purity_batch(dim, count, gen)
             assert got.tobytes() == ref.tobytes()
             # the generator ends where the whole batch left it
             assert np.array_equal(gen.random(3), ref_gen.random(3))
 
+    def test_qubit_law(self):
+        # exact law of the qubit purity: P(p <= x) = (2x - 1)^(3/2) on [1/2, 1]
+        p = hs_purity_batch(2, 200_000, RngStream(21))
+        res = ks_test(p, lambda x: np.clip(2.0 * np.asarray(x) - 1.0, 0.0, None) ** 1.5)
+        assert res.p_value > 1e-3
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_law_matches_ginibre_purities(self, dim):
+        n, chunk = 200_000, 20_000
+        gen = RngStream(22, dim).generator()
+        ref = np.empty(n)
+        for start in range(0, n, chunk):
+            g = ginibre_batch(dim, chunk, gen)
+            w = g @ np.swapaxes(g.conj(), -2, -1)
+            tr = np.trace(w, axis1=-2, axis2=-1).real
+            ref[start:start + chunk] = np.sum(np.abs(w) ** 2, axis=(-2, -1)) / tr ** 2
+        res = ks_test_two_sample(hs_purity_batch(dim, n, RngStream(23, dim)), ref)
+        assert res.p_value > 1e-3
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 10])
+    def test_mean_and_variance(self, dim):
+        p = hs_purity_batch(dim, 100_000, RngStream(24, dim))
+        mean, se = mc_mean(p)
+        assert abs(mean - purity_mean_hs(dim)) <= 3 * se
+        var, se_var = mc_mean((p - mean) ** 2)
+        assert abs(var - purity_variance_hs(dim)) <= 3 * se_var
+
     def test_memory_is_bounded_by_the_block(self):
         b = self.BLOCK
         hs_purity_batch(5, b, RngStream(0))   # first-use allocations outside the trace
         small = _traced_peak(hs_purity_batch, 5, 4 * b, RngStream(1))
         large = _traced_peak(hs_purity_batch, 5, 16 * b, RngStream(1))
-        # a whole-batch build needs ~1.2 kB per state, ~80 MB here
+        # a whole-batch Ginibre build would need ~1.2 kB per state, ~80 MB here
         assert large < 16 * 2 ** 20
         # beyond the block's scratch, only the 8 B per state of the result grows
         assert large - small <= 8 * 12 * b + 4096
