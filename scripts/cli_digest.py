@@ -9,9 +9,10 @@ that a command writes with ``--out``.  To see which outputs a change moved,
 run this script once with each checkout's ``src`` on ``PYTHONPATH`` and
 ``diff`` the two listings.
 
-The list covers ``sample`` for every measure at N = 2..5 (CSV and JSON, with
-and without ``--full-matrix``, ``--workers 2``, and every command shape of
-the benchmark's ``rejection`` and ``export`` workloads at small counts),
+The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
+(CSV and JSON, with and without ``--full-matrix``, ``--workers 2``, and every
+command shape of the benchmark's ``rejection`` and ``export`` workloads at
+small counts),
 ``estimate`` with every method wherever it is supported at N = 2..5,
 ``grid`` for both measures, ``verify all --scale 0.01`` and two usage errors.
 """
@@ -49,7 +50,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("sample-bures-5-csv", _sample("bures", 5, 100)),
     ("sample-g-2-json-full", _sample("g", 2, 100, "--format", "json", "--full-matrix")),
     ("sample-g-3-workers2", _sample("g", 3, 201, "--workers", "2")),
+    ("sample-g-3-csv-full", _sample("g", 3, 50, "--full-matrix")),
     ("sample-g-4-json", _sample("g", 4, 50, "--format", "json")),
+    ("sample-g-6-csv", _sample("g", 6, 20)),
     # the rejection workload's commands, at small counts
     ("sample-g-3-csv", _sample("g", 3, 600)),
     ("sample-g-4-csv", _sample("g", 4, 100)),

@@ -4,10 +4,13 @@
   alone come from the Dumitriu-Edelman bidiagonal model, without matrices.
 * Bures: rho proportional to (I + U) G G^dag (I + U^dag) with U Haar.
 * superfidelity measure: exact inverse-CDF construction for qubits;
-  for N >= 3, rejection sampling with Bures proposals.  The acceptance ratio
-  uses unnormalized eigenvalue densities, whose supremum
+  for N >= 3, a rejection sampler (induced beta-Laguerre proposals).  The
+  proposals have eigenvalue density prod l_i^(-s) Delta^2 with
+  s = 3 / (4 (N - 1)), drawn matrix-free from the same bidiagonal model as
+  the purities.  The acceptance ratio uses unnormalized eigenvalue
+  densities, whose supremum
 
-      sqrt(l_1 ... l_N) prod_{i<j} (l_i + l_j) / sqrt(1 - sum l_i^2)
+      (l_1 ... l_N)^s / sqrt(1 - sum l_i^2)
 
   is attained at the maximally mixed point; that claim is audited numerically
   (random probes plus local polish) before any rejection run, failing closed.
@@ -19,7 +22,7 @@ feed the statistics layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, pi
+from math import exp, lgamma, log, log1p, pi
 
 import numpy as np
 from scipy import optimize
@@ -42,7 +45,7 @@ __all__ = [
     "sample_batch",
 ]
 
-DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample, N <= 4 default budget
+DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
 _BLOCK = 4096                         # states per block: rejection proposals, HS purities
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
@@ -88,6 +91,34 @@ def _eig_records(rhos: np.ndarray) -> np.ndarray:
     return clamp_spectrum(np.linalg.eigvalsh(rhos)[..., ::-1].copy())
 
 
+def _haar_rotated(diag: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """U diag(d) U^dag for a (n, N) stack of spectra, U Haar, Hermitian-symmetrized."""
+    haar = haar_unitary_batch(diag.shape[-1], len(diag), gen)
+    mats = (haar * diag[:, None, :]) @ np.swapaxes(haar.conj(), -2, -1)
+    return 0.5 * (mats + np.swapaxes(mats.conj(), -2, -1))
+
+
+def _laguerre_tridiagonal(dim: int, count: int, s: float, gen: np.random.Generator):
+    """``count`` draws of the tridiagonal W = B B^T of the induced measure.
+
+    B is N x N lower bidiagonal with independent entries: a_k^2 ~ Gamma(N - s - k)
+    on the diagonal and b_k^2 ~ Gamma(N - 1 - k) below it (Dumitriu and
+    Edelman, J. Math. Phys. 43, 5830 (2002), at beta = 2).  W / tr W then has
+    eigenvalue density proportional to prod l_i^(-s) Delta^2: the induced
+    measure with N - s degrees of freedom (Zyczkowski and Sommers, J. Phys. A
+    34, 7111 (2001)); s = 0 is Hilbert-Schmidt.  One ``standard_gamma`` call
+    fills the whole (count, 2N - 1) block.  Returns the diagonal
+    d_k = a_k^2 + b_{k-1}^2, shape (count, N), and the squared off-diagonal
+    a_k^2 b_k^2, shape (count, N - 1).
+    """
+    shape = np.concatenate([np.arange(dim, 0, -1) - s, np.arange(dim - 1, 0, -1)]).astype(float)
+    x = gen.standard_gamma(shape, size=(count, 2 * dim - 1))
+    a2, b2 = x[:, :dim], x[:, dim:]
+    d = a2.copy()
+    d[:, 1:] += b2
+    return d, a2[:, :-1] * b2
+
+
 def sample_hs(dim: int, rng) -> np.ndarray:
     """One Hilbert-Schmidt distributed density matrix."""
     return sample_hs_batch(dim, 1, rng)[0]
@@ -106,12 +137,9 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
     """Purities of ``count`` Hilbert-Schmidt states without forming any matrix.
 
     For beta = 2 the spectrum of G G^dag (G an N x N Ginibre matrix) is that
-    of W = B B^T with B lower bidiagonal and independent entries: diagonal
-    a_k ~ chi_{2(N-k)} / sqrt 2 and subdiagonal b_k ~ chi_{2(N-1-k)} / sqrt 2
-    (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)).  So a_k^2 and
-    b_k^2 are Gamma(N - k) and Gamma(N - 1 - k) variates, W is tridiagonal
-    with diagonal d_k = a_k^2 + b_{k-1}^2 and off-diagonal a_k b_k, and the
-    purity tr W^2 / (tr W)^2 is elementwise in 2N - 1 gamma draws per state.
+    of the tridiagonal W of :func:`_laguerre_tridiagonal` at s = 0, so the
+    purity tr W^2 / (tr W)^2 = (sum d_k^2 + 2 sum a_k^2 b_k^2) / (sum d_k)^2
+    is elementwise in 2N - 1 gamma draws per state.
 
     The draws are made ``_BLOCK`` states at a time, so memory is O(block)
     plus the 8 B per state of the result.  The generator fills sequentially
@@ -124,15 +152,11 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     gen = _as_generator(rng)
-    shape = np.concatenate([np.arange(dim, 0, -1), np.arange(dim - 1, 0, -1)]).astype(float)
     out = np.empty(count)
     for start in range(0, count, _BLOCK):
-        x = gen.standard_gamma(shape, size=(min(_BLOCK, count - start), 2 * dim - 1))
-        a2, b2 = x[:, :dim], x[:, dim:]
-        d = a2.copy()
-        d[:, 1:] += b2
-        tr2 = np.sum(d * d, axis=-1) + 2.0 * np.sum(a2[:, :-1] * b2, axis=-1)
-        out[start:start + len(x)] = tr2 / np.sum(d, axis=-1) ** 2
+        d, e2 = _laguerre_tridiagonal(dim, min(_BLOCK, count - start), 0.0, gen)
+        tr2 = np.sum(d * d, axis=-1) + 2.0 * np.sum(e2, axis=-1)
+        out[start:start + len(d)] = tr2 / np.sum(d, axis=-1) ** 2
     return out
 
 
@@ -199,11 +223,8 @@ def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
     eigs = np.stack([1.0 - small, small], axis=-1)
     matrices = None
     if keep_matrices:
-        haar = haar_unitary_batch(2, count, gen)
         # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
-        diag = np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1])
-        matrices = (haar * diag[:, None, :]) @ np.swapaxes(haar.conj(), -2, -1)
-        matrices = 0.5 * (matrices + np.swapaxes(matrices.conj(), -2, -1))
+        matrices = _haar_rotated(np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1]), gen)
     return matrices, eigs
 
 
@@ -217,17 +238,55 @@ def sample_g_qubit(rng) -> np.ndarray:
 # rejection sampler for N >= 3
 # ---------------------------------------------------------------------------
 
-def _log_ratio_g_over_bures(eigs: np.ndarray) -> np.ndarray:
-    """log of the unnormalized density ratio; -inf on the simplex boundary."""
-    eigs = np.asarray(eigs, dtype=float)
-    n = eigs.shape[-1]
-    i, j = np.triu_indices(n, k=1)
+def _induced_exponent(dim: int) -> float:
+    """Exponent s of the rejection proposal prod l_i^(-s) Delta^2.
+
+    The G/proposal ratio (prod l)^s / sqrt(1 - sum l^2) is bounded iff
+    s >= 1 / (2 (N - 1)); near a vertex it then falls like eps^(s (N-1) - 1/2).
+    s = 3 / (4 (N - 1)) makes that eps^(1/4), so the supremum sits in the
+    interior with a margin, and the acceptance rate stays near 0.48.
+    """
+    return 0.75 / (dim - 1)
+
+
+def _log_over_sqrt_radicand(log_num: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """log_num - 1/2 log(1 - sum l^2), and -inf at a vertex.
+
+    Both numerators used here vanish on the boundary, so each ratio is 0 at a
+    vertex, where the radicand is 0.  The radicand is replaced by 1 there
+    before its log is taken, which keeps -inf + inf (a NaN and a
+    RuntimeWarning) out of the arithmetic.
+    """
     radicand = _g_radicand(eigs)
+    interior = radicand > 0.0
+    val = log_num - 0.5 * np.log(np.where(interior, radicand, 1.0))
+    return np.where(interior, val, -np.inf)
+
+
+def _log_ratio_g_over_bures(eigs: np.ndarray) -> np.ndarray:
+    """log of the unnormalized G/Bures density ratio; -inf on the simplex boundary."""
+    eigs = np.asarray(eigs, dtype=float)
+    i, j = np.triu_indices(eigs.shape[-1], k=1)
     with np.errstate(divide="ignore"):
-        val = (0.5 * np.sum(np.log(eigs), axis=-1)
-               + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1)
-               - 0.5 * np.log(radicand))
-    return np.where(radicand <= 0.0, -np.inf, val)
+        log_num = (0.5 * np.sum(np.log(eigs), axis=-1)
+                   + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1))
+    return _log_over_sqrt_radicand(log_num, eigs)
+
+
+def _log_ratio_g_over_induced(eigs: np.ndarray) -> np.ndarray:
+    """log of the rejection ratio (prod l)^s / sqrt(1 - sum l^2); -inf on the boundary."""
+    eigs = np.asarray(eigs, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_num = _induced_exponent(eigs.shape[-1]) * np.sum(np.log(eigs), axis=-1)
+    return _log_over_sqrt_radicand(log_num, eigs)
+
+
+def _log_envelope_bound(dim: int) -> float:
+    """log of the rejection ratio at the maximally mixed point, -s N log N - 1/2 log(1 - 1/N).
+
+    That this value is the supremum is checked by :func:`audit_sup_density_ratio`.
+    """
+    return -_induced_exponent(dim) * dim * log(dim) - 0.5 * log1p(-1.0 / dim)
 
 
 def density_ratio_g_over_bures(eigs: np.ndarray):
@@ -239,8 +298,9 @@ def sup_density_ratio_unnormalized(dim: int) -> float:
     """Supremum of the unnormalized G/Bures density ratio over the simplex.
 
     Closed-form value at the maximally mixed point,
-    N^(-N/2) (2/N)^(N(N-1)/2) / sqrt(1 - 1/N); validity as a global bound is
-    checked by :func:`audit_sup_density_ratio`.
+    N^(-N/2) (2/N)^(N(N-1)/2) / sqrt(1 - 1/N).  Together with
+    :func:`rejection_constant_c` it describes the paper's Bures-relative
+    rejection construction; the sampler itself uses induced proposals.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
@@ -268,20 +328,24 @@ class EnvelopeAudit:
 def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
                             probes: int = 10 ** 5,
                             tolerance: float = 1e-9) -> EnvelopeAudit:
-    """Probe the density ratio over random simplex points, then polish locally.
+    """Probe the rejection ratio over random simplex points, then polish locally.
 
-    Draws ``probes`` uniform simplex points, evaluates the ratio, then runs
-    Nelder-Mead ascent from the three best probes and from the maximally
-    mixed point.  The envelope is declared valid when no point beats the
-    closed-form bound by more than ``tolerance``.
+    The ratio is (prod l)^s / sqrt(1 - sum l^2) of the sampler's induced
+    proposals, and the bound its closed-form value at the maximally mixed
+    point.  Half of the ``probes`` are uniform simplex points and half are
+    Dirichlet(0.1) points, which crowd the faces and vertices where the
+    ratio's two factors compete.  Nelder-Mead ascent then starts from the
+    three best probes and from the maximally mixed point.  The envelope is
+    declared valid when no point beats the bound by more than ``tolerance``.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     gen = (rng or RngStream(20_24, dim)).generator()
-    bound = sup_density_ratio_unnormalized(dim)
+    bound = exp(_log_envelope_bound(dim))
 
-    lam = gen.dirichlet(np.ones(dim), size=probes)
-    ratios = np.exp(_log_ratio_g_over_bures(lam))
+    lam = np.concatenate([gen.dirichlet(np.ones(dim), size=probes - probes // 2),
+                          gen.dirichlet(np.full(dim, 0.1), size=probes // 2)])
+    ratios = np.exp(_log_ratio_g_over_induced(lam))
     best_idx = int(np.argmax(ratios))
     max_ratio = float(ratios[best_idx])
     argmax = lam[best_idx]
@@ -289,7 +353,7 @@ def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
     def neg_ratio(x):
         w = np.exp(x - x.max())
         lam_x = w / w.sum()
-        return -float(np.exp(_log_ratio_g_over_bures(lam_x)))
+        return -float(np.exp(_log_ratio_g_over_induced(lam_x)))
 
     starts = [lam[k] for k in np.argsort(-ratios)[:3]]
     starts.append(np.full(dim, 1.0 / dim))
@@ -333,11 +397,22 @@ def log_rejection_constant_c(dim: int) -> float:
 def rejection_constant_c(dim: int) -> float:
     """Bound constant relating the normalized G and Bures eigenvalue densities.
 
-    Diagnostic only: the sampler itself works with unnormalized ratios, which
-    needs no knowledge of C_N^G.  Grows rapidly with N (the method degrades
-    for large dimensions).
+    Diagnostic of the paper's construction with Bures proposals: it bounds
+    their expected number per accepted sample and grows rapidly with N
+    (~6.7 at N = 3, ~432 at N = 5, ~10^5 at N = 7).  The sampler uses
+    induced proposals instead and never needs C_N^G.
     """
     return float(exp(log_rejection_constant_c(dim)))
+
+
+def _induced_spectra(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Descending, clamped spectra of ``count`` rejection proposals."""
+    d, e2 = _laguerre_tridiagonal(dim, count, _induced_exponent(dim), gen)
+    k = np.arange(dim)
+    w = np.zeros((count, dim, dim))
+    w[:, k, k] = d
+    w[:, k[1:], k[:-1]] = w[:, k[:-1], k[1:]] = np.sqrt(e2)
+    return clamp_spectrum(np.linalg.eigvalsh(w)[:, ::-1] / np.sum(d, axis=-1, keepdims=True))
 
 
 def sample_g_rejection_batch(dim: int, count: int, rng,
@@ -345,35 +420,35 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
                              keep_matrices: bool = False):
     """Vectorized rejection sampling from the superfidelity measure, N >= 3.
 
-    Proposes Bures states and accepts with probability ratio/bound.  The
-    total proposal budget is ``count * max_proposals``; exhausting it raises
-    :class:`SamplingBudgetError` carrying the partial report.
+    Proposes spectra from the induced measure prod l^(-s) Delta^2 with
+    s = 3 / (4 (N - 1)), drawn without matrices (:func:`_laguerre_tridiagonal`),
+    and accepts with probability ratio / bound, where the ratio is
+    (prod l)^s / sqrt(1 - sum l^2) and the bound its value at the maximally
+    mixed point.  The acceptance rate is C_s / (C_N^G M_s), about 0.48 at
+    every N (0.4755 at N = 3), with C_s the induced measure's constant and
+    M_s the bound.
 
-    ``max_proposals`` defaults to 10^4 per accepted sample for N <= 4.  The
-    expected number of proposals per sample grows roughly like the bound
-    constant c(N) (~432 at N = 5, ~10^5 at N = 7), so for N >= 5 the budget
-    must be chosen explicitly.
+    The total proposal budget is ``count * max_proposals``, with
+    ``DEFAULT_MAX_PROPOSALS`` per sample by default at every N; exhausting it
+    raises :class:`SamplingBudgetError` carrying the partial report.  With
+    ``keep_matrices`` the accepted spectra are rotated by Haar unitaries drawn
+    after the last proposal, so the eigenvalues do not depend on it.
 
     Returns ``(matrices_or_None, eigs, report)``.
     """
     if dim < 3:
         raise InvalidDimensionError("rejection sampler is for dim >= 3; qubits use the exact sampler")
     if max_proposals is None:
-        if dim > 4:
-            raise ValueError(
-                "for dim >= 5 pass max_proposals explicitly; acceptance degrades "
-                f"rapidly (expect roughly {rejection_constant_c(dim):.3g} proposals per sample)")
         max_proposals = DEFAULT_MAX_PROPOSALS
     if max_proposals < 1:
         raise ValueError("max_proposals must be >= 1")
     _audit_gate(dim)
 
     gen = _as_generator(rng)
-    log_bound = log(sup_density_ratio_unnormalized(dim))
+    log_bound = _log_envelope_bound(dim)
     budget = count * max_proposals
     proposed = 0
     taken_eigs = []
-    taken_mats = []
     accepted = 0
 
     while accepted < count:
@@ -384,9 +459,8 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
                 f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
                 report=report)
         m = min(_BLOCK, budget - proposed)
-        rhos = sample_bures_batch(dim, m, gen)
-        eigs = _eig_records(rhos)
-        log_ratio = _log_ratio_g_over_bures(eigs)
+        eigs = _induced_spectra(dim, m, gen)
+        log_ratio = _log_ratio_g_over_induced(eigs)
         if np.any(log_ratio > log_bound + 1e-9):
             raise EnvelopeAuditError(
                 "proposal density ratio exceeded the envelope bound; aborting")
@@ -404,12 +478,10 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
         accepted += take.size
         if take.size:
             taken_eigs.append(eigs[take])
-            if keep_matrices:
-                taken_mats.append(rhos[take])
 
     report = RejectionReport.from_counts(proposed, accepted, exp(log_bound))
     eigs = np.concatenate(taken_eigs, axis=0)
-    mats = np.concatenate(taken_mats, axis=0) if keep_matrices else None
+    mats = _haar_rotated(eigs, gen) if keep_matrices else None
     return mats, eigs, report
 
 

@@ -253,8 +253,6 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     ok = True
     for measure in Measure:
         for dim in (2, 3, 4):
-            if measure is Measure.SUPERFIDELITY and dim == 4:
-                continue  # rejection at N=4 is slow; covered by the acceptance suite
             b, mats, _ = sm.sample_batch(measure, dim, 50, RngStream(seed, 80 + dim),
                                          keep_matrices=True)
             for k in range(0, 50, 7):

@@ -1,12 +1,15 @@
 import tracemalloc
+import warnings
+from math import lgamma
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superfid import (EnvelopeAudit, InvalidDimensionError, Measure, RejectionReport,
-                      RngStream, SamplingBudgetError, audit_sup_density_ratio, cdf_g2,
+from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, Measure,
+                      RejectionReport, RngStream, SamplingBudgetError,
+                      audit_sup_density_ratio, cdf_g2,
                       chi_square_gof, chi_square_gof_simplex, check_density_matrix,
                       density_bures_unnormalized, density_ratio_g_over_bures,
                       ginibre_batch, hs_purity_batch, invert_cdf_g2, ks_test,
@@ -18,7 +21,8 @@ from superfid import (EnvelopeAudit, InvalidDimensionError, Measure, RejectionRe
                       sample_bures_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
-from superfid.eigendensities import c_bures, c_g_jensen_bound, normalized_density
+from superfid.eigendensities import (c_bures, c_g_exact, c_g_jensen_bound, c_hs,
+                                     normalized_density)
 
 
 def _lambda_max_cdf(base_cdf):
@@ -28,6 +32,24 @@ def _lambda_max_cdf(base_cdf):
         return np.asarray(base_cdf(np.clip(x, 0.5, 1.0))) - \
             np.asarray(base_cdf(np.clip(1.0 - x, 0.0, 0.5)))
     return cdf
+
+
+def _log_c_induced(dim, s):
+    """log of Gamma(N (N - s)) / prod_j Gamma(j - s) Gamma(j + 1), which normalizes
+    the induced eigenvalue density prod l^(-s) Delta^2 on the simplex."""
+    return lgamma(dim * (dim - s)) - sum(lgamma(j - s) + lgamma(j + 1)
+                                         for j in range(1, dim + 1))
+
+
+def _induced_acceptance_rate(dim):
+    """Theoretical acceptance C_s / (C_N^G M_s) of the rejection sampler.
+
+    Its proposals have the induced density with s = 3 / (4 (N - 1)), and
+    M_s = N^(-s N) / sqrt(1 - 1/N) bounds the ratio (prod l)^s / sqrt(1 - sum l^2).
+    """
+    s = 0.75 / (dim - 1)
+    log_m = -s * dim * np.log(dim) - 0.5 * np.log1p(-1.0 / dim)
+    return np.exp(_log_c_induced(dim, s) - log_m) / c_g_exact(dim).value
 
 
 class _FixedDraws(np.random.Generator):
@@ -307,6 +329,44 @@ class TestEnvelope:
         audit = audit_sup_density_ratio(3, RngStream(33), probes=20_000)
         assert np.max(np.abs(audit.argmax - 1 / 3)) <= 1e-4
 
+    def test_vertices_give_zero_ratio_without_warnings(self):
+        # Sum log l = -inf meets -1/2 log(radicand) = +inf at a vertex
+        stack = np.array([[1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0], [0.4, 0.4, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ratio in (density_ratio_g_over_bures,
+                          lambda e: np.exp(samplers._log_ratio_g_over_induced(e))):
+                assert ratio(np.array([1.0, 0.0, 0.0])) == 0.0
+                assert ratio(np.array([1.0, 0.0])) == 0.0
+                vals = ratio(stack)
+                assert np.array_equal(vals == 0.0, [True, False, True, True, False])
+                assert np.all(np.isfinite(vals))
+
+
+class TestEnvelopeFailsClosed:
+    def test_gate_raises_when_the_bound_is_below_the_sup(self, monkeypatch):
+        log_bound = samplers._log_envelope_bound
+        monkeypatch.setattr(samplers, "_log_envelope_bound", lambda dim: log_bound(dim) - 1e-6)
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})
+        with pytest.raises(EnvelopeAuditError, match="envelope audit failed for dim 3"):
+            sample_g_rejection_batch(3, 10, RngStream(60))
+
+    def test_block_check_raises_when_a_ratio_exceeds_the_bound(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})
+        sample_g_rejection_batch(3, 10, RngStream(61))
+        assert samplers._audit_gate_cache[3].passed
+        log_ratio = samplers._log_ratio_g_over_induced
+
+        def one_above(eigs):
+            out = log_ratio(eigs)
+            out[0] = samplers._log_envelope_bound(eigs.shape[-1]) + 1e-6
+            return out
+
+        monkeypatch.setattr(samplers, "_log_ratio_g_over_induced", one_above)
+        with pytest.raises(EnvelopeAuditError, match="exceeded the envelope bound"):
+            sample_g_rejection_batch(3, 10, RngStream(61))
+
 
 class TestRejectionConstant:
     def test_qutrit_value(self):
@@ -350,13 +410,15 @@ class TestRejectionSampler:
         res = chi_square_gof_simplex(eigs, normalized_density(Measure.SUPERFIDELITY, 3),
                                      grid=10, rng=RngStream(43))
         assert res.p_value > 0.01
-        # theoretical acceptance rate C_B / (C_G * M) ~ 0.1548
-        assert abs(report.empirical_rate - 0.1548) <= 0.01
+        # theoretical acceptance rate C_s / (C_G * M_s) ~ 0.4755; C_0 is C_HS
+        assert abs(np.exp(_log_c_induced(3, 0.0)) / c_hs(3).value - 1.0) <= 1e-12
+        assert abs(report.empirical_rate - _induced_acceptance_rate(3)) <= 0.01
 
     def test_rate_stable_across_seeds(self):
         _, _, r1 = sample_g_rejection_batch(3, 20_000, RngStream(44))
         _, _, r2 = sample_g_rejection_batch(3, 20_000, RngStream(45))
-        se = np.sqrt(2 * 0.155 * 0.845 / r1.proposed)
+        p = _induced_acceptance_rate(3)
+        se = np.sqrt(2 * p * (1 - p) / r1.proposed)
         assert abs(r1.empirical_rate - r2.empirical_rate) <= 3 * se
 
     def test_deterministic_given_stream(self):
@@ -369,27 +431,37 @@ class TestRejectionSampler:
         mean, se = mc_mean(np.sum(eigs ** 2, axis=-1))
         assert (mean - purity_mean_hs(3)) / se > 5.0
 
-    def test_dim5_requires_explicit_budget(self):
-        with pytest.raises(ValueError, match="max_proposals"):
-            sample_g_rejection_batch(5, 10, RngStream(48))
+    def test_default_budget_serves_dim5_and_dim6(self):
+        for dim in (5, 6):
+            _, eigs, rep = sample_g_rejection_batch(dim, 10, RngStream(48))
+            assert rep.accepted == 10 and eigs.shape == (10, dim)
         _, eigs, rep = sample_g_rejection_batch(5, 10, RngStream(48),
                                                 max_proposals=100_000)
         assert rep.accepted == 10
 
-    def test_n4_eigenvalue_law_against_importance_oracle(self):
-        # Quadrature oracles stop at N = 3; at N = 4 the expected lambda_max
+    def test_matrices_carry_the_sampled_spectra(self):
+        mats, eigs, _ = sample_g_rejection_batch(4, 300, RngStream(56), keep_matrices=True)
+        _, eigs_only, _ = sample_g_rejection_batch(4, 300, RngStream(56))
+        assert np.array_equal(eigs, eigs_only)
+        for rho in mats[::37]:
+            check_density_matrix(rho)
+        assert np.max(np.abs(np.linalg.eigvalsh(mats)[:, ::-1] - eigs)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_eigenvalue_law_against_importance_oracle(self, dim):
+        # Quadrature oracles stop at N = 3; at N = 4, 5 the expected lambda_max
         # law under the superfidelity measure is estimated instead by
         # reweighting a large Hilbert-Schmidt batch with 1/sqrt(1 - purity)
         # (exactly the density ratio), then compared to the rejection sampler
         # by chi-square.  The oracle batch is 20x larger so its own error is
         # negligible at this scale.
-        _, eigs, _ = sample_g_rejection_batch(4, 20_000, RngStream(49))
+        _, eigs, _ = sample_g_rejection_batch(dim, 20_000, RngStream(49))
         lam_max = eigs[:, 0]
 
-        hs, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 4, 400_000, RngStream(149))
+        hs, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, dim, 400_000, RngStream(149))
         w = 1.0 / np.sqrt(1.0 - hs.purity_records)
         edges = np.quantile(hs.eigen_records[:, 0], np.linspace(0, 1, 16))
-        edges[0], edges[-1] = 0.25, 1.0
+        edges[0], edges[-1] = 1.0 / dim, 1.0
         wsum, _ = np.histogram(hs.eigen_records[:, 0], bins=edges, weights=w)
         expected = len(lam_max) * wsum / w.sum()
         counts, _ = np.histogram(lam_max, bins=edges)
