@@ -438,13 +438,8 @@ def density_grid_qutrit(resolution: int,
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     measure = Measure(measure)
 
-    ii, jj = [], []
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            ii.append(i)
-            jj.append(j)
-    ii = np.array(ii)
-    jj = np.array(jj)
+    r = np.arange(resolution + 1)
+    ii, jj = np.nonzero(np.add.outer(r, r) <= resolution)  # i-major order
     kk = resolution - ii - jj
     # all three coordinates as k/resolution so permuted lattice points carry
     # bitwise-identical triples (the densities then match exactly)

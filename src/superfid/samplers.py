@@ -438,6 +438,8 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
     """
     if dim < 3:
         raise InvalidDimensionError("rejection sampler is for dim >= 3; qubits use the exact sampler")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if max_proposals is None:
         max_proposals = DEFAULT_MAX_PROPOSALS
     if max_proposals < 1:
@@ -448,7 +450,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
     log_bound = _log_envelope_bound(dim)
     budget = count * max_proposals
     proposed = 0
-    taken_eigs = []
+    taken_eigs = [np.empty((0, dim))]  # so that count = 0 yields a (0, dim) array
     accepted = 0
 
     while accepted < count:

@@ -2,8 +2,11 @@
 
 Monte-Carlo summaries with standard errors, one- and two-sample
 Kolmogorov-Smirnov tests, Pearson chi-square goodness of fit (on intervals and
-on the qutrit eigenvalue simplex), and the fixed Gauss rule over the
-eigenvalue simplex used as the numerical oracle for normalization constants.
+on the qutrit eigenvalue simplex), numeric CDFs, and the fixed Gauss rule over
+the eigenvalue simplex used as the numerical oracle for normalization
+constants.  Every integral here is one Gauss-Legendre rule in phi with
+s = sin^2 phi, at 32 and 48 nodes, and fails closed with
+:class:`QuadratureError` when the two orders disagree.
 
 The quadrature convention is the plain Lebesgue integral over unordered
 simplex coordinates: for N=2, integral over lambda in (0,1) with
@@ -17,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc, kolmogorov
 
 from .errors import QuadratureError
 from .qstate import Measure
@@ -138,17 +140,95 @@ def ks_test_two_sample(a: np.ndarray, b: np.ndarray) -> GofResult:
 
 
 # ---------------------------------------------------------------------------
+# checked sin^2 Gauss masses
+# ---------------------------------------------------------------------------
+
+def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule in phi for integrals over s = sin^2 phi in [0, 1].
+
+    Returns sin^2 phi, cos^2 phi and the weights times ds/dphi = sin 2phi.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    phi = 0.25 * np.pi * (x + 1.0)
+    return np.sin(phi) ** 2, np.cos(phi) ** 2, 0.25 * np.pi * w * np.sin(2.0 * phi)
+
+
+_SIN2_RULES = [_sin2_rule(n) for n in (32, 48)]  # coarse, fine
+
+
+def _checked_masses(masses_by_rule) -> np.ndarray:
+    """Masses ``masses_by_rule(rule)`` of the fine rule, checked against the coarse one.
+
+    Raises ``ValueError`` if their total is not finite and positive, and
+    :class:`QuadratureError` if any mass moves by more than 1e-9 of the total
+    between the two orders.
+    """
+    coarse, masses = (masses_by_rule(rule) for rule in _SIN2_RULES)
+    total = masses.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ValueError(f"density integral is not finite/positive: {total}")
+    gap = np.max(np.abs(masses - coarse))
+    if not gap <= 1e-9 * total:
+        raise QuadratureError(f"masses of the two quadrature orders differ by {gap:.2e}",
+                              partial_estimate=float(total))
+    return masses
+
+
+def _interval_masses(density, edges: np.ndarray) -> np.ndarray:
+    """Checked masses of a 1-D ``density`` between consecutive ``edges``.
+
+    Each interval gets its own sin^2 substitution, so integrable
+    inverse-square-root singularities at the edges are fine.
+    """
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    return _checked_masses(
+        lambda rule: (np.asarray(density(left + width * rule[0]), dtype=float) * width) @ rule[2])
+
+
+def _simplex_cell_masses(density, grid: int) -> np.ndarray:
+    """Checked (grid, grid) masses of a qutrit ``density`` on the cells of side h = 1/grid.
+
+    Cells with i + j < grid - 1 are whole squares, those with i + j = grid - 1
+    the half below the diagonal, the rest empty.  Both shapes map from the unit
+    square by lambda_1 = h (i + u), lambda_2 = h (j + (1 - t u) v), t = 0 or 1,
+    with Jacobian h^2 (1 - t u); on the cut cells lambda_3 = h (1 - u)(1 - v),
+    so every node stays inside the open simplex.
+    """
+    h = 1.0 / grid
+    r = np.arange(grid)
+    i, j = np.nonzero(np.add.outer(r, r) < grid)
+    cut = (i + j == grid - 1)[:, None, None]
+
+    def masses_by_rule(rule):
+        s, c, w = rule
+        u, cu, v, cv = s[:, None], c[:, None], s[None, :], c[None, :]
+        shrink = np.where(cut, cu, 1.0)
+        x = h * (i[:, None, None] + u)
+        y = h * (j[:, None, None] + shrink * v)
+        z = np.where(cut, h * cu * cv, 1.0 - x - y)
+        f = np.asarray(density(np.stack(np.broadcast_arrays(x, y, z), axis=-1)), dtype=float)
+        cells = np.zeros((grid, grid))
+        cells[i, j] = h * h * np.sum(f * shrink * np.outer(w, w), axis=(1, 2))
+        return cells
+
+    return _checked_masses(masses_by_rule)
+
+
+# ---------------------------------------------------------------------------
 # chi-square goodness of fit
 # ---------------------------------------------------------------------------
 
-def _merge_small_bins(counts: np.ndarray, expected: np.ndarray, min_expected: float):
-    """Pool adjacent bins until every pooled bin has expected >= min_expected."""
+_MIN_EXPECTED = 5.0  # cells expecting fewer counts are pooled with their neighbours
+
+
+def _merge_small_bins(counts: np.ndarray, expected: np.ndarray):
+    """Pool adjacent bins until every pooled bin has expected >= _MIN_EXPECTED."""
     merged_c, merged_e = [], []
     acc_c = acc_e = 0.0
     for c, e in zip(counts, expected):
         acc_c += c
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             merged_c.append(acc_c)
             merged_e.append(acc_e)
             acc_c = acc_e = 0.0
@@ -167,19 +247,19 @@ def _pearson(counts: np.ndarray, expected: np.ndarray) -> GofResult:
         raise ValueError("fewer than 2 bins remain after merging; test is degenerate")
     stat = float(np.sum((counts - expected) ** 2 / expected))
     dof = len(counts) - 1
-    p = float(chi2_dist.sf(stat, dof))
+    p = float(chdtrc(dof, stat))  # the chi-square survival function
     return GofResult(statistic=stat, p_value=p, bins_or_n=len(counts))
 
 
 def chi_square_gof(samples: np.ndarray, density, bins: int,
-                   support: tuple[float, float], min_expected: float = 5.0) -> GofResult:
+                   support: tuple[float, float]) -> GofResult:
     """Pearson chi-square test of 1-D samples against an unnormalized density.
 
-    Each bin's mass comes from the sin^2 Gauss rule of
-    :func:`simplex_quadrature` (so integrable inverse-square-root endpoint
-    singularities are fine); if its two orders differ by more than 1e-9 of the
-    total mass, :class:`QuadratureError` is raised.  Bins with expected count
-    below ``min_expected`` are pooled with their neighbours.
+    Each bin's mass comes from the checked sin^2 Gauss rule (so integrable
+    inverse-square-root endpoint singularities are fine); if its two orders
+    differ by more than 1e-9 of the total mass, :class:`QuadratureError` is
+    raised.  Bins expecting fewer than 5 counts are pooled with their
+    neighbours.
     """
     samples = np.asarray(samples, dtype=float)
     if bins < 2:
@@ -188,74 +268,25 @@ def chi_square_gof(samples: np.ndarray, density, bins: int,
     if samples.min() < lo or samples.max() > hi:
         raise ValueError("samples fall outside the stated support")
     edges = np.linspace(lo, hi, bins + 1)
-    left, width = edges[:-1, None], np.diff(edges)[:, None]
-    coarse, masses = ((np.asarray(density(left + width * s), dtype=float) * width) @ w
-                      for s, _, w in _SIN2_RULES)
-    total = masses.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError(f"density integral over support is not finite/positive: {total}")
-    gap = np.max(np.abs(masses - coarse))
-    if not gap <= 1e-9 * total:
-        raise QuadratureError(f"bin masses of the two quadrature orders differ by {gap:.2e}",
-                              partial_estimate=float(total))
-    expected = samples.size * masses / total
+    masses = _interval_masses(density, edges)
+    expected = samples.size * masses / masses.sum()
     counts, _ = np.histogram(samples, bins=edges)
-    counts, expected = _merge_small_bins(counts.astype(float), expected, min_expected)
+    counts, expected = _merge_small_bins(counts.astype(float), expected)
     return _pearson(counts, expected)
 
 
-# ----- qutrit-simplex variant -----
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(6)
-_GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
-
-
-def _triangle_quad(density, tri: np.ndarray) -> float:
-    """Integral over one triangle via a Duffy-mapped 6x6 tensor Gauss rule."""
-    u = _GAUSS_X[:, None]
-    v = _GAUSS_X[None, :]
-    w = (_GAUSS_W[:, None] * _GAUSS_W[None, :]) * (1.0 - u)
-    s = u
-    t = v * (1.0 - u)
-    p0, p1, p2 = tri
-    x = p0[0] + s * (p1[0] - p0[0]) + t * (p2[0] - p0[0])
-    y = p0[1] + s * (p1[1] - p0[1]) + t * (p2[1] - p0[1])
-    area2 = abs((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
-    lam = np.stack([x, y, 1.0 - x - y], axis=-1)
-    return float(np.sum(w * density(lam)) * area2)
-
-
-def _clip_cell_to_triangle(x0, x1, y0, y1):
-    """Clip the square [x0,x1]x[y0,y1] against x + y <= 1; return polygon vertices."""
-    poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    out = []
-    n = len(poly)
-    for i in range(n):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % n]
-        p_in = px + py <= 1.0 + 1e-15
-        q_in = qx + qy <= 1.0 + 1e-15
-        if p_in:
-            out.append((px, py))
-        if p_in != q_in:
-            # intersection with x + y = 1 along segment p->q
-            t = (1.0 - px - py) / ((qx - px) + (qy - py))
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
 def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12,
-                           rng: RngStream | None = None,
-                           min_expected: float = 5.0) -> GofResult:
+                           rng: RngStream | None = None) -> GofResult:
     """Chi-square test of qutrit eigenvalue samples against a symmetric density.
 
     ``eigs`` is an (n, 3) array of simplex points (any order); each row is
     put into a uniformly random order (seeded, so the test is deterministic)
     and binned by its first two coordinates on a ``grid`` x ``grid`` partition
-    of the triangle.  Expected masses come from exact cell-clipped quadrature
-    of ``density`` (a callable on (..., 3) arrays), normalized over the
-    simplex, so the test needs no normalization constant.
+    of the triangle.  Expected masses come from a tensor sin^2 Gauss rule on
+    every cell of ``density`` (a callable on (..., 3) arrays), normalized over
+    the simplex, so the test needs no normalization constant; if the rule's
+    two orders differ by more than 1e-9 of the total mass,
+    :class:`QuadratureError` is raised.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 2 or eigs.shape[1] != 3:
@@ -268,53 +299,24 @@ def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12,
     shuffled = np.take_along_axis(eigs, order, axis=1)
     x, y = shuffled[:, 0], shuffled[:, 1]
 
+    masses = _simplex_cell_masses(density, grid)
     h = 1.0 / grid
-    masses = np.zeros((grid, grid))
-    for i in range(grid):
-        for j in range(grid):
-            if (i + j) * h >= 1.0 - 1e-15:
-                continue
-            poly = _clip_cell_to_triangle(i * h, (i + 1) * h, j * h, (j + 1) * h)
-            if len(poly) < 3:
-                continue
-            acc = 0.0
-            for k in range(1, len(poly) - 1):
-                tri = np.array([poly[0], poly[k], poly[k + 1]])
-                acc += _triangle_quad(density, tri)
-            masses[i, j] = acc
-    total = masses.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("density integral over the simplex is not finite/positive")
-
     ix = np.minimum((x / h).astype(int), grid - 1)
     iy = np.minimum((y / h).astype(int), grid - 1)
     counts = np.zeros((grid, grid))
     np.add.at(counts, (ix, iy), 1.0)
 
     keep = masses.ravel() > 0
-    expected = n * masses.ravel()[keep] / total
+    expected = n * masses.ravel()[keep] / masses.sum()
     observed = counts.ravel()[keep]
     idx = np.argsort(-expected)  # pool small-expectation cells together at the tail
-    counts_m, expected_m = _merge_small_bins(observed[idx], expected[idx], min_expected)
+    counts_m, expected_m = _merge_small_bins(observed[idx], expected[idx])
     return _pearson(counts_m, expected_m)
 
 
 # ---------------------------------------------------------------------------
 # simplex quadrature
 # ---------------------------------------------------------------------------
-
-def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule in phi for integrals over s = sin^2 phi in [0, 1].
-
-    Returns sin^2 phi, cos^2 phi and the weights times ds/dphi = sin 2phi.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    phi = 0.25 * np.pi * (x + 1.0)
-    return np.sin(phi) ** 2, np.cos(phi) ** 2, 0.25 * np.pi * w * np.sin(2.0 * phi)
-
-
-_SIN2_RULES = [_sin2_rule(n) for n in (32, 48)]  # coarse, fine
-
 
 def _stick_breaking_rule(parts: int, rule) -> tuple[np.ndarray, np.ndarray]:
     """Points (m, parts) and weights (m,) of the product rule on the unit simplex.
@@ -360,30 +362,26 @@ def simplex_quadrature(f, dim: int, tolerance: float = 1e-9) -> float:
     return float(fine)
 
 
-def numeric_cdf(density, support: tuple[float, float], n_grid: int = 2000):
+def numeric_cdf(density, support: tuple[float, float]):
     """Normalized CDF of a 1-D density by cumulative quadrature.
 
-    Returns a vectorized callable built on a theta-graded grid (dense near
-    both endpoints), accurate for densities with integrable inverse-sqrt
-    endpoint singularities.
+    The breakpoints are lo + (hi - lo) sin^2 theta on 2001 uniform theta in
+    [0, pi/2], dense near both endpoints, and the mass between neighbours
+    comes from the checked sin^2 Gauss rule of :func:`chi_square_gof`'s bins
+    (:class:`QuadratureError` if its orders differ by more than 1e-9 of the
+    total).  The returned vectorized callable interpolates linearly in theta,
+    where the CDF stays smooth next to an integrable inverse-sqrt endpoint
+    singularity.
     """
     lo, hi = support
     width = hi - lo
-    theta = np.linspace(0.0, np.pi / 2, n_grid + 1)
-    xg = lo + width * np.sin(theta) ** 2
-
-    gx, gw = np.polynomial.legendre.leggauss(8)
-    t0, t1 = theta[:-1], theta[1:]
-    mid = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * gx[None, :]
-    wts = 0.5 * (t1 - t0)[:, None] * gw[None, :]
-    xs = lo + width * np.sin(mid) ** 2
-    vals = density(xs) * width * np.sin(2.0 * mid)
-    seg = np.sum(vals * wts, axis=1)
-
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    theta = np.linspace(0.0, np.pi / 2, 2001)
+    masses = _interval_masses(density, lo + width * np.sin(theta) ** 2)
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
     cum /= cum[-1]
 
     def cdf(x):
-        return np.interp(np.asarray(x, dtype=float), xg, cum, left=0.0, right=1.0)
+        t = np.clip((np.asarray(x, dtype=float) - lo) / width, 0.0, 1.0)
+        return np.interp(np.arcsin(np.sqrt(t)), theta, cum)
 
     return cdf

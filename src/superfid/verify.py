@@ -34,16 +34,10 @@ def _result(suite, name, passed, detail):
     return CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail)
 
 
-def _mixed_pairs(dim: int, count: int, rng: RngStream, floor: float = 0.0):
-    """Stacked random state pairs, optionally pulled toward I/N for mixedness."""
+def _mixed_pairs(dim: int, count: int, rng: RngStream):
+    """Two stacks of ``count`` Hilbert-Schmidt states drawn from one stream."""
     gen = rng.generator()
-    a = sm.sample_hs_batch(dim, count, gen)
-    b = sm.sample_hs_batch(dim, count, gen)
-    if floor > 0.0:
-        eye = np.eye(dim) / dim
-        a = (1 - floor) * a + floor * eye
-        b = (1 - floor) * b + floor * eye
-    return a, b
+    return sm.sample_hs_batch(dim, count, gen), sm.sample_hs_batch(dim, count, gen)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,14 @@ class TestDeterminism:
         doc = json.loads(result.stdout)
         assert abs(doc["value"] - 0.900316) <= 1e-5
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats alone takes about half a second to import
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, superfid.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
 
 class TestDigestScript:
     def test_subset_digests_repeat(self):

@@ -363,6 +363,13 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             density_grid_qutrit(1)
 
+    def test_lattice_order_is_i_major(self):
+        res = 7
+        grid = density_grid_qutrit(res, Measure.BURES)
+        pairs = [(i, j) for i in range(res + 1) for j in range(res + 1 - i)]
+        assert np.array_equal(grid.lambda1, np.array([i for i, _ in pairs]) / res)
+        assert np.array_equal(grid.lambda2, np.array([j for _, j in pairs]) / res)
+
     @pytest.mark.parametrize("measure", list(Measure))
     def test_values_are_the_normalized_density(self, measure):
         res = 15

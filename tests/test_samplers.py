@@ -405,6 +405,17 @@ class TestRejectionSampler:
         assert report.proposed == 1000
         assert report.accepted < 1000
 
+    def test_zero_count_returns_empty_arrays(self):
+        mats, eigs, report = sample_g_rejection_batch(3, 0, RngStream(46), keep_matrices=True)
+        assert mats.shape == (0, 3, 3) and eigs.shape == (0, 3)
+        assert report.proposed == report.accepted == 0
+        _, eigs, _ = sample_g_rejection_batch(4, 0, RngStream(46))
+        assert eigs.shape == (0, 4)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            sample_g_rejection_batch(3, -5, RngStream(46))
+
     def test_eigenvalue_law_chi_square(self):
         _, eigs, report = sample_g_rejection_batch(3, 20_000, RngStream(42))
         res = chi_square_gof_simplex(eigs, normalized_density(Measure.SUPERFIDELITY, 3),

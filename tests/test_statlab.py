@@ -11,6 +11,7 @@ from superfid import (GofResult, Measure, QuadratureError, RngStream, SampleBatc
                       density_hs_unnormalized, invert_cdf_g2, ks_test,
                       ks_test_two_sample, mc_mean, mc_variance, numeric_cdf,
                       pdf_g2_marginal, sample_batch, simplex_quadrature)
+from superfid import statlab
 from superfid.eigendensities import normalized_density
 
 PI_OVER_2SQRT2 = 1.1107207345395915
@@ -125,6 +126,30 @@ class TestChiSquare:
             chi_square_gof(np.linspace(0.05, 0.95, 100), lambda x: 1.0 / np.abs(x - 0.5),
                            bins=10, support=(0.0, 1.0))
 
+    def test_p_values_equal_scipy_chi2_sf(self):
+        from scipy.stats import chi2
+        gen = RngStream(15).generator()
+        lam = np.asarray(invert_cdf_g2(gen.random(2000)))
+        for bins in (5, 30, 50):
+            res = chi_square_gof(lam, lambda x: np.asarray(pdf_g2_marginal(x)),
+                                 bins=bins, support=(0.0, 1.0))
+            assert res.p_value == chi2.sf(res.statistic, res.bins_or_n - 1)
+
+    @pytest.mark.parametrize("grid", [10, 12])
+    def test_simplex_cell_masses_sum_to_one(self, grid):
+        masses = statlab._simplex_cell_masses(normalized_density(Measure.SUPERFIDELITY, 3),
+                                              grid)
+        assert abs(masses.sum() - 1.0) <= 1e-12
+        i, j = np.indices(masses.shape)
+        assert np.all(masses[i + j < grid] > 0) and np.all(masses[i + j >= grid] == 0)
+
+    def test_simplex_cells_fail_closed_on_a_divergent_density(self):
+        # 1/|lambda_1 - 1/2| is not integrable along the cell edge lambda_1 = 1/2
+        batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 2000, RngStream(16))
+        with pytest.raises(QuadratureError):
+            chi_square_gof_simplex(batch.eigen_records, lambda lam: 1.0 / np.abs(lam[..., 0] - 0.5),
+                                   grid=10, rng=RngStream(17))
+
     def test_small_bins_are_merged(self):
         gen = RngStream(14).generator()
         lam = np.asarray(invert_cdf_g2(gen.random(300)))
@@ -182,6 +207,11 @@ class TestSimplexQuadrature:
         assert np.max(np.abs(cdf(t) - np.asarray(cdf_g2(t)))) <= 5e-6
         inner = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(cdf(inner) - np.asarray(cdf_g2(inner)))) <= 1e-6
+
+    def test_numeric_cdf_fails_closed_on_a_divergent_density(self):
+        # 1/|x - 3/4| is not integrable at the breakpoint 3/4 (theta = pi/4)
+        with pytest.raises(QuadratureError):
+            numeric_cdf(lambda x: 1.0 / np.abs(x - 0.75), (0.5, 1.0))
 
 
 class TestRecordTypes:
