@@ -12,7 +12,7 @@ run this script once with each checkout's ``src`` on ``PYTHONPATH`` and
 The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
 (CSV and JSON, with and without ``--full-matrix``, ``--workers 2``, and every
 command shape of the benchmark's ``rejection`` and ``export`` workloads at
-small counts),
+small counts, and two outputs longer than one 4096-row output block),
 ``estimate`` with every method wherever it is supported at N = 2..5,
 ``grid`` for both measures, ``verify all --scale 0.01`` and two usage errors.
 """
@@ -61,6 +61,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("sample-g-2-out", _sample("g", 2, 2000, "--out", OUT)),
     ("sample-hs-3-json-full-out",
      _sample("hs", 3, 200, "--full-matrix", "--format", "json", "--out", OUT)),
+    # past one 4096-row output block, so the writer's block seams are covered
+    ("sample-hs-3-json-full-5000", _sample("hs", 3, 5000, "--format", "json", "--full-matrix")),
+    ("sample-g-2-csv-9000", _sample("g", 2, 9000)),
     ("estimate-exact-2", _estimate(2, "exact")),
     ("estimate-exact-3", _estimate(3, "exact")),
     *[(f"estimate-jensen-{d}", _estimate(d, "jensen")) for d in (2, 3, 4, 5)],

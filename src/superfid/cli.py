@@ -13,6 +13,10 @@ Subcommands::
 The master seed falls back to the SUPERFID_SEED environment variable, then 0.
 Outputs carry no timestamps and format floats via ``repr``, so a fixed
 (command line, seed, workers) triple reproduces byte-identical bytes.
+``sample`` and ``grid`` write their rows block by block (4096 rows per
+block), each block through one ``%r`` template, so neither the whole output
+text nor a per-record object is ever held; the JSON layout is exactly that
+of ``json.dumps(indent=1)``.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 sampling
 budget exhausted.
 """
@@ -22,8 +26,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -91,12 +97,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks: Iterable[str], out: str | None):
+    """Write ``chunks`` in order to the file ``out``, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
+    """The rows of a 2-D float table as text, one block of rows per chunk.
+
+    Each row fills ``template``, which holds one ``%r`` per column (so every
+    float prints as its ``repr``, as ``json.dumps`` prints it too), and rows
+    are joined by ``sep``, also across blocks.  A block costs one
+    ``tolist()`` and one ``%`` call.
+    """
+    for start in range(0, len(table), sm._BLOCK):
+        block = table[start:start + sm._BLOCK]
+        text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+        yield sep + text if start else text
 
 
 def _chunk_sizes(count: int, workers: int) -> list[int]:
@@ -137,11 +158,8 @@ def cmd_sample(cfg: RunConfig) -> int:
         for extra in reports[1:]:
             report = report.merged(extra)
 
-    if cfg.format == "csv":
-        text = _sample_csv(cfg, eigs, purity, mats, report)
-    else:
-        text = _sample_json(cfg, eigs, purity, mats, report)
-    _emit(text, cfg.out)
+    write = _sample_csv if cfg.format == "csv" else _sample_json
+    _emit(write(cfg, eigs, purity, mats, report), cfg.out)
     return EXIT_OK
 
 
@@ -154,7 +172,7 @@ def _report_dict(report):
     }
 
 
-def _sample_csv(cfg, eigs, purity, mats, report) -> str:
+def _sample_csv(cfg, eigs, purity, mats, report) -> Iterator[str]:
     lines = [
         f"# superfid sample schema_version={SCHEMA_VERSION}",
         f"# measure={cfg.measure.value} dim={cfg.dim} count={cfg.count} "
@@ -165,24 +183,24 @@ def _sample_csv(cfg, eigs, purity, mats, report) -> str:
                      f"bound_constant={_fmt(report.bound_constant)} "
                      f"empirical_rate={_fmt(report.empirical_rate)}")
     header = [f"lambda_{k + 1}" for k in range(cfg.dim)] + ["purity"]
+    columns = [eigs, purity[:, None]]
     if mats is not None:
         for i in range(cfg.dim):
             for j in range(cfg.dim):
                 header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
-    lines.append(",".join(header))
-    columns = [eigs, purity[:, None]]
-    if mats is not None:
         columns.append(mats.reshape(len(purity), -1).view(float))
-    # row by row: one tolist() of the whole table holds every float at once
-    lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack(columns))
-    return "\n".join(lines) + "\n"
+    lines.append(",".join(header))
+    yield "\n".join(lines) + "\n"
+    yield from _rows(np.hstack(columns), ",".join(["%r"] * len(header)) + "\n", "")
 
 
-def _sample_json(cfg, eigs, purity, mats, report) -> str:
-    records = [{"eigenvalues": e, "purity": p} for e, p in zip(eigs.tolist(), purity.tolist())]
-    if mats is not None:
-        for rec, re_im in zip(records, mats.view(float).reshape(len(records), -1, 2).tolist()):
-            rec["matrix_re_im"] = re_im
+def _json_list(items: list[str], depth: int) -> str:
+    """A JSON list of already formatted ``items`` nested ``depth`` levels deep, indent=1."""
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+
+
+def _sample_json(cfg, eigs, purity, mats, report) -> Iterator[str]:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "sample",
@@ -192,9 +210,23 @@ def _sample_json(cfg, eigs, purity, mats, report) -> str:
         "seed": cfg.seed,
         "workers": cfg.workers,
         "rejection": _report_dict(report) if report is not None else None,
-        "records": records,
+        "records": [],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    head, tail = (json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+                  + "\n").split('"records": []')
+    # one record as json.dumps(indent=1) lays it out at depth 2, keys sorted
+    fields = ['"eigenvalues": ' + _json_list(["%r"] * cfg.dim, 4)]
+    columns = [eigs]
+    if mats is not None:
+        fields.append('"matrix_re_im": '
+                      + _json_list([_json_list(["%r", "%r"], 5)] * cfg.dim ** 2, 4))
+        columns.append(mats.reshape(len(purity), -1).view(float))
+    fields.append('"purity": %r')
+    columns.append(purity[:, None])
+    record = "  {\n   " + ",\n   ".join(fields) + "\n  }"
+    yield head + '"records": [\n'
+    yield from _rows(np.hstack(columns), record, ",\n")
+    yield "\n ]" + tail
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -220,7 +252,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         doc["truncation_last_term"] = est.truncation_last_term
     if est.truncation_tail is not None:
         doc["truncation_tail"] = est.truncation_tail
-    _emit(json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n", cfg.out)
+    _emit([json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"], cfg.out)
     return EXIT_OK
 
 
@@ -236,14 +268,12 @@ def cmd_grid(cfg: RunConfig) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    lines = [
-        f"# superfid grid schema_version={SCHEMA_VERSION}",
-        f"# measure={cfg.measure.value} dim=3 resolution={cfg.resolution}",
-        "lambda_1,lambda_2,density",
-    ]
-    for l1, l2, d in zip(grid.lambda1, grid.lambda2, grid.density):
-        lines.append(f"{_fmt(l1)},{_fmt(l2)},{_fmt(d) if np.isfinite(d) else 'nan'}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    head = (f"# superfid grid schema_version={SCHEMA_VERSION}\n"
+            f"# measure={cfg.measure.value} dim=3 resolution={cfg.resolution}\n"
+            "lambda_1,lambda_2,density\n")
+    # non-finite densities are NaN, which %r prints as nan
+    table = np.column_stack([grid.lambda1, grid.lambda2, grid.density])
+    _emit(chain([head], _rows(table, "%r,%r,%r\n", "")), cfg.out)
     return EXIT_OK
 
 
@@ -268,7 +298,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     doc_json = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
     if cfg.out is not None:
         # human summary on stdout, machine-readable report to the file
-        _emit(doc_json, cfg.out)
+        _emit([doc_json], cfg.out)
         sys.stdout.write(human)
     elif cfg.format == "json":
         sys.stdout.write(doc_json)

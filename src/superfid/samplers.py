@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from math import exp, lgamma, log, log1p, pi
 
 import numpy as np
-from scipy import optimize
 
 from .eigendensities import _g_radicand, cdf_g2
 from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetError
@@ -263,16 +262,6 @@ def _log_over_sqrt_radicand(log_num: np.ndarray, eigs: np.ndarray) -> np.ndarray
     return np.where(interior, val, -np.inf)
 
 
-def _log_ratio_g_over_bures(eigs: np.ndarray) -> np.ndarray:
-    """log of the unnormalized G/Bures density ratio; -inf on the simplex boundary."""
-    eigs = np.asarray(eigs, dtype=float)
-    i, j = np.triu_indices(eigs.shape[-1], k=1)
-    with np.errstate(divide="ignore"):
-        log_num = (0.5 * np.sum(np.log(eigs), axis=-1)
-                   + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1))
-    return _log_over_sqrt_radicand(log_num, eigs)
-
-
 def _log_ratio_g_over_induced(eigs: np.ndarray) -> np.ndarray:
     """log of the rejection ratio (prod l)^s / sqrt(1 - sum l^2); -inf on the boundary."""
     eigs = np.asarray(eigs, dtype=float)
@@ -290,8 +279,16 @@ def _log_envelope_bound(dim: int) -> float:
 
 
 def density_ratio_g_over_bures(eigs: np.ndarray):
-    """Unnormalized ratio sqrt(prod l) prod_{i<j}(l_i + l_j) / sqrt(1 - sum l^2)."""
-    return _maybe_scalar(np.exp(_log_ratio_g_over_bures(eigs)))
+    """Unnormalized ratio sqrt(prod l) prod_{i<j}(l_i + l_j) / sqrt(1 - sum l^2).
+
+    It is 0 on the simplex boundary.
+    """
+    eigs = np.asarray(eigs, dtype=float)
+    i, j = np.triu_indices(eigs.shape[-1], k=1)
+    with np.errstate(divide="ignore"):
+        log_num = (0.5 * np.sum(np.log(eigs), axis=-1)
+                   + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1))
+    return _maybe_scalar(np.exp(_log_over_sqrt_radicand(log_num, eigs)))
 
 
 def sup_density_ratio_unnormalized(dim: int) -> float:
@@ -338,6 +335,8 @@ def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
     three best probes and from the maximally mixed point.  The envelope is
     declared valid when no point beats the bound by more than ``tolerance``.
     """
+    from scipy import optimize  # deferred: slow to import, and only the audit uses it
+
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     gen = (rng or RngStream(20_24, dim)).generator()

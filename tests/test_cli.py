@@ -304,6 +304,110 @@ class TestDeterminism:
             capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the envelope audit uses scipy.optimize; it imports it when it runs
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, superfid.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
+
+def _reference_csv(cfg, eigs, purity, mats, report):
+    """The row-by-row CSV writer that the block writer replaced."""
+    lines = [
+        f"# superfid sample schema_version={cli.SCHEMA_VERSION}",
+        f"# measure={cfg.measure.value} dim={cfg.dim} count={cfg.count} "
+        f"seed={cfg.seed} workers={cfg.workers}",
+    ]
+    if report is not None:
+        lines.append(f"# rejection proposed={report.proposed} accepted={report.accepted} "
+                     f"bound_constant={report.bound_constant!r} "
+                     f"empirical_rate={report.empirical_rate!r}")
+    header = [f"lambda_{k + 1}" for k in range(cfg.dim)] + ["purity"]
+    if mats is not None:
+        for i in range(cfg.dim):
+            for j in range(cfg.dim):
+                header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
+    lines.append(",".join(header))
+    columns = [eigs, purity[:, None]]
+    if mats is not None:
+        columns.append(mats.reshape(len(purity), -1).view(float))
+    lines.extend(",".join(map(repr, row.tolist())) for row in np.hstack(columns))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(cfg, eigs, purity, mats, report):
+    """The json.dumps writer that the block writer replaced."""
+    records = [{"eigenvalues": e, "purity": p} for e, p in zip(eigs.tolist(), purity.tolist())]
+    if mats is not None:
+        for rec, re_im in zip(records, mats.view(float).reshape(len(records), -1, 2).tolist()):
+            rec["matrix_re_im"] = re_im
+    rejection = None
+    if report is not None:
+        rejection = {"proposed": report.proposed, "accepted": report.accepted,
+                     "bound_constant": report.bound_constant,
+                     "empirical_rate": report.empirical_rate}
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": "sample",
+           "measure": cfg.measure.value, "dim": cfg.dim, "count": cfg.count,
+           "seed": cfg.seed, "workers": cfg.workers, "rejection": rejection,
+           "records": records}
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+class TestBlockWriter:
+    # (measure, dim, count, format, full matrix, workers): every measure, N = 2..5,
+    # both formats with and without matrices, rejection headers (g, N >= 3),
+    # two workers, and counts on either side of the 4096-row block seam
+    CASES = [
+        ("hs", 2, 1, "csv", False, 1),
+        ("hs", 3, 4097, "json", True, 1),
+        ("hs", 5, 4096, "csv", True, 1),
+        ("hs", 4, 4095, "json", False, 2),
+        ("bures", 2, 4095, "json", False, 1),
+        ("bures", 3, 1, "json", True, 1),
+        ("bures", 4, 4097, "csv", False, 2),
+        ("bures", 5, 30, "csv", True, 1),
+        ("g", 2, 4097, "csv", True, 1),
+        ("g", 2, 4096, "json", True, 2),
+        ("g", 3, 4097, "json", False, 2),
+        ("g", 3, 50, "csv", True, 1),
+        ("g", 4, 4095, "json", True, 1),
+        ("g", 5, 1, "csv", False, 1),
+    ]
+
+    @pytest.mark.parametrize("measure,dim,count,fmt,full,workers", CASES,
+                             ids=lambda v: str(v))
+    def test_sample_bytes_match_reference_writers(self, monkeypatch, measure, dim, count,
+                                                  fmt, full, workers):
+        seen = []   # the arguments each writer call received
+
+        def spy(writer):
+            def spied(*args):
+                seen.append(args)
+                return writer(*args)
+            return spied
+
+        for name in ("_sample_csv", "_sample_json"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        argv = ["sample", "--measure", measure, "--dim", str(dim), "--count", str(count),
+                "--seed", "21", "--workers", str(workers), "--format", fmt]
+        code, out = run_cli(argv + (["--full-matrix"] if full else []))
+        assert code == 0 and len(seen) == 1
+        reference = _reference_csv if fmt == "csv" else _reference_json
+        assert out == reference(*seen[0])
+        report = seen[0][-1]
+        assert (report is not None) == (measure == "g" and dim >= 3)
+
+    def test_rows_print_repr_across_blocks(self):
+        values = [-0.0, 5e-324, 1e-05, 1e16, 0.1]
+        table = np.array([np.roll(values, k) for k in range(2 * 4096 + 1)])
+        csv = "".join(cli._rows(table, ",".join(["%r"] * 5) + "\n", ""))
+        assert csv == "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        lists = "[" + "".join(cli._rows(table, "[%r,%r,%r,%r,%r]", ",")) + "]"
+        assert lists == json.dumps(table.tolist(), separators=(",", ":"))
+        assert csv.startswith("-0.0,5e-324,1e-05,1e+16,0.1\n")
+
 
 class TestDigestScript:
     def test_subset_digests_repeat(self):
