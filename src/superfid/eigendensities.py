@@ -21,7 +21,6 @@ from math import lgamma, log, pi, sqrt
 from typing import Literal
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DomainError, InstabilityWarning, SingularityError, UnsupportedDimensionError
 from .qstate import Measure, _maybe_scalar
@@ -235,6 +234,8 @@ def _series_tail(terms: np.ndarray, alpha: float) -> float:
     amplitude-only tail t_K K^alpha zeta(alpha, K+1) is used; it is positive
     by construction.  t_k k^alpha is formed in logs so that it cannot overflow.
     """
+    from scipy.special import zeta  # deferred: scipy.special is slow to import
+
     def scaled(k):  # t_k k^alpha
         return float(np.exp(np.log(terms[k]) + alpha * log(k))) if terms[k] > 0 else 0.0
 
@@ -323,8 +324,8 @@ def c_bures(dim: int) -> NormalizationEstimate:
     return NormalizationEstimate(dim=dim, value=float(np.exp(lg)), method="exact")
 
 
-# Callers left: perfbench/worker.py:90 and acceptance criterion 12; delete
-# this alias with the next change to the benchmark.
+# The one caller left is perfbench/worker.py:90; delete this alias with the
+# next change to the benchmark.
 c_bures_quadrature = c_bures
 
 

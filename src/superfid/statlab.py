@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov
 
 from .errors import QuadratureError
 from .qstate import Measure
@@ -109,6 +108,7 @@ def _check_cdf_monotone(cdf, lo: float, hi: float):
 
 def ks_test(samples: np.ndarray, cdf) -> GofResult:
     """One-sample KS test with the asymptotic Kolmogorov p-value."""
+    from scipy.special import kolmogorov  # deferred: scipy.special is slow to import
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n < 50:
@@ -125,6 +125,7 @@ def ks_test(samples: np.ndarray, cdf) -> GofResult:
 
 def ks_test_two_sample(a: np.ndarray, b: np.ndarray) -> GofResult:
     """Two-sample KS test with the asymptotic p-value."""
+    from scipy.special import kolmogorov  # deferred: scipy.special is slow to import
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size < 50 or b.size < 50:
@@ -243,6 +244,7 @@ def _merge_small_bins(counts: np.ndarray, expected: np.ndarray):
 
 
 def _pearson(counts: np.ndarray, expected: np.ndarray) -> GofResult:
+    from scipy.special import chdtrc  # deferred: scipy.special is slow to import
     if len(counts) < 2:
         raise ValueError("fewer than 2 bins remain after merging; test is degenerate")
     stat = float(np.sum((counts - expected) ** 2 / expected))

@@ -1,9 +1,10 @@
-"""Built-in verification suites exposed through the command line.
+"""Built-in verification suites: the one implementation of every claim.
 
 Each suite runs a battery of deterministic (seeded) checks against the
 closed-form values, bounds, and distributional claims implemented by the
-package, at sizes small enough for interactive use.  The pytest acceptance
-suite runs the same checks at full scale.
+package.  Sample sizes grow with ``scale``; at scale 1 they suit interactive
+use (``superfid verify``), and ``tests/test_acceptance.py`` runs every check
+at scale 20, where each size is at least its acceptance size.
 """
 from __future__ import annotations
 
@@ -95,16 +96,27 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        worst_u <= 1e-10, f"max |G(U.U^,U.U^) - G| = {worst_u:.2e}"))
 
     worst_fd = 0.0
+    medians = []  # median FD error ratio for h -> h/2; 4 at second order
     for dim in (2, 3):
         gen = RngStream(seed, 30 + dim).generator()
+        ratios = []
         for _ in range(max(10, int(30 * scale))):
+            # the mixedness floor keeps the stencil inside its O(h^2) regime
             rho = 0.8 * sm.sample_hs(dim, gen) + 0.2 * np.eye(dim) / dim
             drho = random_tangent(dim, gen)
             analytic = si.line_element_g(rho, drho)
-            fd = si.fd_second_derivative(lambda x, y: si.dist_g(x, y) ** 2, rho, drho, 1e-3)
-            worst_fd = max(worst_fd, abs(fd - analytic))
+            err, coarse, fine = (abs(si.fd_second_derivative(lambda x, y: si.dist_g(x, y) ** 2,
+                                                             rho, drho, h) - analytic)
+                                 for h in (1e-3, 1e-2, 5e-3))
+            worst_fd = max(worst_fd, err)
+            if coarse > 1e-12:
+                ratios.append(coarse / fine)
+        medians.append(float(np.median(ratios)))
     out.append(_result("metric", "line-element-fd-match",
                        worst_fd <= 1e-4, f"max |FD - analytic| = {worst_fd:.2e}"))
+    out.append(_result("metric", "line-element-fd-second-order",
+                       all(2.5 <= m <= 6.0 for m in medians),
+                       f"median error ratio h->h/2: N=2 {medians[0]:.2f}, N=3 {medians[1]:.2f}"))
 
     gen = RngStream(seed, 40).generator()
     worst_eq = 0.0
@@ -177,24 +189,40 @@ def _density_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
         details.append(f"N={dim}: {est.value:.4g} (3SE {3 * est.std_error:.2g}) <= {bound:.4g}")
     out.append(_result("density", "jensen-upper-bound", ok, "; ".join(details)))
 
-    est, partial = ed.c_g_series(2, 24, RngStream(seed, 60), samples=max(20_000, int(10 ** 5 * scale)),
+    est, partial = ed.c_g_series(2, 20, RngStream(seed, 60), samples=max(20_000, int(10 ** 5 * scale)),
                                  return_partial_sums=True)
-    mono = np.all(np.diff(partial) >= 0)
+    mono = np.all(np.diff(partial) > 0)
     k0 = 1.0 / partial[0]
     out.append(_result("density", "series-monotone-partial-sums",
                        mono and abs(k0 - ed.c_hs(2).value) < 1e-9,
                        f"k=0 estimate = C_HS = {k0:.4f}, partial sums increasing: {mono}"))
+    rel = abs(est.value / ed.c_g_exact(2).value - 1.0)
+    out.append(_result("density", "series-estimate-within-1pct", rel <= 0.01,
+                       f"k_max=20 estimate {est.value:.4f}, rel error {rel:.1e} vs closed form"))
 
-    res = 200  # boundary extrapolation is accurate from ~200 subdivisions up
-    details = []
-    ok = True
-    for measure in (Measure.SUPERFIDELITY, Measure.BURES):
-        grid_obj = ed.density_grid_qutrit(res, measure)
-        total = ed.grid_integral(grid_obj)
-        ok &= abs(total - 1.0) <= 0.02
-        details.append(f"{measure.value}@res{res}: {total:.4f}")
-    out.append(_result("density", "qutrit-grid-integrates-to-one", ok, "; ".join(details)))
+    res = 400  # the acceptance resolution; boundary extrapolation holds from ~200 up
+    grids = [ed.density_grid_qutrit(res, m) for m in (Measure.SUPERFIDELITY, Measure.BURES)]
+    totals = [ed.grid_integral(g) for g in grids]
+    out.append(_result("density", "qutrit-grid-integrates-to-one",
+                       all(abs(t - 1.0) <= 0.02 for t in totals),
+                       "; ".join(f"{g.measure.value}@res{res}: {t:.4f}"
+                                 for g, t in zip(grids, totals))))
+    out.append(_result("density", "qutrit-grid-permutation-symmetric",
+                       all(_permutation_symmetric(g) for g in grids),
+                       f"g, bures@res{res}: equal values at permuted lattice points"))
     return out
+
+
+def _permutation_symmetric(grid: ed.DensityGrid) -> bool:
+    """Whether a qutrit grid holds one value (or NaN) at all permutations of each point."""
+    res = grid.resolution
+    i = np.rint(grid.lambda1 * res).astype(int)
+    j = np.rint(grid.lambda2 * res).astype(int)
+    full = np.full((res + 1, res + 1), np.nan)
+    full[i, j] = grid.density
+    # a swap and a 3-cycle of the lattice indices (i, j, k) generate all six permutations
+    return all(np.array_equal(grid.density, full[a, b], equal_nan=True)
+               for a, b in ((j, i), (j, res - i - j)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +259,11 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     res = st.ks_test_two_sample(eg[:, 0], bb.eigen_records[:, 0])
     out.append(_result("sampler", "g-qubit-matches-bures",
                        res.p_value > 0.01, f"two-sample KS p = {res.p_value:.4f}"))
+    median = ed.cdf_g2(0.5)
+    res = st.ks_test(eg[:, 0], lambda x: np.asarray(ed.cdf_g2(np.clip(x, 0.5, 1.0)))
+                     - np.asarray(ed.cdf_g2(np.clip(1.0 - x, 0.0, 0.5))))
+    out.append(_result("sampler", "g-qubit-lambda-max-law", median == 0.5 and res.p_value > 0.01,
+                       f"F_G,2(1/2) = {median!r}, KS p = {res.p_value:.4f} vs reflected F_G,2"))
 
     audit = sm.audit_sup_density_ratio(3, RngStream(seed, 75), probes=n)
     out.append(_result("sampler", "envelope-audit-qutrit", audit.passed,
@@ -239,10 +272,18 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     count = max(2000, int(5000 * scale))
     _, eigs, rep = sm.sample_g_rejection_batch(3, count, RngStream(seed, 76))
     target = ed.normalized_density(Measure.SUPERFIDELITY, 3)
-    res = st.chi_square_gof_simplex(eigs, target, grid=10, rng=RngStream(seed, 77))
+    res = st.chi_square_gof_simplex(eigs, target, grid=12, rng=RngStream(seed, 77))
     out.append(_result("sampler", "rejection-gof-qutrit",
                        res.p_value > 0.01,
                        f"chi2 p = {res.p_value:.4f}, acceptance rate {rep.empirical_rate:.3f}"))
+
+    c3 = sm.rejection_constant_c(3)
+    alt = ed.c_g_jensen_bound(3).value / ed.c_bures(3).value * sm.sup_density_ratio_unnormalized(3)
+    out.append(_result("sampler", "rejection-constant-factorization", abs(c3 / alt - 1.0) <= 1e-6,
+                       f"c(3) = {c3:.6f}, (jensen/C_B)*sup = {alt:.6f}"))
+    cs = [sm.rejection_constant_c(dim) for dim in range(3, 9)]
+    out.append(_result("sampler", "rejection-constant-grows", all(np.diff(cs) > 0),
+                       "c(N) for N=3..8: " + ", ".join(f"{c:.3g}" for c in cs)))
 
     ok = True
     for measure in Measure:

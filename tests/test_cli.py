@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superfid import cli
+from superfid import cli, verify
 
 
 def run_cli(argv):
@@ -241,8 +241,26 @@ class TestVerifyCommand:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == 1
 
+    def test_failed_check_exits_1_and_is_named(self, monkeypatch):
+        density_grid_qutrit = verify.ed.density_grid_qutrit
+
+        def asymmetric_grid(resolution, measure):
+            grid = density_grid_qutrit(resolution, measure)
+            i = np.rint(grid.lambda1 * resolution)
+            j = np.rint(grid.lambda2 * resolution)
+            grid.density[(i == 1) & (j == 2)] *= 1 + 1e-9  # (1, 2, R-3) is on no mirror line
+            return grid
+
+        monkeypatch.setattr(verify.ed, "density_grid_qutrit", asymmetric_grid)
+        code, out = run_cli(["verify", "density", "--seed", "3", "--scale", "0.01"])
+        assert code == 1
+        assert "\nFAIL density/qutrit-grid-permutation-symmetric: " in out
+        assert out.endswith(" checks passed; failures: qutrit-grid-permutation-symmetric\n")
+
 
 class TestDeterminism:
+    # a test's id is the command's first two words, so a command's later
+    # variants lead with another option to keep their ids distinct
     COMMANDS = [
         ["sample", "--measure", "hs", "--dim", "3", "--count", "50", "--seed", "7"],
         ["sample", "--measure", "g", "--dim", "2", "--count", "30", "--seed", "7",
@@ -254,6 +272,14 @@ class TestDeterminism:
          "--seed", "7"],
         ["grid", "--measure", "bures", "--resolution", "10"],
         ["verify", "density", "--seed", "3", "--scale", "0.1", "--format", "json"],
+        ["sample", "--measure", "g", "--dim", "2", "--count", "100", "--seed", "7",
+         "--full-matrix"],
+        ["sample", "--measure", "g", "--dim", "3", "--count", "50", "--seed", "7",
+         "--workers", "2"],
+        ["estimate", "--method", "series", "--dim", "2", "--samples", "5000",
+         "--k-max", "10", "--seed", "7"],
+        ["grid", "--resolution", "25", "--measure", "g"],
+        ["verify", "purity", "--seed", "2", "--scale", "0.05", "--format", "json"],
     ]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: "-".join(a[:2]))
@@ -289,26 +315,21 @@ class TestDeterminism:
         assert out_env == out_flag
 
     def test_console_entry_point(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "superfid.cli", "estimate", "--dim", "2",
-             "--method", "exact"],
-            capture_output=True, text=True, check=True)
-        doc = json.loads(result.stdout)
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "superfid.cli", *argv],
+                                  capture_output=True, text=True, check=True).stdout
+
+        doc = json.loads(run("estimate", "--dim", "2", "--method", "exact"))
         assert abs(doc["value"] - 0.900316) <= 1e-5
+        sample = ("sample", "--measure", "hs", "--dim", "2", "--count", "20", "--seed", "3")
+        assert run(*sample) == run(*sample)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats alone takes about half a second to import
+    # each takes a large share of the import time; the functions that use
+    # them import them when they run
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
+    def test_import_leaves_scipy_unloaded(self, module):
         result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, superfid.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
-
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the envelope audit uses scipy.optimize; it imports it when it runs
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, superfid.cli; print('scipy.optimize' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, superfid.cli; print({module!r} in sys.modules)"],
             capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 

@@ -14,6 +14,7 @@ from superfid import (DomainError, InstabilityWarning, RngStream, SingularityErr
                       purity_variance_hs, simplex_quadrature)
 from superfid.eigendensities import NormalizationEstimate, normalized_density
 from superfid.qstate import Measure
+from superfid.verify import _permutation_symmetric
 
 PI_OVER_2SQRT2 = 1.1107207345395915   # integral of the unnormalized qubit density
 C2G = 0.9003163161571068              # (2 sqrt2 / 3pi) * 3
@@ -336,15 +337,19 @@ class TestDensityGrid:
         assert grid.density[at_bary][0] == 0.0
 
     def test_permutation_symmetry_is_exact(self):
+        def reference(grid):  # the per-point loop that verify's lattice check replaced
+            table = {}
+            for l1, l2, d in zip(grid.lambda1, grid.lambda2, grid.density):
+                key = tuple(np.round(sorted([l1, l2, 1 - l1 - l2]), 12))
+                table.setdefault(key, []).append(d)
+            return all(np.all(np.isnan(values)) or all(v == values[0] for v in values)
+                       for values in table.values())
+
         grid = density_grid_qutrit(12, Measure.SUPERFIDELITY)
-        table = {}
-        for l1, l2, d in zip(grid.lambda1, grid.lambda2, grid.density):
-            key = tuple(np.round(sorted([l1, l2, 1 - l1 - l2]), 12))
-            table.setdefault(key, []).append(d)
-        for values in table.values():
-            finite = [v for v in values if np.isfinite(v)]
-            assert len(finite) in (0, len(values))
-            assert all(v == finite[0] for v in finite) if finite else True
+        assert reference(grid) and _permutation_symmetric(grid)
+        i, j = np.rint(grid.lambda1 * 12), np.rint(grid.lambda2 * 12)
+        grid.density[(i == 1) & (j == 2)] *= 1 + 1e-9  # (1, 2, 9) is on no mirror line
+        assert not reference(grid) and not _permutation_symmetric(grid)
 
     def test_bures_boundary_flagged(self):
         grid = density_grid_qutrit(10, Measure.BURES)
