@@ -333,6 +333,18 @@ class TestDeterminism:
             capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_rejection_gate_loads_no_scipy(self, dim, tmp_path):
+        # the first G sample at N >= 3 runs the envelope audit
+        argv = ["sample", "--measure", "g", "--dim", str(dim), "--count", "1",
+                "--seed", "1", "--out", str(tmp_path / "g.csv")]
+        code = ("import sys; from superfid import cli; code = cli.main(%r); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                % argv)
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "0 []"
+
 
 def _reference_csv(cfg, eigs, purity, mats, report):
     """The row-by-row CSV writer that the block writer replaced."""

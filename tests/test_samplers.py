@@ -319,15 +319,28 @@ class TestEnvelope:
         assert np.max(np.abs(vals - 1 / np.sqrt(2))) <= 1e-12
 
     def test_audit_passes(self):
-        for dim in (2, 3, 4):
-            audit = audit_sup_density_ratio(dim, RngStream(30 + dim), probes=20_000)
-            assert isinstance(audit, EnvelopeAudit)
-            assert audit.passed
-            assert audit.max_ratio <= audit.bound + 1e-9
+        # the polish meets non-finite gradients near the vertices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dim in range(2, 9):
+                audit = audit_sup_density_ratio(dim, RngStream(30 + dim), probes=20_000)
+                assert isinstance(audit, EnvelopeAudit)
+                assert audit.passed
+                assert audit.max_ratio <= audit.bound + 1e-9
 
     def test_audit_maximum_sits_at_barycenter(self):
         audit = audit_sup_density_ratio(3, RngStream(33), probes=20_000)
-        assert np.max(np.abs(audit.argmax - 1 / 3)) <= 1e-4
+        assert np.max(np.abs(audit.argmax - 1 / 3)) <= 1e-8
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_polish_finds_the_barycenter_from_random_starts(self, dim):
+        # no maximally mixed start: the ascent alone must reach the sup
+        starts = RngStream(40, dim).generator().dirichlet(np.ones(dim), size=16)
+        polished, log_ratio = samplers._polish_log_ratio(starts)
+        best = int(np.argmax(log_ratio))
+        assert np.max(np.abs(polished[best] - 1 / dim)) <= 1e-8
+        bound = np.exp(samplers._log_envelope_bound(dim))
+        assert abs(np.exp(log_ratio[best]) / bound - 1) <= 1e-12
 
     def test_vertices_give_zero_ratio_without_warnings(self):
         # Sum log l = -inf meets -1/2 log(radicand) = +inf at a vertex
@@ -345,6 +358,17 @@ class TestEnvelope:
 
 
 class TestEnvelopeFailsClosed:
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_unbounded_ratio_fails_the_audit(self, monkeypatch, dim):
+        # below s = 1 / (2 (N - 1)) the ratio grows without bound near the
+        # vertices, so the maximally mixed point is no longer the sup
+        monkeypatch.setattr(samplers, "_induced_exponent", lambda n: 0.3 / (n - 1))
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})
+        audit = audit_sup_density_ratio(dim, RngStream(62, dim), probes=20_000)
+        assert not audit.passed
+        with pytest.raises(EnvelopeAuditError, match=f"envelope audit failed for dim {dim}"):
+            sample_g_rejection_batch(dim, 10, RngStream(62))
+
     def test_gate_raises_when_the_bound_is_below_the_sup(self, monkeypatch):
         log_bound = samplers._log_envelope_bound
         monkeypatch.setattr(samplers, "_log_envelope_bound", lambda dim: log_bound(dim) - 1e-6)
