@@ -10,11 +10,12 @@ run this script once with each checkout's ``src`` on ``PYTHONPATH`` and
 ``diff`` the two listings.
 
 The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
-(CSV and JSON, with and without ``--full-matrix``, ``--workers 2``, and every
+(CSV and JSON, with and without ``--full-matrix``, at odd counts, and every
 command shape of the benchmark's ``rejection`` and ``export`` workloads at
 small counts, and two outputs longer than one 4096-row output block),
 ``estimate`` with every method wherever it is supported at N = 2..5,
-``grid`` for both measures, ``verify all --scale 0.01`` and two usage errors.
+``grid`` for both measures, ``verify all --scale 0.01`` and three usage
+errors, one of them rejected by the argument parser.
 """
 from __future__ import annotations
 
@@ -43,13 +44,13 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("sample-hs-2-csv", _sample("hs", 2, 200)),
     ("sample-hs-3-json-full", _sample("hs", 3, 50, "--format", "json", "--full-matrix")),
     ("sample-hs-4-csv-full", _sample("hs", 4, 50, "--full-matrix")),
-    ("sample-hs-5-workers2", _sample("hs", 5, 101, "--workers", "2")),
+    ("sample-hs-5-csv-101", _sample("hs", 5, 101)),
     ("sample-bures-2-json", _sample("bures", 2, 100, "--format", "json")),
     ("sample-bures-3-csv-full", _sample("bures", 3, 50, "--full-matrix")),
-    ("sample-bures-4-workers2", _sample("bures", 4, 101, "--workers", "2")),
+    ("sample-bures-4-csv-101", _sample("bures", 4, 101)),
     ("sample-bures-5-csv", _sample("bures", 5, 100)),
     ("sample-g-2-json-full", _sample("g", 2, 100, "--format", "json", "--full-matrix")),
-    ("sample-g-3-workers2", _sample("g", 3, 201, "--workers", "2")),
+    ("sample-g-3-csv-201", _sample("g", 3, 201)),
     ("sample-g-3-csv-full", _sample("g", 3, 50, "--full-matrix")),
     ("sample-g-4-json", _sample("g", 4, 50, "--format", "json")),
     ("sample-g-6-csv", _sample("g", 6, 20)),
@@ -77,6 +78,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("verify-all", ["verify", "all", "--seed", "0", "--scale", "0.01"]),
     ("exit2-exact-4", _estimate(4, "exact")),
     ("exit2-grid-hs", ["grid", "--measure", "hs", "--resolution", "40"]),
+    ("exit2-sample-workers", _sample("hs", 2, 10, "--workers", "2")),
 ]
 
 
@@ -89,7 +91,10 @@ def digest_line(name: str, argv: list[str]) -> str:
         with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings():
             # every warning is printed, not only its first occurrence in the process
             warnings.simplefilter("always")
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse rejects the command line
+                code = exc.code
         parts = [stdout.getvalue().encode(), stderr.getvalue().encode(),
                  out.read_bytes() if out.exists() else b""]
     sha = hashlib.sha256()

@@ -3,22 +3,23 @@
 Subcommands::
 
     superfid sample    --measure {hs,bures,g} --dim N --count K [--seed S]
-                       [--workers W] [--format {csv,json}] [--out PATH]
+                       [--format {csv,json}] [--out PATH]
                        [--full-matrix] [--max-proposals M]
     superfid estimate  --dim N --method {exact,jensen,series,mc,quadrature}
                        [--samples S] [--k-max K] [--seed S] [--format/--out]
-    superfid grid      --measure {g,bures} --resolution R [--dim 3] [--out PATH]
+    superfid grid      --measure {g,bures} --resolution R [--out PATH]
     superfid verify    {metric,density,sampler,purity,all} [--seed S] [--scale X]
 
 The master seed falls back to the SUPERFID_SEED environment variable, then 0.
 Outputs carry no timestamps and format floats via ``repr``, so a fixed
-(command line, seed, workers) triple reproduces byte-identical bytes.
+(command line, seed) pair reproduces byte-identical bytes: ``sample`` draws
+every state in this process from the one stream ``RngStream(seed)``.
 ``sample`` and ``grid`` write their rows block by block (4096 rows per
 block), each block through one ``%r`` template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that
 of ``json.dumps(indent=1)``.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 sampling
-budget exhausted.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
+``--out`` too), 3 sampling budget exhausted.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -40,7 +40,7 @@ from .errors import SamplingBudgetError, UnsupportedDimensionError
 from .qstate import Measure
 from .rng import RngStream, seed_from_env
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -67,7 +67,6 @@ class RunConfig:
     dim: int = 2
     count: int = 1
     seed: int = 0
-    workers: int = 1
     out: str | None = None
     format: str = "csv"
     full_matrix: bool = False
@@ -83,8 +82,6 @@ class RunConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.verify_dim is not None and self.verify_dim < 2:
@@ -120,27 +117,12 @@ def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
         yield sep + text if start else text
 
 
-def _chunk_sizes(count: int, workers: int) -> list[int]:
-    base, rem = divmod(count, workers)
-    return [base + (1 if w < rem else 0) for w in range(workers)]
-
-
-def _sample_chunk(args):
-    measure, dim, chunk, seed, worker, max_proposals, keep = args
-    batch, mats, report = sm.sample_batch(measure, dim, chunk, RngStream(seed, worker),
-                                          max_proposals=max_proposals, keep_matrices=keep)
-    return batch.eigen_records, batch.purity_records, mats, report
-
-
 def cmd_sample(cfg: RunConfig) -> int:
-    jobs = [(cfg.measure, cfg.dim, chunk, cfg.seed, w, cfg.max_proposals, cfg.full_matrix)
-            for w, chunk in enumerate(_chunk_sizes(cfg.count, cfg.workers)) if chunk]
     try:
-        if cfg.workers == 1:
-            results = [_sample_chunk(jobs[0])]
-        else:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(_sample_chunk, jobs))
+        batch, mats, report = sm.sample_batch(cfg.measure, cfg.dim, cfg.count,
+                                              RngStream(cfg.seed),
+                                              max_proposals=cfg.max_proposals,
+                                              keep_matrices=cfg.full_matrix)
     except SamplingBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
@@ -148,18 +130,8 @@ def cmd_sample(cfg: RunConfig) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
-    eigs = np.concatenate([r[0] for r in results])
-    purity = np.concatenate([r[1] for r in results])
-    mats = np.concatenate([r[2] for r in results]) if cfg.full_matrix else None
-    reports = [r[3] for r in results if r[3] is not None]
-    report = None
-    if reports:
-        report = reports[0]
-        for extra in reports[1:]:
-            report = report.merged(extra)
-
     write = _sample_csv if cfg.format == "csv" else _sample_json
-    _emit(write(cfg, eigs, purity, mats, report), cfg.out)
+    _emit(write(cfg, batch.eigen_records, batch.purity_records, mats, report), cfg.out)
     return EXIT_OK
 
 
@@ -176,7 +148,7 @@ def _sample_csv(cfg, eigs, purity, mats, report) -> Iterator[str]:
     lines = [
         f"# superfid sample schema_version={SCHEMA_VERSION}",
         f"# measure={cfg.measure.value} dim={cfg.dim} count={cfg.count} "
-        f"seed={cfg.seed} workers={cfg.workers}",
+        f"seed={cfg.seed}",
     ]
     if report is not None:
         lines.append(f"# rejection proposed={report.proposed} accepted={report.accepted} "
@@ -208,7 +180,6 @@ def _sample_json(cfg, eigs, purity, mats, report) -> Iterator[str]:
         "dim": cfg.dim,
         "count": cfg.count,
         "seed": cfg.seed,
-        "workers": cfg.workers,
         "rejection": _report_dict(report) if report is not None else None,
         "records": [],
     }
@@ -257,9 +228,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_grid(cfg: RunConfig) -> int:
-    if cfg.dim != 3:
-        sys.stderr.write("error: density grids are defined for --dim 3\n")
-        return EXIT_USAGE
     if cfg.measure is Measure.HILBERT_SCHMIDT:
         sys.stderr.write("error: grid supports --measure g or bures\n")
         return EXIT_USAGE
@@ -322,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=[m.value for m in Measure], required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--full-matrix", action="store_true",
                    help="also emit row-major re,im matrix entries")
@@ -339,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="emit a qutrit eigenvalue-density grid as CSV")
     p.add_argument("--measure", choices=[m.value for m in Measure], default="g")
-    p.add_argument("--dim", type=int, default=3)
     p.add_argument("--resolution", type=int, default=400)
     common(p)
 
@@ -359,14 +325,13 @@ def _config_from_args(args) -> RunConfig:
     fields = {"command": args.command, "seed": seed, "out": args.out}
     if args.command == "sample":
         fields.update(measure=Measure(args.measure), dim=args.dim, count=args.count,
-                      workers=args.workers, format=args.format,
-                      full_matrix=args.full_matrix, max_proposals=args.max_proposals)
+                      format=args.format, full_matrix=args.full_matrix,
+                      max_proposals=args.max_proposals)
     elif args.command == "estimate":
         fields.update(dim=args.dim, method=args.method, samples=args.samples,
                       k_max=args.k_max, format="json")
     elif args.command == "grid":
-        fields.update(measure=Measure(args.measure), dim=args.dim,
-                      resolution=args.resolution)
+        fields.update(measure=Measure(args.measure), resolution=args.resolution)
     elif args.command == "verify":
         fields.update(suite=args.suite, scale=args.scale, format=args.format,
                       verify_dim=args.dim)
@@ -387,7 +352,11 @@ def main(argv=None) -> int:
         "grid": cmd_grid,
         "verify": cmd_verify,
     }[cfg.command]
-    return handler(cfg)
+    try:
+        return handler(cfg)
+    except OSError as exc:   # e.g. an --out path that cannot be opened for writing
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

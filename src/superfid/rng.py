@@ -3,8 +3,9 @@
 Every sampling routine in the package takes an :class:`RngStream` keyed by a
 64-bit master seed plus a stream index.  Identical ``(seed, stream)`` pairs
 reproduce identical value sequences, and distinct stream indices give
-statistically independent streams, so batch work can be sharded across
-workers deterministically (worker ``w`` uses stream ``w``).
+statistically independent streams, so separate draws (the checks of one
+``verify`` suite, say) need not share a sequence.  ``superfid sample`` draws
+from stream 0 of its seed.
 """
 from __future__ import annotations
 

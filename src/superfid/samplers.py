@@ -78,11 +78,6 @@ class RejectionReport:
         return RejectionReport(proposed=proposed, accepted=accepted,
                                bound_constant=bound, empirical_rate=rate)
 
-    def merged(self, other: "RejectionReport") -> "RejectionReport":
-        return RejectionReport.from_counts(self.proposed + other.proposed,
-                                           self.accepted + other.accepted,
-                                           self.bound_constant)
-
 
 # ---------------------------------------------------------------------------
 # batch plumbing

@@ -26,7 +26,7 @@ class TestSampleCommand:
         assert code == 0
         lines = out.strip().split("\n")
         meta = [l for l in lines if l.startswith("#")]
-        assert any("measure=hs dim=3 count=20 seed=5 workers=1" in l for l in meta)
+        assert meta[1] == "# measure=hs dim=3 count=20 seed=5"
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "lambda_1,lambda_2,lambda_3,purity"
         data = [l for l in lines if not l.startswith("#")][1:]
@@ -55,7 +55,8 @@ class TestSampleCommand:
         code, out = run_cli(["sample", "--measure", "bures", "--dim", "2",
                              "--count", "4", "--seed", "2", "--format", "json"])
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert "workers" not in doc
         assert doc["measure"] == "bures"
         assert len(doc["records"]) == 4
         assert doc["rejection"] is None
@@ -80,6 +81,31 @@ class TestSampleCommand:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("# superfid sample")
+
+    def test_workers_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sample", "--measure", "hs", "--dim", "2", "--count", "4",
+                      "--workers", "2"])
+        assert info.value.code == 2
+
+
+class TestUnwritableOut:
+    # each command does its work, then cannot open --out: a usage error, no traceback
+    COMMANDS = {
+        "sample": ["sample", "--measure", "g", "--dim", "3", "--count", "5"],
+        "estimate": ["estimate", "--dim", "2", "--method", "exact"],
+        "grid": ["grid", "--measure", "g", "--resolution", "4"],
+        "verify": ["verify", "purity", "--dim", "2", "--scale", "0.05"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_is_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert cli.main(self.COMMANDS[command] + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert not path.exists()
 
 
 class TestEstimateCommand:
@@ -168,7 +194,10 @@ class TestGridCommand:
         assert corner[0][2] == "nan"
 
     def test_wrong_dim_is_usage_error(self, capsys):
-        assert cli.main(["grid", "--measure", "g", "--dim", "2"]) == 2
+        # grids are qutrit-only, so grid has no --dim option
+        with pytest.raises(SystemExit) as info:
+            cli.main(["grid", "--measure", "g", "--dim", "2"])
+        assert info.value.code == 2
 
     def test_hs_measure_rejected(self, capsys):
         assert cli.main(["grid", "--measure", "hs"]) == 2
@@ -211,7 +240,7 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "metric", "--seed", "1", "--scale", "0.2",
                              "--format", "json"])
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
@@ -239,7 +268,7 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("PASS") or out.startswith("FAIL")
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
 
     def test_failed_check_exits_1_and_is_named(self, monkeypatch):
         density_grid_qutrit = verify.ed.density_grid_qutrit
@@ -266,16 +295,14 @@ class TestDeterminism:
         ["sample", "--measure", "g", "--dim", "2", "--count", "30", "--seed", "7",
          "--format", "json"],
         ["sample", "--measure", "g", "--dim", "3", "--count", "20", "--seed", "7"],
-        ["sample", "--measure", "bures", "--dim", "3", "--count", "40", "--seed", "8",
-         "--workers", "2"],
+        ["sample", "--measure", "bures", "--dim", "3", "--count", "40", "--seed", "8"],
         ["estimate", "--dim", "2", "--method", "mc", "--samples", "5000",
          "--seed", "7"],
         ["grid", "--measure", "bures", "--resolution", "10"],
         ["verify", "density", "--seed", "3", "--scale", "0.1", "--format", "json"],
         ["sample", "--measure", "g", "--dim", "2", "--count", "100", "--seed", "7",
          "--full-matrix"],
-        ["sample", "--measure", "g", "--dim", "3", "--count", "50", "--seed", "7",
-         "--workers", "2"],
+        ["sample", "--measure", "g", "--dim", "3", "--count", "50", "--seed", "7"],
         ["estimate", "--method", "series", "--dim", "2", "--samples", "5000",
          "--k-max", "10", "--seed", "7"],
         ["grid", "--resolution", "25", "--measure", "g"],
@@ -289,22 +316,6 @@ class TestDeterminism:
         assert code1 == code2
         assert out1 == out2
         assert out1  # produced something
-
-    def test_more_workers_than_samples(self):
-        code, out = run_cli(["sample", "--measure", "hs", "--dim", "2",
-                             "--count", "3", "--seed", "1", "--workers", "8"])
-        assert code == 0
-        rows = [l for l in out.strip().split("\n") if not l.startswith("#")][1:]
-        assert len(rows) == 3
-
-    def test_workers_split_is_by_sample_index(self):
-        # worker w always owns the same contiguous index range, so outputs are
-        # reproducible for a fixed (seed, workers) pair
-        _, a = run_cli(["sample", "--measure", "hs", "--dim", "2", "--count", "21",
-                        "--seed", "5", "--workers", "3"])
-        _, b = run_cli(["sample", "--measure", "hs", "--dim", "2", "--count", "21",
-                        "--seed", "5", "--workers", "3"])
-        assert a == b
 
     def test_env_var_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("SUPERFID_SEED", "99")
@@ -325,8 +336,9 @@ class TestDeterminism:
         assert run(*sample) == run(*sample)
 
     # each takes a large share of the import time; the functions that use
-    # them import them when they run
-    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
+    # them import them when they run, and no command starts a process pool
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special",
+                                        "concurrent.futures"])
     def test_import_leaves_scipy_unloaded(self, module):
         result = subprocess.run(
             [sys.executable, "-c", f"import sys, superfid.cli; print({module!r} in sys.modules)"],
@@ -351,7 +363,7 @@ def _reference_csv(cfg, eigs, purity, mats, report):
     lines = [
         f"# superfid sample schema_version={cli.SCHEMA_VERSION}",
         f"# measure={cfg.measure.value} dim={cfg.dim} count={cfg.count} "
-        f"seed={cfg.seed} workers={cfg.workers}",
+        f"seed={cfg.seed}",
     ]
     if report is not None:
         lines.append(f"# rejection proposed={report.proposed} accepted={report.accepted} "
@@ -383,15 +395,15 @@ def _reference_json(cfg, eigs, purity, mats, report):
                      "empirical_rate": report.empirical_rate}
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": "sample",
            "measure": cfg.measure.value, "dim": cfg.dim, "count": cfg.count,
-           "seed": cfg.seed, "workers": cfg.workers, "rejection": rejection,
+           "seed": cfg.seed, "rejection": rejection,
            "records": records}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
 class TestBlockWriter:
-    # (measure, dim, count, format, full matrix, workers): every measure, N = 2..5,
+    # (measure, dim, count, format, full matrix, seed): every measure, N = 2..5,
     # both formats with and without matrices, rejection headers (g, N >= 3),
-    # two workers, and counts on either side of the 4096-row block seam
+    # two seeds, and counts on either side of the 4096-row block seam
     CASES = [
         ("hs", 2, 1, "csv", False, 1),
         ("hs", 3, 4097, "json", True, 1),
@@ -409,10 +421,10 @@ class TestBlockWriter:
         ("g", 5, 1, "csv", False, 1),
     ]
 
-    @pytest.mark.parametrize("measure,dim,count,fmt,full,workers", CASES,
+    @pytest.mark.parametrize("measure,dim,count,fmt,full,seed", CASES,
                              ids=lambda v: str(v))
     def test_sample_bytes_match_reference_writers(self, monkeypatch, measure, dim, count,
-                                                  fmt, full, workers):
+                                                  fmt, full, seed):
         seen = []   # the arguments each writer call received
 
         def spy(writer):
@@ -424,7 +436,7 @@ class TestBlockWriter:
         for name in ("_sample_csv", "_sample_json"):
             monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
         argv = ["sample", "--measure", measure, "--dim", str(dim), "--count", str(count),
-                "--seed", "21", "--workers", str(workers), "--format", fmt]
+                "--seed", str(seed), "--format", fmt]
         code, out = run_cli(argv + (["--full-matrix"] if full else []))
         assert code == 0 and len(seen) == 1
         reference = _reference_csv if fmt == "csv" else _reference_json
