@@ -14,8 +14,8 @@ The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
 command shape of the benchmark's ``rejection`` and ``export`` workloads at
 small counts, and two outputs longer than one 4096-row output block),
 ``estimate`` with every method wherever it is supported at N = 2..5,
-``grid`` for both measures, ``verify all --scale 0.01`` and three usage
-errors, one of them rejected by the argument parser.
+``grid`` for both measures, ``verify all --scale 0.01`` and nine usage
+errors, three of them rejected by the argument parser.
 """
 from __future__ import annotations
 
@@ -79,6 +79,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("exit2-exact-4", _estimate(4, "exact")),
     ("exit2-grid-hs", ["grid", "--measure", "hs", "--resolution", "40"]),
     ("exit2-sample-workers", _sample("hs", 2, 10, "--workers", "2")),
+    ("exit2-sample-dim-1", _sample("hs", 1, 10)),
+    ("exit2-sample-count-0", _sample("hs", 2, 0)),
+    ("exit2-exact-1", _estimate(1, "exact")),
+    ("exit2-verify-scale-nan", ["verify", "purity", "--scale", "nan"]),
+    ("exit2-sample-measure-xx", _sample("xx", 2, 10)),
+    ("exit2-grid-seed", ["grid", "--measure", "g", "--resolution", "40", "--seed", "1"]),
 ]
 
 

@@ -6,11 +6,14 @@ Subcommands::
                        [--format {csv,json}] [--out PATH]
                        [--full-matrix] [--max-proposals M]
     superfid estimate  --dim N --method {exact,jensen,series,mc,quadrature}
-                       [--samples S] [--k-max K] [--seed S] [--format/--out]
+                       [--samples S] [--k-max K] [--seed S] [--out PATH]
     superfid grid      --measure {g,bures} --resolution R [--out PATH]
-    superfid verify    {metric,density,sampler,purity,all} [--seed S] [--scale X]
+    superfid verify    {metric,density,sampler,purity,all} [--dim N] [--scale X]
+                       [--seed S] [--format {text,json}] [--out PATH]
 
 The master seed falls back to the SUPERFID_SEED environment variable, then 0.
+The parsed arguments go straight to the command's handler; each value is
+checked by the library function that uses it.
 Outputs carry no timestamps and format floats via ``repr``, so a fixed
 (command line, seed) pair reproduces byte-identical bytes: ``sample`` draws
 every state in this process from the one stream ``RngStream(seed)``.
@@ -18,17 +21,18 @@ every state in this process from the one stream ``RngStream(seed)``.
 block), each block through one ``%r`` template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that
 of ``json.dumps(indent=1)``.
-Exit codes: 0 success, 1 verification failure, 2 usage error (an unwritable
-``--out`` too), 3 sampling budget exhausted.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a rejected
+value, or an ``--out`` that cannot be opened for writing), 3 sampling budget
+exhausted.  ``--out`` is opened for appending before any work, so a bad path
+costs nothing and a failed run leaves an existing file unchanged (one it
+created stays empty); only a finished run rewrites the file.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -36,7 +40,7 @@ import numpy as np
 from . import eigendensities as ed
 from . import samplers as sm
 from . import verify as vf
-from .errors import SamplingBudgetError, UnsupportedDimensionError
+from .errors import SamplingBudgetError
 from .qstate import Measure
 from .rng import RngStream, seed_from_env
 
@@ -49,45 +53,13 @@ EXIT_BUDGET = 3
 
 # --method value -> estimator; each looks its function up in ``ed`` at call time
 ESTIMATORS = {
-    "exact": lambda cfg: ed.c_g_exact(cfg.dim),
-    "jensen": lambda cfg: ed.c_g_jensen_bound(cfg.dim),
-    "series": lambda cfg: ed.c_g_series(cfg.dim, cfg.k_max, RngStream(cfg.seed),
-                                        samples=cfg.samples),
-    "mc": lambda cfg: ed.c_g_monte_carlo(cfg.dim, cfg.samples, RngStream(cfg.seed)),
-    "quadrature": lambda cfg: ed.c_g_quadrature(cfg.dim),
+    "exact": lambda args: ed.c_g_exact(args.dim),
+    "jensen": lambda args: ed.c_g_jensen_bound(args.dim),
+    "series": lambda args: ed.c_g_series(args.dim, args.k_max, RngStream(args.seed),
+                                         samples=args.samples),
+    "mc": lambda args: ed.c_g_monte_carlo(args.dim, args.samples, RngStream(args.seed)),
+    "quadrature": lambda args: ed.c_g_quadrature(args.dim),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for one CLI command."""
-
-    command: str
-    measure: Measure = Measure.HILBERT_SCHMIDT
-    dim: int = 2
-    count: int = 1
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    full_matrix: bool = False
-    resolution: int = 400
-    method: str = "exact"
-    samples: int = 100_000
-    k_max: int = 20
-    suite: str = "all"
-    max_proposals: int = sm.DEFAULT_MAX_PROPOSALS
-    scale: float = 1.0
-    verify_dim: int | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.verify_dim is not None and self.verify_dim < 2:
-            raise ValueError("dim must be >= 2")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be finite and > 0")
 
 
 def _fmt(x: float) -> str:
@@ -117,21 +89,13 @@ def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
         yield sep + text if start else text
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    try:
-        batch, mats, report = sm.sample_batch(cfg.measure, cfg.dim, cfg.count,
-                                              RngStream(cfg.seed),
-                                              max_proposals=cfg.max_proposals,
-                                              keep_matrices=cfg.full_matrix)
-    except SamplingBudgetError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BUDGET
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
-    write = _sample_csv if cfg.format == "csv" else _sample_json
-    _emit(write(cfg, batch.eigen_records, batch.purity_records, mats, report), cfg.out)
+def cmd_sample(args: argparse.Namespace) -> int:
+    batch, mats, report = sm.sample_batch(args.measure, args.dim, args.count,
+                                          RngStream(args.seed),
+                                          max_proposals=args.max_proposals,
+                                          keep_matrices=args.full_matrix)
+    write = _sample_csv if args.format == "csv" else _sample_json
+    _emit(write(args, batch.eigen_records, batch.purity_records, mats, report), args.out)
     return EXIT_OK
 
 
@@ -144,21 +108,21 @@ def _report_dict(report):
     }
 
 
-def _sample_csv(cfg, eigs, purity, mats, report) -> Iterator[str]:
+def _sample_csv(args, eigs, purity, mats, report) -> Iterator[str]:
     lines = [
         f"# superfid sample schema_version={SCHEMA_VERSION}",
-        f"# measure={cfg.measure.value} dim={cfg.dim} count={cfg.count} "
-        f"seed={cfg.seed}",
+        f"# measure={args.measure} dim={args.dim} count={args.count} "
+        f"seed={args.seed}",
     ]
     if report is not None:
         lines.append(f"# rejection proposed={report.proposed} accepted={report.accepted} "
                      f"bound_constant={_fmt(report.bound_constant)} "
                      f"empirical_rate={_fmt(report.empirical_rate)}")
-    header = [f"lambda_{k + 1}" for k in range(cfg.dim)] + ["purity"]
+    header = [f"lambda_{k + 1}" for k in range(args.dim)] + ["purity"]
     columns = [eigs, purity[:, None]]
     if mats is not None:
-        for i in range(cfg.dim):
-            for j in range(cfg.dim):
+        for i in range(args.dim):
+            for j in range(args.dim):
                 header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
         columns.append(mats.reshape(len(purity), -1).view(float))
     lines.append(",".join(header))
@@ -172,25 +136,25 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
 
 
-def _sample_json(cfg, eigs, purity, mats, report) -> Iterator[str]:
+def _sample_json(args, eigs, purity, mats, report) -> Iterator[str]:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "sample",
-        "measure": cfg.measure.value,
-        "dim": cfg.dim,
-        "count": cfg.count,
-        "seed": cfg.seed,
+        "measure": args.measure,
+        "dim": args.dim,
+        "count": args.count,
+        "seed": args.seed,
         "rejection": _report_dict(report) if report is not None else None,
         "records": [],
     }
     head, tail = (json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
                   + "\n").split('"records": []')
     # one record as json.dumps(indent=1) lays it out at depth 2, keys sorted
-    fields = ['"eigenvalues": ' + _json_list(["%r"] * cfg.dim, 4)]
+    fields = ['"eigenvalues": ' + _json_list(["%r"] * args.dim, 4)]
     columns = [eigs]
     if mats is not None:
         fields.append('"matrix_re_im": '
-                      + _json_list([_json_list(["%r", "%r"], 5)] * cfg.dim ** 2, 4))
+                      + _json_list([_json_list(["%r", "%r"], 5)] * args.dim ** 2, 4))
         columns.append(mats.reshape(len(purity), -1).view(float))
     fields.append('"purity": %r')
     columns.append(purity[:, None])
@@ -200,13 +164,8 @@ def _sample_json(cfg, eigs, purity, mats, report) -> Iterator[str]:
     yield "\n ]" + tail
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    try:
-        est = ESTIMATORS[cfg.method](cfg)
-    except (UnsupportedDimensionError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
+def cmd_estimate(args: argparse.Namespace) -> int:
+    est = ESTIMATORS[args.method](args)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
@@ -215,7 +174,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         "value": est.value,
         "std_error": est.std_error,
         "terms_or_samples": est.terms_or_samples,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     if est.method == "jensen-upper-bound":
         doc["kind"] = "upper_bound"
@@ -223,30 +182,26 @@ def cmd_estimate(cfg: RunConfig) -> int:
         doc["truncation_last_term"] = est.truncation_last_term
     if est.truncation_tail is not None:
         doc["truncation_tail"] = est.truncation_tail
-    _emit([json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"], cfg.out)
+    _emit([json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"], args.out)
     return EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    if cfg.measure is Measure.HILBERT_SCHMIDT:
+def cmd_grid(args: argparse.Namespace) -> int:
+    if args.measure == Measure.HILBERT_SCHMIDT.value:
         sys.stderr.write("error: grid supports --measure g or bures\n")
         return EXIT_USAGE
-    try:
-        grid = ed.density_grid_qutrit(cfg.resolution, cfg.measure)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    grid = ed.density_grid_qutrit(args.resolution, args.measure)
     head = (f"# superfid grid schema_version={SCHEMA_VERSION}\n"
-            f"# measure={cfg.measure.value} dim=3 resolution={cfg.resolution}\n"
+            f"# measure={args.measure} dim=3 resolution={args.resolution}\n"
             "lambda_1,lambda_2,density\n")
     # non-finite densities are NaN, which %r prints as nan
     table = np.column_stack([grid.lambda1, grid.lambda2, grid.density])
-    _emit(chain([head], _rows(table, "%r,%r,%r\n", "")), cfg.out)
+    _emit(chain([head], _rows(table, "%r,%r,%r\n", "")), args.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = vf.run_suite(cfg.suite, cfg.seed, cfg.scale, dim=cfg.verify_dim)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = vf.run_suite(args.suite, args.seed, args.scale, dim=args.dim)
     failures = [r for r in results if not r.passed]
     lines = []
     for r in results:
@@ -257,18 +212,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "suite": cfg.suite,
-        "seed": cfg.seed,
+        "suite": args.suite,
+        "seed": args.seed,
         "checks": [{"suite": r.suite, "name": r.name, "passed": r.passed,
                     "detail": r.detail} for r in results],
         "passed": not failures,
     }
     doc_json = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-    if cfg.out is not None:
+    if args.out is not None:
         # human summary on stdout, machine-readable report to the file
-        _emit([doc_json], cfg.out)
+        _emit([doc_json], args.out)
         sys.stdout.write(human)
-    elif cfg.format == "json":
+    elif args.format == "json":
         sys.stdout.write(doc_json)
     else:
         sys.stdout.write(human)
@@ -281,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "superfidelity-induced measure.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: SUPERFID_SEED env var, else 0)")
+    def common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed (default: SUPERFID_SEED env var, else 0)")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
     p = sub.add_parser("sample", help="draw random states and write eigenvalues/purity")
@@ -307,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="emit a qutrit eigenvalue-density grid as CSV")
     p.add_argument("--measure", choices=[m.value for m in Measure], default="g")
     p.add_argument("--resolution", type=int, default=400)
-    common(p)
+    common(p, seed=False)   # a grid draws nothing
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
     p.add_argument("suite", choices=list(vf.SUITE_NAMES))
@@ -320,41 +276,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    seed = args.seed if args.seed is not None else seed_from_env()
-    fields = {"command": args.command, "seed": seed, "out": args.out}
-    if args.command == "sample":
-        fields.update(measure=Measure(args.measure), dim=args.dim, count=args.count,
-                      format=args.format, full_matrix=args.full_matrix,
-                      max_proposals=args.max_proposals)
-    elif args.command == "estimate":
-        fields.update(dim=args.dim, method=args.method, samples=args.samples,
-                      k_max=args.k_max, format="json")
-    elif args.command == "grid":
-        fields.update(measure=Measure(args.measure), resolution=args.resolution)
-    elif args.command == "verify":
-        fields.update(suite=args.suite, scale=args.scale, format=args.format,
-                      verify_dim=args.dim)
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     handler = {
         "sample": cmd_sample,
         "estimate": cmd_estimate,
         "grid": cmd_grid,
         "verify": cmd_verify,
-    }[cfg.command]
+    }[args.command]
     try:
-        return handler(cfg)
-    except OSError as exc:   # e.g. an --out path that cannot be opened for writing
+        if "seed" in args and args.seed is None:
+            args.seed = seed_from_env()
+        if args.out is not None:
+            # fail before the work; "a" creates a missing file but truncates none
+            open(args.out, "a", encoding="utf-8").close()
+        return handler(args)
+    except SamplingBudgetError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_BUDGET
+    except (ValueError, OSError) as exc:   # a rejected value, or an --out that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -9,7 +9,7 @@ at scale 20, where each size is at least its acceptance size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -376,13 +376,16 @@ def run_suite(suite: str, seed: int, scale: float = 1.0,
               dim: int | None = None) -> list[CheckResult]:
     """Run one named suite (or ``all``); returns per-check results.
 
-    ``dim`` restricts the purity suite to one dimension; the other suites
-    sweep their fixed dimension sets regardless.
+    ``scale`` (finite and > 0) grows the sample sizes.  ``dim`` restricts
+    the purity suite to one dimension; the other suites sweep their fixed
+    dimension sets regardless.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     if dim is not None and dim < 2:
         raise ValueError("dim must be >= 2")
+    if not (isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and > 0")
     names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
     results = []
     for name in names:

@@ -90,22 +90,43 @@ class TestSampleCommand:
 
 
 class TestUnwritableOut:
-    # each command does its work, then cannot open --out: a usage error, no traceback
+    # an --out that cannot be opened is a usage error, no traceback, before
+    # the command's work function is called
     COMMANDS = {
-        "sample": ["sample", "--measure", "g", "--dim", "3", "--count", "5"],
-        "estimate": ["estimate", "--dim", "2", "--method", "exact"],
-        "grid": ["grid", "--measure", "g", "--resolution", "4"],
-        "verify": ["verify", "purity", "--dim", "2", "--scale", "0.05"],
+        "sample": (["sample", "--measure", "g", "--dim", "3", "--count", "5"],
+                   cli.sm, "sample_batch"),
+        "estimate": (["estimate", "--dim", "2", "--method", "exact"], cli.ed, "c_g_exact"),
+        "grid": (["grid", "--measure", "g", "--resolution", "4"],
+                 cli.ed, "density_grid_qutrit"),
+        "verify": (["verify", "purity", "--dim", "2", "--scale", "0.05"],
+                   cli.vf, "run_suite"),
     }
 
     @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_is_usage_error(self, command, tmp_path, capsys):
+    def test_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        argv, module, work = self.COMMANDS[command]
+
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(module, work, fail)
         path = tmp_path / "missing" / "out.txt"
-        assert cli.main(self.COMMANDS[command] + ["--out", str(path)]) == 2
+        assert cli.main(argv + ["--out", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(path) in captured.err
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["sample", "--measure", "hs", "--dim", "2", "--count", "0"], 2),
+        (["sample", "--measure", "g", "--dim", "3", "--count", "500", "--seed", "4",
+          "--max-proposals", "1"], 3),
+    ], ids=["usage", "budget"])
+    def test_failed_run_keeps_existing_file(self, argv, code, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"earlier output\n")
+        assert cli.main(argv + ["--out", str(path)]) == code
+        assert path.read_bytes() == b"earlier output\n"
 
 
 class TestEstimateCommand:
@@ -199,6 +220,12 @@ class TestGridCommand:
             cli.main(["grid", "--measure", "g", "--dim", "2"])
         assert info.value.code == 2
 
+    def test_seed_option_is_gone(self, capsys):
+        # a grid draws nothing, so grid has no --seed option
+        with pytest.raises(SystemExit) as info:
+            cli.main(["grid", "--measure", "g", "--resolution", "4", "--seed", "5"])
+        assert info.value.code == 2
+
     def test_hs_measure_rejected(self, capsys):
         assert cli.main(["grid", "--measure", "hs"]) == 2
 
@@ -243,6 +270,11 @@ class TestVerifyCommand:
         assert doc["schema_version"] == 2
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_run_suite_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            verify.run_suite("metric", 0, scale)
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -325,6 +357,12 @@ class TestDeterminism:
                                "--seed", "99"])
         assert out_env == out_flag
 
+    def test_bad_env_var_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SUPERFID_SEED", "abc")
+        assert cli.main(["sample", "--measure", "hs", "--dim", "2", "--count", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_console_entry_point(self):
         def run(*argv):
             return subprocess.run([sys.executable, "-m", "superfid.cli", *argv],
@@ -362,7 +400,7 @@ def _reference_csv(cfg, eigs, purity, mats, report):
     """The row-by-row CSV writer that the block writer replaced."""
     lines = [
         f"# superfid sample schema_version={cli.SCHEMA_VERSION}",
-        f"# measure={cfg.measure.value} dim={cfg.dim} count={cfg.count} "
+        f"# measure={cfg.measure} dim={cfg.dim} count={cfg.count} "
         f"seed={cfg.seed}",
     ]
     if report is not None:
@@ -394,7 +432,7 @@ def _reference_json(cfg, eigs, purity, mats, report):
                      "bound_constant": report.bound_constant,
                      "empirical_rate": report.empirical_rate}
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": "sample",
-           "measure": cfg.measure.value, "dim": cfg.dim, "count": cfg.count,
+           "measure": cfg.measure, "dim": cfg.dim, "count": cfg.count,
            "seed": cfg.seed, "rejection": rejection,
            "records": records}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
