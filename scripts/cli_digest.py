@@ -12,10 +12,12 @@ run this script once with each checkout's ``src`` on ``PYTHONPATH`` and
 The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
 (CSV and JSON, with and without ``--full-matrix``, at odd counts, and every
 command shape of the benchmark's ``rejection`` and ``export`` workloads at
-small counts, and two outputs longer than one 4096-row output block),
-``estimate`` with every method wherever it is supported at N = 2..5,
-``grid`` for both measures, ``verify all --scale 0.01`` and nine usage
-errors, three of them rejected by the argument parser.
+small counts, two outputs longer than one 4096-row output block, and one
+rejection run of ~10^4 proposals, which spans several proposal blocks and
+trims the overshoot of its last one), ``estimate`` with every method
+wherever it is supported at N = 2..5, ``grid`` for both measures,
+``verify all --scale 0.01`` and nine usage errors, four of them rejected by
+the argument parser.
 """
 from __future__ import annotations
 
@@ -65,6 +67,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     # past one 4096-row output block, so the writer's block seams are covered
     ("sample-hs-3-json-full-5000", _sample("hs", 3, 5000, "--format", "json", "--full-matrix")),
     ("sample-g-2-csv-9000", _sample("g", 2, 9000)),
+    # ~10^4 proposals: several 4096-proposal blocks and the overshoot trim
+    ("sample-g-3-csv-5000", _sample("g", 3, 5000)),
     ("estimate-exact-2", _estimate(2, "exact")),
     ("estimate-exact-3", _estimate(3, "exact")),
     *[(f"estimate-jensen-{d}", _estimate(d, "jensen")) for d in (2, 3, 4, 5)],

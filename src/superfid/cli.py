@@ -187,9 +187,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    if args.measure == Measure.HILBERT_SCHMIDT.value:
-        sys.stderr.write("error: grid supports --measure g or bures\n")
-        return EXIT_USAGE
     grid = ed.density_grid_qutrit(args.resolution, args.measure)
     head = (f"# superfid grid schema_version={SCHEMA_VERSION}\n"
             f"# measure={args.measure} dim=3 resolution={args.resolution}\n"
@@ -261,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("grid", help="emit a qutrit eigenvalue-density grid as CSV")
-    p.add_argument("--measure", choices=[m.value for m in Measure], default="g")
+    p.add_argument("--measure", choices=[Measure.SUPERFIDELITY.value, Measure.BURES.value],
+                   default="g")
     p.add_argument("--resolution", type=int, default=400)
     common(p, seed=False)   # a grid draws nothing
 

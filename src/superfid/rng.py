@@ -41,4 +41,7 @@ def seed_from_env(default: int = DEFAULT_SEED) -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None

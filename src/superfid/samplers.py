@@ -6,15 +6,17 @@
 * superfidelity measure: exact inverse-CDF construction for qubits;
   for N >= 3, a rejection sampler (induced beta-Laguerre proposals).  The
   proposals have eigenvalue density prod l_i^(-s) Delta^2 with
-  s = 3 / (4 (N - 1)), drawn matrix-free from the same bidiagonal model as
-  the purities.  The acceptance ratio uses unnormalized eigenvalue
-  densities, whose supremum
+  s = 3 / (4 (N - 1)), drawn from the same bidiagonal model as the
+  purities.  The acceptance ratio uses unnormalized eigenvalue densities,
+  whose supremum
 
       (l_1 ... l_N)^s / sqrt(1 - sum l_i^2)
 
   is attained at the maximally mixed point; that claim is audited numerically
   (random probes plus a vectorized gradient-ascent polish, numpy only) before
-  any rejection run, failing closed.
+  any rejection run, failing closed.  Each proposal's ratio comes from the
+  trace, determinant and e_2 of its tridiagonal matrix, and only accepted
+  proposals are diagonalized.
 
 Each single-state function returns row 0 of its ``*_batch`` variant drawn
 from the same stream; the batch variants vectorize over the sample index and
@@ -103,17 +105,36 @@ def _laguerre_tridiagonal(dim: int, count: int, s: float, gen: np.random.Generat
     Edelman, J. Math. Phys. 43, 5830 (2002), at beta = 2).  W / tr W then has
     eigenvalue density proportional to prod l_i^(-s) Delta^2: the induced
     measure with N - s degrees of freedom (Zyczkowski and Sommers, J. Phys. A
-    34, 7111 (2001)); s = 0 is Hilbert-Schmidt.  One ``standard_gamma`` call
-    fills the whole (count, 2N - 1) block.  Returns the diagonal
-    d_k = a_k^2 + b_{k-1}^2, shape (count, N), and the squared off-diagonal
-    a_k^2 b_k^2, shape (count, N - 1).
+    34, 7111 (2001)); s = 0 is Hilbert-Schmidt.
+
+    Returns the (2N - 1, count) block z of the variables in path order
+    a_1^2, b_1^2, a_2^2, ..., a_N^2, one contiguous row per variable, so
+    that the invariants of :func:`_trace_and_e2` are row adds.  W has
+    diagonal z_0, z_1 + z_2, z_3 + z_4, ... and squared off-diagonal
+    z_0 z_1, z_2 z_3, ...  Each row is one ``standard_gamma`` call, so a run
+    drawn in blocks has other values than the same run drawn whole.
     """
-    shape = np.concatenate([np.arange(dim, 0, -1) - s, np.arange(dim - 1, 0, -1)]).astype(float)
-    x = gen.standard_gamma(shape, size=(count, 2 * dim - 1))
-    a2, b2 = x[:, :dim], x[:, dim:]
-    d = a2.copy()
-    d[:, 1:] += b2
-    return d, a2[:, :-1] * b2
+    z = np.empty((2 * dim - 1, count))
+    for i, row in enumerate(z):
+        gen.standard_gamma(dim - (i + 1) // 2 - (s if i % 2 == 0 else 0.0), out=row)
+    return z
+
+
+def _trace_and_e2(z: np.ndarray):
+    """tr W and e_2(W), the sum of W's 2 x 2 principal minors, from a path block z.
+
+    With tr W = sum z_i and tr W^2 = sum z_i^2 + 2 sum z_i z_{i+1},
+    e_2(W) = ((tr W)^2 - tr W^2) / 2 is the sum of z_i z_j over the pairs
+    j >= i + 2 that are not adjacent on the path.  Every term is positive, so
+    e_2 has no cancellation, and 1 - sum l^2 = 2 e_2 / (tr W)^2 for the
+    spectrum l of W / tr W.  Both results have shape (count,).
+    """
+    prefix = z[0].copy()
+    e2 = z[2] * prefix
+    for j in range(3, len(z)):
+        prefix += z[j - 2]
+        e2 += z[j] * prefix
+    return prefix + z[-2] + z[-1], e2
 
 
 def sample_hs(dim: int, rng) -> np.ndarray:
@@ -135,14 +156,12 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
 
     For beta = 2 the spectrum of G G^dag (G an N x N Ginibre matrix) is that
     of the tridiagonal W of :func:`_laguerre_tridiagonal` at s = 0, so the
-    purity tr W^2 / (tr W)^2 = (sum d_k^2 + 2 sum a_k^2 b_k^2) / (sum d_k)^2
-    is elementwise in 2N - 1 gamma draws per state.
+    purity 1 - 2 e_2(W) / (tr W)^2 (:func:`_trace_and_e2`) is a few row
+    operations on 2N - 1 gamma draws per state.
 
     The draws are made ``_BLOCK`` states at a time, so memory is O(block)
-    plus the 8 B per state of the result.  The generator fills sequentially
-    and each purity depends only on its own draws, so the values and the
-    generator's final position equal those of one whole batch drawn from the
-    same stream.
+    plus the 8 B per state of the result.  The values depend on ``_BLOCK``,
+    which sets how each row's draws split into blocks.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
@@ -151,9 +170,9 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
     gen = _as_generator(rng)
     out = np.empty(count)
     for start in range(0, count, _BLOCK):
-        d, e2 = _laguerre_tridiagonal(dim, min(_BLOCK, count - start), 0.0, gen)
-        tr2 = np.sum(d * d, axis=-1) + 2.0 * np.sum(e2, axis=-1)
-        out[start:start + len(d)] = tr2 / np.sum(d, axis=-1) ** 2
+        trace, e2 = _trace_and_e2(_laguerre_tridiagonal(dim, min(_BLOCK, count - start),
+                                                        0.0, gen))
+        out[start:start + len(trace)] = 1.0 - 2.0 * e2 / (trace * trace)
     return out
 
 
@@ -246,26 +265,50 @@ def _induced_exponent(dim: int) -> float:
     return 0.75 / (dim - 1)
 
 
-def _log_over_sqrt_radicand(log_num: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """log_num - 1/2 log(1 - sum l^2), and -inf at a vertex.
+def _log_over_sqrt_radicand(log_num: np.ndarray, radicand: np.ndarray) -> np.ndarray:
+    """log_num - 1/2 log(radicand), with radicand = 1 - sum l^2, and -inf at a vertex.
 
     Both numerators used here vanish on the boundary, so each ratio is 0 at a
     vertex, where the radicand is 0.  The radicand is replaced by 1 there
     before its log is taken, which keeps -inf + inf (a NaN and a
     RuntimeWarning) out of the arithmetic.
     """
-    radicand = _g_radicand(eigs)
     interior = radicand > 0.0
     val = log_num - 0.5 * np.log(np.where(interior, radicand, 1.0))
     return np.where(interior, val, -np.inf)
 
 
+def _log_ratio_from_invariants(dim: int, log_prod: np.ndarray,
+                               radicand: np.ndarray) -> np.ndarray:
+    """log of the rejection ratio (prod l)^s / sqrt(1 - sum l^2); -inf on the boundary.
+
+    Takes log prod l and the radicand 1 - sum l^2.  The audit feeds it from
+    eigenvalues (:func:`_log_ratio_g_over_induced`), the sampler from the
+    invariants of the proposal's tridiagonal matrix, without eigenvalues.
+    """
+    return _log_over_sqrt_radicand(_induced_exponent(dim) * log_prod, radicand)
+
+
 def _log_ratio_g_over_induced(eigs: np.ndarray) -> np.ndarray:
-    """log of the rejection ratio (prod l)^s / sqrt(1 - sum l^2); -inf on the boundary."""
+    """log of the rejection ratio at a (..., N) stack of simplex points."""
     eigs = np.asarray(eigs, dtype=float)
     with np.errstate(divide="ignore"):
-        log_num = _induced_exponent(eigs.shape[-1]) * np.sum(np.log(eigs), axis=-1)
-    return _log_over_sqrt_radicand(log_num, eigs)
+        log_prod = np.sum(np.log(eigs), axis=-1)
+    return _log_ratio_from_invariants(eigs.shape[-1], log_prod, _g_radicand(eigs))
+
+
+def _log_ratio_of_tridiagonal(z: np.ndarray):
+    """tr W and the log rejection ratio of W / tr W for each column of a path block z.
+
+    No eigenvalues are needed: with T = tr W, log prod l = sum log a_k^2 - N log T,
+    since det W = prod a_k^2, and 1 - sum l^2 = 2 e_2(W) / T^2
+    (:func:`_trace_and_e2`).
+    """
+    dim = (len(z) + 1) // 2
+    trace, e2 = _trace_and_e2(z)
+    with np.errstate(divide="ignore"):
+        log_prod = np.sum(np.log(z[0::2]), axis=0) - dim * np.log(trace)
+    return trace, _log_ratio_from_invariants(dim, log_prod, 2.0 * e2 / (trace * trace))
 
 
 def _log_envelope_bound(dim: int) -> float:
@@ -286,7 +329,7 @@ def density_ratio_g_over_bures(eigs: np.ndarray):
     with np.errstate(divide="ignore"):
         log_num = (0.5 * np.sum(np.log(eigs), axis=-1)
                    + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1))
-    return _maybe_scalar(np.exp(_log_over_sqrt_radicand(log_num, eigs)))
+    return _maybe_scalar(np.exp(_log_over_sqrt_radicand(log_num, _g_radicand(eigs))))
 
 
 def sup_density_ratio_unnormalized(dim: int) -> float:
@@ -453,14 +496,16 @@ def rejection_constant_c(dim: int) -> float:
     return float(exp(log_rejection_constant_c(dim)))
 
 
-def _induced_spectra(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Descending, clamped spectra of ``count`` rejection proposals."""
-    d, e2 = _laguerre_tridiagonal(dim, count, _induced_exponent(dim), gen)
+def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Descending, clamped spectra of W / tr W for the columns of a path block z."""
+    a2, b2 = z[0::2].T, z[1::2].T
+    dim = a2.shape[-1]
     k = np.arange(dim)
-    w = np.zeros((count, dim, dim))
-    w[:, k, k] = d
-    w[:, k[1:], k[:-1]] = w[:, k[:-1], k[1:]] = np.sqrt(e2)
-    return clamp_spectrum(np.linalg.eigvalsh(w)[:, ::-1] / np.sum(d, axis=-1, keepdims=True))
+    w = np.zeros((len(a2), dim, dim))
+    w[:, k, k] = a2
+    w[:, k[1:], k[1:]] += b2
+    w[:, k[1:], k[:-1]] = w[:, k[:-1], k[1:]] = np.sqrt(a2[:, :-1] * b2)
+    return clamp_spectrum(np.linalg.eigvalsh(w)[:, ::-1] / trace[:, None])
 
 
 def sample_g_rejection_batch(dim: int, count: int, rng,
@@ -469,12 +514,14 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
     """Vectorized rejection sampling from the superfidelity measure, N >= 3.
 
     Proposes spectra from the induced measure prod l^(-s) Delta^2 with
-    s = 3 / (4 (N - 1)), drawn without matrices (:func:`_laguerre_tridiagonal`),
+    s = 3 / (4 (N - 1)), as tridiagonal matrices W (:func:`_laguerre_tridiagonal`),
     and accepts with probability ratio / bound, where the ratio is
     (prod l)^s / sqrt(1 - sum l^2) and the bound its value at the maximally
-    mixed point.  The acceptance rate is C_s / (C_N^G M_s), about 0.48 at
-    every N (0.4755 at N = 3), with C_s the induced measure's constant and
-    M_s the bound.
+    mixed point.  The ratio comes from the invariants of W, without
+    eigenvalues (:func:`_log_ratio_of_tridiagonal`).  Every ratio is checked
+    against the bound, and only accepted proposals pay a dense ``eigvalsh``.
+    The acceptance rate is C_s / (C_N^G M_s), about 0.48 at every N (0.4755
+    at N = 3), with C_s the induced measure's constant and M_s the bound.
 
     The total proposal budget is ``count * max_proposals``, with
     ``DEFAULT_MAX_PROPOSALS`` per sample by default at every N; exhausting it
@@ -509,9 +556,9 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
                 f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
                 report=report)
         m = min(_BLOCK, budget - proposed)
-        eigs = _induced_spectra(dim, m, gen)
-        log_ratio = _log_ratio_g_over_induced(eigs)
-        if np.any(log_ratio > log_bound + 1e-9):
+        z = _laguerre_tridiagonal(dim, m, _induced_exponent(dim), gen)
+        trace, log_ratio = _log_ratio_of_tridiagonal(z)
+        if not np.all(log_ratio <= log_bound + 1e-9):   # a NaN fails too
             raise EnvelopeAuditError(
                 "proposal density ratio exceeded the envelope bound; aborting")
         u = gen.random(m)
@@ -527,7 +574,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
             proposed += m
         accepted += take.size
         if take.size:
-            taken_eigs.append(eigs[take])
+            taken_eigs.append(_induced_spectra(z[:, take], trace[take]))
 
     report = RejectionReport.from_counts(proposed, accepted, exp(log_bound))
     eigs = np.concatenate(taken_eigs, axis=0)

@@ -227,7 +227,11 @@ class TestGridCommand:
         assert info.value.code == 2
 
     def test_hs_measure_rejected(self, capsys):
-        assert cli.main(["grid", "--measure", "hs"]) == 2
+        # the argument parser offers only g and bures
+        with pytest.raises(SystemExit) as info:
+            cli.main(["grid", "--measure", "hs"])
+        assert info.value.code == 2
+        assert "invalid choice: 'hs'" in capsys.readouterr().err
 
     @staticmethod
     def _grid_from_csv(text, measure, resolution):
@@ -361,7 +365,8 @@ class TestDeterminism:
         monkeypatch.setenv("SUPERFID_SEED", "abc")
         assert cli.main(["sample", "--measure", "hs", "--dim", "2", "--count", "5"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert captured.err == "error: SUPERFID_SEED must be an integer, got 'abc'\n"
 
     def test_console_entry_point(self):
         def run(*argv):

@@ -91,16 +91,23 @@ class TestHsPurityBatch:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_blocks_equal_one_whole_batch(self, dim):
+        # the values depend on BLOCK: each block draws its path variables
+        # a_1^2, b_1^2, a_2^2, ..., a_N^2 one variable at a time
         b = self.BLOCK
+        shapes = np.repeat(np.arange(dim, 0, -1), 2)[1:].astype(float)
         for count in (1, b - 1, b, b + 1, 3 * b + 5):
             ref_gen = RngStream(count, dim).generator()
-            shape = np.concatenate([np.arange(dim, 0, -1), np.arange(dim - 1, 0, -1)])
-            x = ref_gen.standard_gamma(shape.astype(float), size=(count, 2 * dim - 1))
-            a2, b2 = x[:, :dim], x[:, dim:]
-            d = a2.copy()
-            d[:, 1:] += b2
-            ref = ((np.sum(d * d, axis=-1) + 2.0 * np.sum(a2[:, :-1] * b2, axis=-1))
-                   / np.sum(d, axis=-1) ** 2)
+            ref = []
+            for start in range(0, count, b):
+                z = np.stack([ref_gen.standard_gamma(k, size=min(b, count - start))
+                              for k in shapes])
+                # e_2(W) sums z_i z_j over the pairs j >= i + 2
+                prefix = np.cumsum(z, axis=0)
+                e2 = z[2] * prefix[0]
+                for j in range(3, len(z)):
+                    e2 += z[j] * prefix[j - 2]
+                ref.append(1.0 - 2.0 * e2 / prefix[-1] ** 2)
+            ref = np.concatenate(ref)
             gen = RngStream(count, dim).generator()
             got = hs_purity_batch(dim, count, gen)
             assert got.tobytes() == ref.tobytes()
@@ -365,14 +372,28 @@ class TestEnvelopeFailsClosed:
         monkeypatch.setattr(samplers, "_audit_gate_cache", {})
         sample_g_rejection_batch(3, 10, RngStream(61))
         assert samplers._audit_gate_cache[3].passed
-        log_ratio = samplers._log_ratio_g_over_induced
+        log_ratio = samplers._log_ratio_from_invariants
 
-        def one_above(eigs):
-            out = log_ratio(eigs)
-            out[0] = samplers._log_envelope_bound(eigs.shape[-1]) + 1e-6
+        def one_above(dim, log_prod, radicand):
+            out = log_ratio(dim, log_prod, radicand)
+            out[0] = samplers._log_envelope_bound(dim) + 1e-6
             return out
 
-        monkeypatch.setattr(samplers, "_log_ratio_g_over_induced", one_above)
+        monkeypatch.setattr(samplers, "_log_ratio_from_invariants", one_above)
+        with pytest.raises(EnvelopeAuditError, match="exceeded the envelope bound"):
+            sample_g_rejection_batch(3, 10, RngStream(61))
+
+    def test_block_check_raises_on_a_nan_ratio(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})
+        sample_g_rejection_batch(3, 10, RngStream(61))
+        log_ratio = samplers._log_ratio_from_invariants
+
+        def one_nan(dim, log_prod, radicand):
+            out = log_ratio(dim, log_prod, radicand)
+            out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(samplers, "_log_ratio_from_invariants", one_nan)
         with pytest.raises(EnvelopeAuditError, match="exceeded the envelope bound"):
             sample_g_rejection_batch(3, 10, RngStream(61))
 
@@ -426,6 +447,39 @@ class TestRejectionSampler:
         # theoretical acceptance rate C_s / (C_G * M_s) ~ 0.4755; C_0 is C_HS
         assert abs(np.exp(_log_c_induced(3, 0.0)) / c_hs(3).value - 1.0) <= 1e-12
         assert abs(report.empirical_rate - _induced_acceptance_rate(3)) <= 0.01
+
+    def test_acceptance_is_binomial_at_the_exact_rate(self):
+        # the rate is 1 / (C_3^G M_s C_s), with M_s the envelope bound and C_s
+        # = prod_j Gamma(1 - s + j) Gamma(j + 2) / Gamma(N (N - s)) the Selberg
+        # integral of the proposal density
+        dim, s = 3, samplers._induced_exponent(3)
+        log_c_s = (sum(lgamma(1 - s + j) + lgamma(j + 2) for j in range(dim))
+                   - lgamma(dim * (dim - s)))
+        rate = 1.0 / (c_g_exact(dim).value
+                      * np.exp(samplers._log_envelope_bound(dim) + log_c_s))
+        assert abs(rate - 0.475516) <= 5e-7
+        _, _, report = sample_g_rejection_batch(3, 200_000, RngStream(57))
+        from scipy.stats import binomtest
+        assert binomtest(report.accepted, report.proposed, rate).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_invariant_log_ratio_matches_the_spectrum(self, dim):
+        # the sampler's ratio from tr W, det W and e_2(W) against the ratio of
+        # the spectrum.  The spectrum is the squared singular values of the
+        # bidiagonal factor, which keep full relative precision in the small
+        # eigenvalues; eigvalsh(W) loses it there, by up to ~3e-9 in the log
+        n = 20_000
+        z = samplers._laguerre_tridiagonal(dim, n, samplers._induced_exponent(dim),
+                                           RngStream(58, dim).generator())
+        trace, got = samplers._log_ratio_of_tridiagonal(z)
+        k = np.arange(dim)
+        factor = np.zeros((n, dim, dim))
+        factor[:, k, k] = np.sqrt(z[0::2].T)
+        factor[:, k[:-1], k[1:]] = np.sqrt(z[1::2].T)
+        eigs = np.linalg.svd(factor, compute_uv=False) ** 2 / trace[:, None]
+        assert np.max(np.abs(got - samplers._log_ratio_g_over_induced(eigs))) <= 1e-9
+        # the accepted spectra come from eigvalsh of W itself
+        assert np.max(np.abs(samplers._induced_spectra(z, trace) - eigs)) <= 1e-14
 
     def test_rate_stable_across_seeds(self):
         _, _, r1 = sample_g_rejection_batch(3, 20_000, RngStream(44))
