@@ -12,7 +12,8 @@ run this script once with each checkout's ``src`` on ``PYTHONPATH`` and
 The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
 (CSV and JSON, with and without ``--full-matrix``, at odd counts, and every
 command shape of the benchmark's ``rejection`` and ``export`` workloads at
-small counts, two outputs longer than one 4096-row output block, and one
+small counts, outputs that span several writer chunks of at most
+``cli._REPR_CHUNK`` floats, one of them with 56 floats per row, and one
 rejection run of ~10^4 proposals, which spans several proposal blocks and
 trims the overshoot of its last one), ``estimate`` with every method
 wherever it is supported at N = 2..5, ``grid`` for both measures,
@@ -64,9 +65,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("sample-g-2-out", _sample("g", 2, 2000, "--out", OUT)),
     ("sample-hs-3-json-full-out",
      _sample("hs", 3, 200, "--full-matrix", "--format", "json", "--out", OUT)),
-    # past one 4096-row output block, so the writer's block seams are covered
+    # several writer chunks, so the seams between chunks are covered
     ("sample-hs-3-json-full-5000", _sample("hs", 3, 5000, "--format", "json", "--full-matrix")),
     ("sample-g-2-csv-9000", _sample("g", 2, 9000)),
+    # 400 rows of 56 floats: three writer chunks of 146, 146 and 108 rows
+    ("sample-bures-5-json-full-400",
+     _sample("bures", 5, 400, "--full-matrix", "--format", "json")),
     # ~10^4 proposals: several 4096-proposal blocks and the overshoot trim
     ("sample-g-3-csv-5000", _sample("g", 3, 5000)),
     ("estimate-exact-2", _estimate(2, "exact")),

@@ -17,10 +17,13 @@ checked by the library function that uses it.
 Outputs carry no timestamps and format floats via ``repr``, so a fixed
 (command line, seed) pair reproduces byte-identical bytes: ``sample`` draws
 every state in this process from the one stream ``RngStream(seed)``.
-``sample`` and ``grid`` write their rows block by block (4096 rows per
-block), each block through one ``%r`` template, so neither the whole output
+``sample`` and ``grid`` write their rows chunk by chunk (at most 8192 floats
+per chunk), each chunk through one row template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that
-of ``json.dumps(indent=1)``.
+of ``json.dumps(indent=1)``.  Floats still print as their ``repr``, but
+numpy finds those digits: a float in 1e-4 <= |v| < 1 goes out as a fixed
+prefix such as ``"0.00"`` and an int, which Python formats several times
+faster than a float, and only the other floats go through ``repr``.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a rejected
 value, or an ``--out`` that cannot be opened for writing), 3 sampling budget
 exhausted.  ``--out`` is opened for appending before any work, so a bad path
@@ -75,18 +78,118 @@ def _emit(chunks: Iterable[str], out: str | None):
             fh.writelines(chunks)
 
 
-def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
-    """The rows of a 2-D float table as text, one block of rows per chunk.
+# _repr_pairs: the text before the digits of a v with 10^e <= |v| < 10^(e + 1),
+# at index e + 4, plus 4 when v is negative
+_PREFIXES = np.array(["0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0."],
+                     dtype=object)
+_SCALES = np.array([1e20, 1e19, 1e18, 1e17])   # 10^(16 - e), at the same index
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_REPR_CHUNK = 8192   # floats per chunk of _rows, which bounds its temporaries
 
-    Each row fills ``template``, which holds one ``%r`` per column (so every
-    float prints as its ``repr``, as ``json.dumps`` prints it too), and rows
-    are joined by ``sep``, also across blocks.  A block costs one
-    ``tolist()`` and one ``%`` call.
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each float into two halves of at most 26 bits."""
+    c = 134217729.0 * v   # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _scaled(a: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact product a * scale as (d, f): an int64 d plus a float f in [0, 1).
+
+    Dekker's two-product gives it as hi + lo, with hi = fl(a * scale).
     """
-    for start in range(0, len(table), sm._BLOCK):
-        block = table[start:start + sm._BLOCK]
-        text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
-        yield sep + text if start else text
+    hi = a * scale
+    ah, al = _split(a)
+    sh, sl = _split(scale)
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    lo_int = np.floor(lo)
+    return hi.astype(np.int64) + lo_int.astype(np.int64), lo - lo_int
+
+
+def _shortest_exponent(below: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The largest j <= 16 at which a multiple of 10^j lies in (below, top]."""
+    j = np.zeros(len(top), dtype=np.intp)
+    for _ in range(16):
+        below = below // 10
+        top = top // 10
+        more = top > below
+        if not more.any():
+            break
+        j += more
+    return j
+
+
+def _repr_pairs(x: np.ndarray) -> np.ndarray:
+    """An (n, 2) object array of (prefix, digits) pairs, one per float of ``x``.
+
+    ``"%s%s"`` of a pair prints ``repr`` of its float.  For 1e-4 <= |v| < 1,
+    ``repr`` prints "0.", -e - 1 zeros (10^e <= |v| < 10^(e + 1)) and the
+    fewest significant digits that read back as v, the ones nearest v when
+    several are that short (Steele & White 1990).  The prefix is looked up,
+    and the digits are an int, found exactly in float64 and int64:
+
+    - e comes from comparisons with 0.1, 0.01 and 0.001; each of these
+      doubles lies above its decimal value, so the comparisons are exact.
+    - y = |v| 10^(16 - e) lies in (10^16, 10^17).  Dekker's two-product
+      gives it exactly as hi + lo, and it is held as d + f, with the int64
+      d = hi + floor(lo) and f = lo - floor(lo) in [0, 1).
+    - Every real within h = spacing(v) 10^(16 - e) / 2 of y reads back as v.
+      The ends y ± h are never integers: v ± spacing(v) / 2 has at least 54
+      decimals, and 10^(16 - e) <= 10^20 leaves at least 34 of them, so
+      whether the ends count does not matter.  f and h are multiples of
+      2^-47, so their sums below 64 are exact, and so is each ``floor``.
+    - The digits are y rounded to the nearest multiple of 10^j, for the
+      largest j at which such a multiple lies within h of y.
+
+    Every other float gets the pair ("", v), which prints it through
+    ``repr``: |v| >= 1, |v| < 1e-4, zeros, nan and inf, powers of two (the
+    gap below them is half the gap above), ties at the rounding step, and
+    digits that end in 0.
+    """
+    bits = x.view(np.uint64)
+    a = np.abs(x)
+    with np.errstate(all="ignore"):   # nan, inf and zeros are left to repr below
+        k = (a >= 0.001).astype(np.intp) + (a >= 0.01) + (a >= 0.1)   # e + 4
+        scale = _SCALES[k]
+        d, f = _scaled(a, scale)
+        h = np.spacing(a) * scale * 0.5
+        # the integers within h of y = d + f are d + floor(f - h) + 1 .. d + floor(f + h)
+        j = _shortest_exponent(d + np.floor(f - h).astype(np.int64),
+                               d + np.floor(f + h).astype(np.int64))
+        p = _POW10[j]
+        r = d % p
+        half = (p - 2 * r) * 0.5   # y rounds up to the next multiple of p when f > half
+        digits = d // p + (f > half)
+        found = ((a >= 1e-4) & (a < 1.0) & ((bits & 0xFFFFFFFFFFFFF) != 0)
+                 & (f != half) & (digits % 10 != 0))
+    pairs = np.empty((len(x), 2), dtype=object)
+    pairs[:, 0] = _PREFIXES[k + 4 * (bits >> 63).astype(np.intp)]
+    pairs[:, 1] = digits
+    rest = np.flatnonzero(~found)
+    pairs[rest, 0] = ""
+    pairs[rest, 1] = x[rest]   # a Python float, which %s prints as its repr
+    return pairs
+
+
+def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
+    """The rows of a 2-D float table as text, in chunks of whole rows.
+
+    A chunk holds as many rows as fit in ``_REPR_CHUNK`` floats, and at
+    least one.  Each row fills ``template``, which holds one ``%r`` per column, and rows
+    are joined by ``sep``, also across chunks.  Every float prints as its
+    ``repr``, as ``json.dumps`` prints it too, but ``%r`` is not what prints
+    it: each ``%r`` becomes ``%s%s``, filled by the (prefix, digits) pair of
+    ``_repr_pairs``, so Python formats an int where it would have formatted
+    a float.  A chunk costs one ``_repr_pairs`` and one ``%`` call.
+    """
+    template = template.replace("%r", "%s%s")
+    step = max(1, _REPR_CHUNK // table.shape[1])
+    for start in range(0, len(table), step):
+        chunk = table[start:start + step]
+        # a leading "" puts sep before every chunk but the first
+        rows = [""] * (start > 0) + [template] * len(chunk)
+        yield sep.join(rows) % tuple(_repr_pairs(chunk.ravel()).ravel())
 
 
 def cmd_sample(args: argparse.Namespace) -> int:

@@ -566,10 +566,10 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
             acc = np.log(u) <= log_ratio - log_bound
         take = np.flatnonzero(acc)
         overshoot = accepted + take.size - count
-        if overshoot > 0:
-            # trim the tail, counting only proposals up to the last kept accept
+        if overshoot >= 0:
+            # the last block: count only proposals up to the last kept accept
             take = take[: take.size - overshoot]
-            proposed += int(take[-1]) + 1 if take.size else 0
+            proposed += int(take[-1]) + 1
         else:
             proposed += m
         accepted += take.size

@@ -3,11 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superfid import cli, verify
 
@@ -446,7 +449,7 @@ def _reference_json(cfg, eigs, purity, mats, report):
 class TestBlockWriter:
     # (measure, dim, count, format, full matrix, seed): every measure, N = 2..5,
     # both formats with and without matrices, rejection headers (g, N >= 3),
-    # two seeds, and counts on either side of the 4096-row block seam
+    # two seeds, and counts past the first writer chunk (cli._REPR_CHUNK floats)
     CASES = [
         ("hs", 2, 1, "csv", False, 1),
         ("hs", 3, 4097, "json", True, 1),
@@ -495,6 +498,83 @@ class TestBlockWriter:
         lists = "[" + "".join(cli._rows(table, "[%r,%r,%r,%r,%r]", ",")) + "]"
         assert lists == json.dumps(table.tolist(), separators=(",", ":"))
         assert csv.startswith("-0.0,5e-324,1e-05,1e+16,0.1\n")
+
+
+def _reference_rows(table, template, sep):
+    """The pure-%r writer: each row through ``template``, every float as its repr."""
+    return sep.join(template % tuple(row) for row in table.tolist())
+
+
+def _assert_rows_match_reference(values, ncol=1):
+    """``cli._rows`` prints ``values`` (and their negatives) exactly as ``%r`` does."""
+    values = np.asarray(values, dtype=float)
+    for table in (values.reshape(-1, ncol), -values.reshape(-1, ncol)):
+        for template, sep in ((",".join(["%r"] * ncol) + "\n", ""),
+                              ("[" + ",".join(["%r"] * ncol) + "]", ",\n")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = "".join(cli._rows(table, template, sep)).splitlines()
+            want = _reference_rows(table, template, sep).splitlines()
+            assert len(got) == len(want)
+            assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
+
+
+def _around(centre, steps=40):
+    """The doubles within ``steps`` ulps of ``centre``, itself included."""
+    return (np.float64(centre).view(np.int64) + np.arange(-steps, steps + 1)).view(np.float64)
+
+
+class TestFloatWriterOracle:
+    """``_rows`` finds repr's digits with numpy; ``%r`` of each float is the oracle."""
+
+    @pytest.mark.parametrize("edge", [1e-4, 1e-3, 0.01, 0.1, 1.0])
+    def test_both_sides_of_each_decimal_exponent(self, edge):
+        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)
+        assert below < edge < above
+        _assert_rows_match_reference(np.concatenate([[below, edge, above], _around(edge)]))
+
+    @pytest.mark.parametrize("power", [2.0 ** -n for n in range(1, 15)])
+    def test_powers_of_two_and_their_neighbours(self, power):
+        # the gap below a power of two is half the gap above it
+        _assert_rows_match_reference(_around(power))
+
+    def test_short_reprs(self):
+        _assert_rows_match_reference(np.arange(401) / 400)
+        _assert_rows_match_reference(np.arange(1, 10 ** 4) / 10 ** 4)
+
+    def test_specials(self):
+        _assert_rows_match_reference([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308,
+                                      9.999e-5, 1.0, 1.5, 9.75, 1e16, 1.7976931348623157e308])
+
+    def test_exact_ties_of_dyadic_values(self):
+        # odd multiples of 2^-p whose shortest digits end in a tie
+        for p in (18, 19, 20, 21):
+            _assert_rows_match_reference(np.arange(1, 4001, 2) * 2.0 ** -p)
+
+    def test_random_values_and_bit_patterns(self):
+        gen = np.random.default_rng(2011)
+        _assert_rows_match_reference(gen.random(20000), ncol=4)
+        _assert_rows_match_reference(10.0 ** gen.uniform(-5, 0, 20000), ncol=4)
+        _assert_rows_match_reference(
+            gen.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64), ncol=4)
+
+    @pytest.mark.parametrize("ncol", [1, 3, 56, cli._REPR_CHUNK + 1])
+    def test_chunk_seams(self, ncol):
+        # each chunk holds as many whole rows as fit in _REPR_CHUNK floats, or
+        # one row when a row is longer; these tables have two seams and one
+        # row more
+        step = max(1, cli._REPR_CHUNK // ncol)
+        gen = np.random.default_rng(ncol)
+        values = gen.uniform(-1.0, 1.0, (2 * step + 1) * ncol)
+        values[::97] = np.resize([0.0, 1e-18, np.nan, 0.5, 2.0, 1e-4], len(values[::97]))
+        seam = step * ncol
+        values[seam - 2:seam + 2] = [1e-18, 0.25, np.nan, 0.3]
+        _assert_rows_match_reference(values, ncol)
+
+    @settings(max_examples=500)
+    @given(st.floats() | st.floats(-1.0, 1.0))
+    def test_any_float(self, value):
+        _assert_rows_match_reference([value])
 
 
 class TestDigestScript:

@@ -428,6 +428,15 @@ class TestRejectionSampler:
         assert report.proposed == 1000
         assert report.accepted < 1000
 
+    def test_last_block_counts_up_to_the_last_kept_accept(self):
+        # at seed 7 the 1928th accept is proposal 4093, the last of the first
+        # block's accepts, so count=1928 ends the block with no overshoot to trim
+        _, eigs_short, short = sample_g_rejection_batch(3, 1927, RngStream(7))
+        _, eigs_exact, exact = sample_g_rejection_batch(3, 1928, RngStream(7))
+        assert (short.proposed, exact.proposed) == (4090, 4093)
+        assert exact.accepted == len(eigs_exact) == 1928
+        np.testing.assert_array_equal(eigs_exact[:1927], eigs_short)
+
     def test_zero_count_returns_empty_arrays(self):
         mats, eigs, report = sample_g_rejection_batch(3, 0, RngStream(46), keep_matrices=True)
         assert mats.shape == (0, 3, 3) and eigs.shape == (0, 3)
