@@ -13,26 +13,21 @@ from .eigendensities import (DensityGrid, NormalizationEstimate, c_bures,
                              density_grid_qutrit, density_hs_unnormalized,
                              grid_integral, log_density_bures_unnormalized,
                              log_density_g_unnormalized, log_density_hs_unnormalized,
-                             pdf_g2_marginal, projective_unitary_volume,
-                             purity_mean_hs, purity_moment_hs, purity_variance_hs)
+                             pdf_g2_marginal, purity_mean_hs, purity_moment_hs, purity_variance_hs)
 from .errors import (DomainError, EnvelopeAuditError, InstabilityWarning,
                      InvalidDimensionError, InvalidStateError, QuadratureError,
                      SamplingBudgetError, SingularityError, StepSizeError,
                      UnsupportedDimensionError)
-from .qstate import (Measure, check_density_matrix, check_eigenvalue_vector,
-                     check_tangent, check_unitary, compose_state, ginibre,
-                     ginibre_batch, haar_unitary, haar_unitary_batch, purity,
-                     random_tangent, spectrum)
+from .qstate import (Measure, check_density_matrix, check_tangent, ginibre_batch,
+                     haar_unitary_batch, random_tangent_batch)
 from .rng import RngStream, seed_from_env
 from .samplers import (EnvelopeAudit, RejectionReport, audit_sup_density_ratio,
-                       density_ratio_g_over_bures, hs_purity_batch, invert_cdf_g2,
-                       log_rejection_constant_c, rejection_constant_c,
-                       sample_batch, sample_bures, sample_bures_batch,
-                       sample_g_qubit, sample_g_qubit_batch, sample_g_rejection,
-                       sample_g_rejection_batch, sample_hs, sample_hs_batch,
+                       hs_purity_batch, invert_cdf_g2, log_rejection_constant_c,
+                       rejection_constant_c, sample_batch, sample_bures_batch,
+                       sample_g_qubit_batch, sample_g_rejection_batch, sample_hs_batch,
                        sup_density_ratio_unnormalized)
-from .similarity import (dist_bures, dist_g, fd_second_derivative, fidelity,
-                         line_element_bprime, line_element_g, superfidelity)
+from .similarity import (dist_g, fd_second_derivative, fidelity, line_element_bprime,
+                         line_element_g, superfidelity)
 from .statlab import (GofResult, SampleBatch, chi_square_gof,
                       chi_square_gof_simplex, ks_test, ks_test_two_sample,
                       mc_mean, mc_variance, numeric_cdf, simplex_quadrature)

@@ -35,7 +35,7 @@ __all__ = [
     "c_hs", "c_g_exact", "c_g_jensen_bound", "c_g_monte_carlo", "c_g_series",
     "c_g_quadrature", "c_bures", "c_bures_quadrature",
     "purity_mean_hs", "purity_variance_hs", "purity_moment_hs",
-    "projective_unitary_volume", "cdf_g2", "pdf_g2_marginal",
+    "cdf_g2", "pdf_g2_marginal",
     "density_grid_qutrit", "grid_integral",
 ]
 
@@ -371,14 +371,6 @@ def purity_moment_hs(dim: int, k: int, rng: RngStream, samples: int = 10 ** 5
         raise ValueError(f"k must be >= 1, got {k}")
     p = _hs_purities(dim, samples, rng)
     return mc_mean(p ** k)
-
-
-def projective_unitary_volume(dim: int) -> float:
-    """Volume of projective U(N): pi^(N(N-1)/2) / prod_{d<N} d!."""
-    if dim < 2:
-        raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
-    lg = (dim * (dim - 1) / 2.0) * log(pi) - sum(lgamma(d + 1) for d in range(1, dim))
-    return float(np.exp(lg))
 
 
 # ---------------------------------------------------------------------------

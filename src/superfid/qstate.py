@@ -2,13 +2,14 @@
 
 States, unitaries, and tangent directions are plain complex ``numpy`` arrays;
 the functions here validate the defining invariants instead of wrapping the
-arrays in classes.  All random constructions take an :class:`~superfid.rng.RngStream`
-(or a ``numpy`` Generator derived from one) and are pure functions of it.
+arrays in classes.  All random constructions return (count, N, N) stacks,
+take an :class:`~superfid.rng.RngStream` (or a ``numpy`` Generator derived
+from one) and are pure functions of it.
 
 Conventions
 -----------
 * density matrix: Hermitian (1e-12), unit trace (1e-12), eigenvalues >= -1e-10;
-* eigenvalue vector: point on the probability simplex, sorted descending;
+* spectrum: point on the probability simplex, sorted descending;
 * Ginibre matrix: i.i.d. complex Gaussian entries with E|g_ij|^2 = 1
   (real and imaginary parts each N(0, 1/2)).
 """
@@ -24,7 +25,6 @@ from .rng import RngStream
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-UNITARITY_ATOL = 1e-10
 
 
 class Measure(str, Enum):
@@ -52,80 +52,62 @@ def _as_generator(rng) -> np.random.Generator:
 # validation
 # ---------------------------------------------------------------------------
 # Every comparison with NaN is false, so each check below first rejects
-# non-finite entries explicitly.
+# non-finite entries explicitly.  The matrix checks take one (N, N) matrix or
+# a (..., N, N) stack, and raise if any matrix in the stack fails.
 
 def _check_finite(x: np.ndarray, name: str) -> None:
     if not np.isfinite(x).all():
         raise InvalidStateError(f"{name} has non-finite entries")
 
 
-def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return as complex array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidDimensionError(f"{name} must be a square matrix, got shape {rho.shape}")
-    if rho.shape[0] < 1:
-        raise InvalidDimensionError(f"{name} has dimension 0")
-    _check_finite(rho, name)
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_ATOL:
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return np.swapaxes(x.conj(), -2, -1)
+
+
+def _check_hermitian(x, name: str) -> np.ndarray:
+    """``x`` as a complex array of square Hermitian matrices with finite entries."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
+        raise InvalidDimensionError(
+            f"{name} must be a nonempty square matrix, got shape {x.shape}")
+    _check_finite(x, name)
+    if np.any(np.abs(x - _dagger(x)) > HERMITICITY_ATOL):
         raise InvalidStateError(f"{name} is not Hermitian within {HERMITICITY_ATOL}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > max(TRACE_ATOL, 1e-13 * rho.shape[0]):
-        raise InvalidStateError(f"{name} has trace {tr}, expected 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < EIGENVALUE_FLOOR:
+    return x
+
+
+def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity; return as complex array.
+
+    ``rho`` is one (N, N) matrix or a (..., N, N) stack of them.
+    """
+    rho = _check_hermitian(rho, name)
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > max(TRACE_ATOL, 1e-13 * rho.shape[-1])
+    if np.any(bad):
+        raise InvalidStateError(f"{name} has trace {tr[bad][0]}, expected 1")
+    lowest = np.linalg.eigvalsh(rho)[..., 0]
+    if np.any(lowest < EIGENVALUE_FLOOR):
         raise InvalidStateError(
-            f"{name} has eigenvalue {evals[0]:.3e} below the PSD floor {EIGENVALUE_FLOOR}")
+            f"{name} has eigenvalue {np.min(lowest):.3e} below the PSD floor {EIGENVALUE_FLOOR}")
     return rho
 
 
-def check_unitary(u: np.ndarray, name: str = "u") -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvalidDimensionError(f"{name} must be square, got shape {u.shape}")
-    _check_finite(u, name)
-    delta = u @ u.conj().T - np.eye(u.shape[0])
-    if np.max(np.abs(delta)) > UNITARITY_ATOL:
-        raise InvalidStateError(f"{name} is not unitary within {UNITARITY_ATOL}")
-    return u
-
-
 def check_tangent(drho: np.ndarray, name: str = "drho") -> np.ndarray:
-    """Validate a tangent direction: Hermitian and traceless."""
-    drho = np.asarray(drho, dtype=complex)
-    if drho.ndim != 2 or drho.shape[0] != drho.shape[1]:
-        raise InvalidDimensionError(f"{name} must be square, got shape {drho.shape}")
-    _check_finite(drho, name)
-    if np.max(np.abs(drho - drho.conj().T)) > HERMITICITY_ATOL:
-        raise InvalidStateError(f"{name} is not Hermitian within {HERMITICITY_ATOL}")
-    scale = max(1.0, float(np.max(np.abs(drho))))
-    if abs(np.trace(drho)) > TRACE_ATOL * scale:
-        raise InvalidStateError(f"{name} is not traceless: trace = {np.trace(drho)}")
+    """Validate a tangent direction, or a (..., N, N) stack: Hermitian and traceless."""
+    drho = _check_hermitian(drho, name)
+    tr = np.trace(drho, axis1=-2, axis2=-1)
+    scale = np.maximum(1.0, np.max(np.abs(drho), axis=(-2, -1)))
+    bad = np.abs(tr) > TRACE_ATOL * scale
+    if np.any(bad):
+        raise InvalidStateError(f"{name} is not traceless: trace = {tr[bad][0]}")
     return drho
-
-
-def check_eigenvalue_vector(eigs: np.ndarray, name: str = "eigs") -> np.ndarray:
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.ndim != 1 or eigs.size < 1:
-        raise InvalidDimensionError(f"{name} must be a nonempty vector")
-    _check_finite(eigs, name)
-    if np.any(eigs < -TRACE_ATOL) or np.any(eigs > 1 + TRACE_ATOL):
-        raise InvalidStateError(f"{name} has entries outside [0, 1]: {eigs}")
-    if abs(eigs.sum() - 1.0) > TRACE_ATOL * max(1, eigs.size):
-        raise InvalidStateError(f"{name} sums to {eigs.sum()}, expected 1")
-    if np.any(np.diff(eigs) > 0):
-        raise InvalidStateError(f"{name} is not sorted descending")
-    return eigs
 
 
 # ---------------------------------------------------------------------------
 # random-matrix primitives
 # ---------------------------------------------------------------------------
-
-def ginibre(dim: int, rng) -> np.ndarray:
-    """Square complex Ginibre matrix with unit entry variance."""
-    return ginibre_batch(dim, 1, rng)[0]
-
 
 def ginibre_batch(dim: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Ginibre matrices, shape (count, dim, dim)."""
@@ -133,7 +115,8 @@ def ginibre_batch(dim: int, count: int, rng) -> np.ndarray:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
     gen = _as_generator(rng)
     z = gen.standard_normal((count, dim, dim, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    # each (re, im) pair of normals read in place as one complex entry
+    return z.view(complex)[..., 0] / np.sqrt(2.0)
 
 
 def _qr_phase_fixed(g: np.ndarray) -> np.ndarray:
@@ -145,37 +128,11 @@ def _qr_phase_fixed(g: np.ndarray) -> np.ndarray:
     return q * d[..., None, :]
 
 
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    return haar_unitary_batch(dim, 1, rng)[0]
-
-
 def haar_unitary_batch(dim: int, count: int, rng) -> np.ndarray:
+    """Stack of ``count`` Haar unitaries via phase-fixed QR of Ginibre matrices."""
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
     return _qr_phase_fixed(ginibre_batch(dim, count, rng))
-
-
-def compose_state(eigs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Build U diag(eigs) U^dagger; the result has spectrum ``eigs``."""
-    eigs = check_eigenvalue_vector(eigs)
-    u = check_unitary(u)
-    if u.shape[0] != eigs.size:
-        raise InvalidDimensionError(
-            f"dimension mismatch: eigs has {eigs.size}, unitary is {u.shape[0]}x{u.shape[0]}")
-    rho = (u * eigs) @ u.conj().T
-    return 0.5 * (rho + rho.conj().T)
-
-
-def spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a density matrix, sorted descending.
-
-    Negative numerical noise in [-1e-10, 0) is clamped to zero and the vector
-    renormalized to unit sum; anything more negative raises.
-    """
-    rho = check_density_matrix(rho)
-    evals = np.linalg.eigvalsh(rho)[::-1]
-    return clamp_spectrum(evals)
 
 
 def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
@@ -194,24 +151,16 @@ def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
     return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
-def purity(rho: np.ndarray) -> float:
-    """tr rho^2 = sum of squared eigenvalues, in [1/N, 1]."""
-    rho = check_density_matrix(rho)
-    return float(np.real(np.sum(rho * rho.conj())))
+def random_tangent_batch(dim: int, count: int, rng) -> np.ndarray:
+    """``count`` random Hermitian traceless directions of unit Frobenius norm.
 
-
-def random_tangent(dim: int, rng, norm: float = 1.0) -> np.ndarray:
-    """Random Hermitian traceless direction with Frobenius norm ``norm``.
-
-    GUE-distributed before projection; used to probe line elements.
+    GUE-distributed before projection; used to probe line elements.  The
+    tangent space at N = 1 is {0}, so ``dim`` must be >= 2.  Returns shape
+    (count, dim, dim).
     """
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    g = ginibre(dim, rng)
-    h = (g + g.conj().T) / 2.0
-    h -= np.trace(h).real / dim * np.eye(dim)
-    h_norm = np.linalg.norm(h)
-    if h_norm == 0.0:  # measure-zero draw
-        h = np.diag(np.linspace(1, -1, dim) - np.mean(np.linspace(1, -1, dim)))
-        h_norm = np.linalg.norm(h)
-    return h * (norm / h_norm)
+    if dim < 2:
+        raise InvalidDimensionError(f"tangent directions need dim >= 2, got {dim}")
+    g = ginibre_batch(dim, count, rng)
+    h = (g + _dagger(g)) / 2.0
+    h -= (np.trace(h, axis1=-2, axis2=-1).real / dim)[:, None, None] * np.eye(dim)
+    return h / np.linalg.norm(h, axis=(-2, -1))[:, None, None]

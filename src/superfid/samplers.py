@@ -18,9 +18,8 @@
   trace, determinant and e_2 of its tridiagonal matrix, and only accepted
   proposals are diagonalized.
 
-Each single-state function returns row 0 of its ``*_batch`` variant drawn
-from the same stream; the batch variants vectorize over the sample index and
-feed the statistics layer.
+Every sampler draws a stack of ``count`` states from one stream and
+vectorizes over the sample index; one state is a batch of one.
 """
 from __future__ import annotations
 
@@ -31,19 +30,18 @@ import numpy as np
 
 from .eigendensities import _g_radicand, cdf_g2
 from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetError
-from .qstate import (Measure, _as_generator, _maybe_scalar, clamp_spectrum, ginibre_batch,
-                     haar_unitary_batch)
+from .qstate import (Measure, _as_generator, _dagger, _maybe_scalar, clamp_spectrum,
+                     ginibre_batch, haar_unitary_batch)
 from .rng import RngStream
 from .statlab import SampleBatch
 
 __all__ = [
     "RejectionReport", "EnvelopeAudit",
-    "sample_hs", "sample_hs_batch", "hs_purity_batch",
-    "sample_bures", "sample_bures_batch",
-    "invert_cdf_g2", "sample_g_qubit", "sample_g_qubit_batch",
+    "sample_hs_batch", "hs_purity_batch", "sample_bures_batch",
+    "invert_cdf_g2", "sample_g_qubit_batch",
     "sup_density_ratio_unnormalized", "audit_sup_density_ratio",
     "rejection_constant_c", "log_rejection_constant_c",
-    "sample_g_rejection", "sample_g_rejection_batch",
+    "sample_g_rejection_batch",
     "sample_batch",
 ]
 
@@ -93,8 +91,8 @@ def _eig_records(rhos: np.ndarray) -> np.ndarray:
 def _haar_rotated(diag: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """U diag(d) U^dag for a (n, N) stack of spectra, U Haar, Hermitian-symmetrized."""
     haar = haar_unitary_batch(diag.shape[-1], len(diag), gen)
-    mats = (haar * diag[:, None, :]) @ np.swapaxes(haar.conj(), -2, -1)
-    return 0.5 * (mats + np.swapaxes(mats.conj(), -2, -1))
+    mats = (haar * diag[:, None, :]) @ _dagger(haar)
+    return 0.5 * (mats + _dagger(mats))
 
 
 def _laguerre_tridiagonal(dim: int, count: int, s: float, gen: np.random.Generator):
@@ -137,18 +135,30 @@ def _trace_and_e2(z: np.ndarray):
     return prefix + z[-2] + z[-1], e2
 
 
-def sample_hs(dim: int, rng) -> np.ndarray:
-    """One Hilbert-Schmidt distributed density matrix."""
-    return sample_hs_batch(dim, 1, rng)[0]
+def _normalized_gram(a: np.ndarray) -> np.ndarray:
+    """a a^dag / tr(a a^dag) for a (n, N, N) stack, exactly Hermitian.
+
+    The complex product leaves ~1e-18 imaginary parts on the diagonal and
+    lets w_ij and conj(w_ji) differ in the last bit, so before normalizing,
+    the upper triangle is overwritten in place with the conjugate of the
+    lower one and the diagonal's imaginary part is zeroed.  Neither the
+    trace's real part nor ``eigvalsh`` (lower triangle, real diagonal) reads
+    what changed, so spectra are unchanged.
+    """
+    w = a @ _dagger(a)
+    dim = w.shape[-1]
+    i, j = np.triu_indices(dim, k=1)
+    w[:, i, j] = w[:, j, i].conj()
+    w.imag[:, range(dim), range(dim)] = 0.0
+    w /= np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+    return w
 
 
 def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
+    """``count`` Hilbert-Schmidt states G G^dag / tr(G G^dag), G Ginibre."""
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    g = ginibre_batch(dim, count, _as_generator(rng))
-    w = g @ np.swapaxes(g.conj(), -2, -1)
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    return w / tr[:, None, None]
+    return _normalized_gram(ginibre_batch(dim, count, _as_generator(rng)))
 
 
 def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
@@ -176,21 +186,17 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
     return out
 
 
-def sample_bures(dim: int, rng) -> np.ndarray:
-    """One Bures-distributed density matrix."""
-    return sample_bures_batch(dim, 1, rng)[0]
-
-
 def sample_bures_batch(dim: int, count: int, rng) -> np.ndarray:
+    """``count`` Bures states A A^dag / tr(A A^dag), A = (I + U) G, U Haar, G Ginibre.
+
+    All Haar unitaries are drawn before any Ginibre matrix.
+    """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     gen = _as_generator(rng)
     u = haar_unitary_batch(dim, count, gen)
     g = ginibre_batch(dim, count, gen)
-    a = (np.eye(dim) + u) @ g
-    w = a @ np.swapaxes(a.conj(), -2, -1)
-    tr = np.trace(w, axis1=-2, axis2=-1).real
-    return w / tr[:, None, None]
+    return _normalized_gram((np.eye(dim) + u) @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +250,6 @@ def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
     return matrices, eigs
 
 
-def sample_g_qubit(rng) -> np.ndarray:
-    """One qubit state distributed with the superfidelity measure."""
-    matrices, _ = sample_g_qubit_batch(1, rng, keep_matrices=True)
-    return matrices[0]
-
-
 # ---------------------------------------------------------------------------
 # rejection sampler for N >= 3
 # ---------------------------------------------------------------------------
@@ -265,19 +265,6 @@ def _induced_exponent(dim: int) -> float:
     return 0.75 / (dim - 1)
 
 
-def _log_over_sqrt_radicand(log_num: np.ndarray, radicand: np.ndarray) -> np.ndarray:
-    """log_num - 1/2 log(radicand), with radicand = 1 - sum l^2, and -inf at a vertex.
-
-    Both numerators used here vanish on the boundary, so each ratio is 0 at a
-    vertex, where the radicand is 0.  The radicand is replaced by 1 there
-    before its log is taken, which keeps -inf + inf (a NaN and a
-    RuntimeWarning) out of the arithmetic.
-    """
-    interior = radicand > 0.0
-    val = log_num - 0.5 * np.log(np.where(interior, radicand, 1.0))
-    return np.where(interior, val, -np.inf)
-
-
 def _log_ratio_from_invariants(dim: int, log_prod: np.ndarray,
                                radicand: np.ndarray) -> np.ndarray:
     """log of the rejection ratio (prod l)^s / sqrt(1 - sum l^2); -inf on the boundary.
@@ -285,8 +272,14 @@ def _log_ratio_from_invariants(dim: int, log_prod: np.ndarray,
     Takes log prod l and the radicand 1 - sum l^2.  The audit feeds it from
     eigenvalues (:func:`_log_ratio_g_over_induced`), the sampler from the
     invariants of the proposal's tridiagonal matrix, without eigenvalues.
+    The numerator vanishes on the boundary, so the ratio is 0 at a vertex,
+    where the radicand is 0.  The radicand is replaced by 1 there before its
+    log is taken, which keeps -inf + inf (a NaN and a RuntimeWarning) out of
+    the arithmetic.
     """
-    return _log_over_sqrt_radicand(_induced_exponent(dim) * log_prod, radicand)
+    interior = radicand > 0.0
+    val = _induced_exponent(dim) * log_prod - 0.5 * np.log(np.where(interior, radicand, 1.0))
+    return np.where(interior, val, -np.inf)
 
 
 def _log_ratio_g_over_induced(eigs: np.ndarray) -> np.ndarray:
@@ -317,19 +310,6 @@ def _log_envelope_bound(dim: int) -> float:
     That this value is the supremum is checked by :func:`audit_sup_density_ratio`.
     """
     return -_induced_exponent(dim) * dim * log(dim) - 0.5 * log1p(-1.0 / dim)
-
-
-def density_ratio_g_over_bures(eigs: np.ndarray):
-    """Unnormalized ratio sqrt(prod l) prod_{i<j}(l_i + l_j) / sqrt(1 - sum l^2).
-
-    It is 0 on the simplex boundary.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    i, j = np.triu_indices(eigs.shape[-1], k=1)
-    with np.errstate(divide="ignore"):
-        log_num = (0.5 * np.sum(np.log(eigs), axis=-1)
-                   + np.sum(np.log(eigs[..., i] + eigs[..., j]), axis=-1))
-    return _maybe_scalar(np.exp(_log_over_sqrt_radicand(log_num, _g_radicand(eigs))))
 
 
 def sup_density_ratio_unnormalized(dim: int) -> float:
@@ -580,14 +560,6 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
     eigs = np.concatenate(taken_eigs, axis=0)
     mats = _haar_rotated(eigs, gen) if keep_matrices else None
     return mats, eigs, report
-
-
-def sample_g_rejection(dim: int, rng, max_proposals: int | None = None):
-    """One state from the superfidelity measure by rejection; returns (rho, report)."""
-    mats, _, report = sample_g_rejection_batch(dim, 1, rng,
-                                               max_proposals=max_proposals,
-                                               keep_matrices=True)
-    return mats[0], report
 
 
 # ---------------------------------------------------------------------------

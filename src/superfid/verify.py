@@ -17,7 +17,8 @@ from . import eigendensities as ed
 from . import samplers as sm
 from . import similarity as si
 from . import statlab as st
-from .qstate import Measure, check_density_matrix, haar_unitary, random_tangent
+from .qstate import (Measure, _dagger, check_density_matrix, haar_unitary_batch,
+                     random_tangent_batch)
 from .rng import RngStream
 
 SUITE_NAMES = ("metric", "density", "sampler", "purity", "all")
@@ -39,6 +40,17 @@ def _mixed_pairs(dim: int, count: int, rng: RngStream):
     """Two stacks of ``count`` Hilbert-Schmidt states drawn from one stream."""
     gen = rng.generator()
     return sm.sample_hs_batch(dim, count, gen), sm.sample_hs_batch(dim, count, gen)
+
+
+def _tangent_lines(dim: int, count: int, rng: RngStream):
+    """``count`` mixed states and unit tangent directions at them, from one stream.
+
+    The states are Hilbert-Schmidt draws pulled 20 % toward I/N; the
+    mixedness floor keeps the FD stencil inside its O(h^2) regime.
+    """
+    gen = rng.generator()
+    rho = 0.8 * sm.sample_hs_batch(dim, count, gen) + 0.2 * np.eye(dim) / dim
+    return rho, random_tangent_batch(dim, count, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -84,47 +96,35 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        max(sym_g, sym_f) <= 1e-12,
                        f"max asymmetry G {sym_g:.2e}, F {sym_f:.2e}"))
 
-    gen = RngStream(seed, 21).generator()
-    a, b = _mixed_pairs(3, n_pairs, RngStream(seed, 22))
-    worst_u = 0.0
-    for k in range(min(50, n_pairs)):
-        u = haar_unitary(3, gen)
-        g0 = si.superfidelity(a[k], b[k])
-        g1 = si.superfidelity(u @ a[k] @ u.conj().T, u @ b[k] @ u.conj().T)
-        worst_u = max(worst_u, abs(g0 - g1))
+    u = haar_unitary_batch(3, 50, RngStream(seed, 21))
+    a, b = _mixed_pairs(3, 50, RngStream(seed, 22))
+    g0 = si.superfidelity(a, b)
+    g1 = si.superfidelity(u @ a @ _dagger(u), u @ b @ _dagger(u))
+    worst_u = float(np.max(np.abs(g0 - g1)))
     out.append(_result("metric", "unitary-invariance",
                        worst_u <= 1e-10, f"max |G(U.U^,U.U^) - G| = {worst_u:.2e}"))
 
+    n_lines = max(10, int(30 * scale))
     worst_fd = 0.0
     medians = []  # median FD error ratio for h -> h/2; 4 at second order
     for dim in (2, 3):
-        gen = RngStream(seed, 30 + dim).generator()
-        ratios = []
-        for _ in range(max(10, int(30 * scale))):
-            # the mixedness floor keeps the stencil inside its O(h^2) regime
-            rho = 0.8 * sm.sample_hs(dim, gen) + 0.2 * np.eye(dim) / dim
-            drho = random_tangent(dim, gen)
-            analytic = si.line_element_g(rho, drho)
-            err, coarse, fine = (abs(si.fd_second_derivative(lambda x, y: si.dist_g(x, y) ** 2,
-                                                             rho, drho, h) - analytic)
-                                 for h in (1e-3, 1e-2, 5e-3))
-            worst_fd = max(worst_fd, err)
-            if coarse > 1e-12:
-                ratios.append(coarse / fine)
-        medians.append(float(np.median(ratios)))
+        rho, drho = _tangent_lines(dim, n_lines, RngStream(seed, 30 + dim))
+        analytic = si.line_element_g(rho, drho)
+        err, coarse, fine = (np.abs(si.fd_second_derivative(si._dist_g_squared, rho, drho, h)
+                                    - analytic)
+                             for h in (1e-3, 1e-2, 5e-3))
+        worst_fd = max(worst_fd, float(err.max()))
+        resolved = coarse > 1e-12
+        medians.append(float(np.median(coarse[resolved] / fine[resolved])))
     out.append(_result("metric", "line-element-fd-match",
                        worst_fd <= 1e-4, f"max |FD - analytic| = {worst_fd:.2e}"))
     out.append(_result("metric", "line-element-fd-second-order",
                        all(2.5 <= m <= 6.0 for m in medians),
                        f"median error ratio h->h/2: N=2 {medians[0]:.2f}, N=3 {medians[1]:.2f}"))
 
-    gen = RngStream(seed, 40).generator()
-    worst_eq = 0.0
-    for _ in range(max(10, int(30 * scale))):
-        rho = 0.8 * sm.sample_hs(2, gen) + 0.2 * np.eye(2) / 2
-        drho = random_tangent(2, gen)
-        worst_eq = max(worst_eq, abs(si.line_element_g(rho, drho)
-                                     - si.line_element_bprime(rho, drho)))
+    rho, drho = _tangent_lines(2, n_lines, RngStream(seed, 40))
+    worst_eq = float(np.max(np.abs(si.line_element_g(rho, drho)
+                                   - si.line_element_bprime(rho, drho))))
     out.append(_result("metric", "qubit-line-elements-coincide",
                        worst_eq <= 1e-8, f"max |g - bprime| = {worst_eq:.2e} (N=2)"))
     return out
@@ -290,17 +290,14 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
         for dim in (2, 3, 4):
             b, mats, _ = sm.sample_batch(measure, dim, 50, RngStream(seed, 80 + dim),
                                          keep_matrices=True)
-            for k in range(0, 50, 7):
-                check_density_matrix(mats[k])
+            check_density_matrix(mats)
             ok &= abs(b.eigen_records.sum(axis=-1) - 1).max() < 1e-9
     out.append(_result("sampler", "sampled-states-valid", ok,
-                       "spot-checked density-matrix invariants"))
+                       "density-matrix invariants of every drawn matrix"))
 
     psi = np.zeros(3, dtype=complex)
     psi[0] = 1.0
-    gen = RngStream(seed, 90).generator()
-    u = haar_unitary(3, gen)
-    rot = u @ psi
+    rot = haar_unitary_batch(3, 1, RngStream(seed, 90))[0] @ psi
     m = max(4000, int(10_000 * scale))
     _, mats, _ = sm.sample_batch(Measure.BURES, 3, m, RngStream(seed, 91), keep_matrices=True)
     ev_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))

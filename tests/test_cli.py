@@ -486,7 +486,8 @@ class TestBlockWriter:
         code, out = run_cli(argv + (["--full-matrix"] if full else []))
         assert code == 0 and len(seen) == 1
         reference = _reference_csv if fmt == "csv" else _reference_json
-        assert out == reference(*seen[0])
+        _assert_same_pieces(out.splitlines(keepends=True),
+                            reference(*seen[0]).splitlines(keepends=True))
         report = seen[0][-1]
         assert (report is not None) == (measure == "g" and dim >= 3)
 
@@ -494,10 +495,22 @@ class TestBlockWriter:
         values = [-0.0, 5e-324, 1e-05, 1e16, 0.1]
         table = np.array([np.roll(values, k) for k in range(2 * 4096 + 1)])
         csv = "".join(cli._rows(table, ",".join(["%r"] * 5) + "\n", ""))
-        assert csv == "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        _assert_same_pieces(csv.splitlines(keepends=True),
+                            [",".join(map(repr, row)) + "\n" for row in table.tolist()])
         lists = "[" + "".join(cli._rows(table, "[%r,%r,%r,%r,%r]", ",")) + "]"
-        assert lists == json.dumps(table.tolist(), separators=(",", ":"))
+        _assert_same_pieces(lists.split("],["),
+                            json.dumps(table.tolist(), separators=(",", ":")).split("],["))
         assert csv.startswith("-0.0,5e-324,1e-05,1e+16,0.1\n")
+
+
+def _assert_same_pieces(got, want):
+    """``got == want`` for two lists of text pieces, reporting only the first differences.
+
+    Comparing whole outputs of ~10^5 characters with ``==`` makes pytest diff
+    them for minutes when they differ.
+    """
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
 
 
 def _reference_rows(table, template, sep):
@@ -514,9 +527,7 @@ def _assert_rows_match_reference(values, ncol=1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = "".join(cli._rows(table, template, sep)).splitlines()
-            want = _reference_rows(table, template, sep).splitlines()
-            assert len(got) == len(want)
-            assert [(g, w) for g, w in zip(got, want) if g != w][:3] == []
+            _assert_same_pieces(got, _reference_rows(table, template, sep).splitlines())
 
 
 def _around(centre, steps=40):

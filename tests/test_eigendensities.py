@@ -9,9 +9,8 @@ from superfid import (DomainError, InstabilityWarning, RngStream, SingularityErr
                       c_hs, cdf_g2, density_bures_unnormalized, density_g_unnormalized,
                       density_grid_qutrit, density_hs_unnormalized, grid_integral,
                       log_density_bures_unnormalized, log_density_g_unnormalized,
-                      log_density_hs_unnormalized, pdf_g2_marginal,
-                      projective_unitary_volume, purity_mean_hs, purity_moment_hs,
-                      purity_variance_hs, simplex_quadrature)
+                      log_density_hs_unnormalized, pdf_g2_marginal, purity_mean_hs,
+                      purity_moment_hs, purity_variance_hs, simplex_quadrature)
 from superfid.eigendensities import NormalizationEstimate, normalized_density
 from superfid.qstate import Measure
 from superfid.verify import _permutation_symmetric
@@ -269,11 +268,6 @@ class TestPurityStatistics:
     def test_mc_second_moment(self):
         val, se = purity_moment_hs(2, 2, RngStream(16), samples=200_000)
         assert abs(val - 0.657143) <= max(3 * se, 1e-5)
-
-    def test_unitary_volume(self):
-        assert abs(projective_unitary_volume(2) - np.pi) <= 1e-12
-        assert abs(projective_unitary_volume(3) - np.pi ** 3 / 2) <= 1e-10
-        assert abs(projective_unitary_volume(4) - np.pi ** 6 / 12) <= 1e-8
 
 
 class TestQubitMarginal:

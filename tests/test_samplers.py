@@ -11,14 +11,12 @@ from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, 
                       RejectionReport, RngStream, SamplingBudgetError,
                       audit_sup_density_ratio, cdf_g2,
                       chi_square_gof, chi_square_gof_simplex, check_density_matrix,
-                      density_bures_unnormalized, density_ratio_g_over_bures,
-                      ginibre_batch, hs_purity_batch, invert_cdf_g2, ks_test,
+                      density_bures_unnormalized, ginibre_batch, haar_unitary_batch,
+                      hs_purity_batch, invert_cdf_g2, ks_test,
                       ks_test_two_sample, log_rejection_constant_c, mc_mean, numeric_cdf,
                       purity_mean_hs, purity_variance_hs, rejection_constant_c,
-                      sample_batch, sample_bures, sample_g_qubit,
-                      sample_g_qubit_batch, sample_g_rejection,
-                      sample_g_rejection_batch, sample_hs, sample_hs_batch,
-                      sample_bures_batch,
+                      sample_batch, sample_bures_batch, sample_g_qubit_batch,
+                      sample_g_rejection_batch, sample_hs_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
 from superfid.eigendensities import c_g_exact, c_hs, normalized_density
@@ -56,7 +54,7 @@ class _FixedDraws(np.random.Generator):
 class TestHilbertSchmidtSampler:
     def test_single_state_valid(self):
         for dim in (2, 3, 5):
-            check_density_matrix(sample_hs(dim, RngStream(dim)))
+            check_density_matrix(sample_hs_batch(dim, 1, RngStream(dim))[0])
 
     def test_mean_and_variance_of_purity(self):
         batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 2, 100_000, RngStream(1))
@@ -73,7 +71,7 @@ class TestHilbertSchmidtSampler:
 
     def test_dim_validation(self):
         with pytest.raises(InvalidDimensionError):
-            sample_hs(1, RngStream(0))
+            sample_hs_batch(1, 1, RngStream(0))
 
 
 def _traced_peak(fn, *args):
@@ -157,40 +155,25 @@ class TestHsPurityBatch:
             hs_purity_batch(3, -1, RngStream(0))
 
 
-class TestSingleStateFunctions:
-    # each single-state function is row 0 of its batch of one from the same stream
-
+class TestEveryStateValid:
+    @pytest.mark.parametrize("measure", ["hs", "bures", "g"])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-    def test_hs_and_bures(self, dim):
-        for seed in range(200):
-            for single, batch in ((sample_hs, sample_hs_batch),
-                                  (sample_bures, sample_bures_batch)):
-                rho = single(dim, RngStream(seed, dim))
-                assert np.array_equal(rho, batch(dim, 1, RngStream(seed, dim))[0])
-                check_density_matrix(rho)
+    def test_batch_passes_the_density_matrix_checks(self, measure, dim):
+        # every batch sampler: HS, Bures, the qubit G sampler and G rejection
+        _, mats, _ = sample_batch(measure, dim, 200, RngStream(dim, 7), keep_matrices=True)
+        assert check_density_matrix(mats).shape == (200, dim, dim)
 
-    def test_g_qubit(self):
-        for seed in range(50):
-            rho = sample_g_qubit(RngStream(seed))
-            mats, _ = sample_g_qubit_batch(1, RngStream(seed), keep_matrices=True)
-            assert np.array_equal(rho, mats[0])
-            check_density_matrix(rho)
-
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_g_rejection(self, dim):
-        for seed in range(5):
-            rho, report = sample_g_rejection(dim, RngStream(seed))
-            mats, _, batch_report = sample_g_rejection_batch(dim, 1, RngStream(seed),
-                                                             keep_matrices=True)
-            assert np.array_equal(rho, mats[0])
-            assert report == batch_report
-            check_density_matrix(rho)
+    @pytest.mark.parametrize("sampler", [sample_hs_batch, sample_bures_batch])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_hs_and_bures_are_exactly_hermitian(self, sampler, dim):
+        mats = sampler(dim, 2000, RngStream(dim, 8))
+        assert np.array_equal(mats, mats.conj().swapaxes(-2, -1))
 
 
 class TestBuresSampler:
     def test_single_state_valid(self):
         for dim in (2, 3, 4):
-            check_density_matrix(sample_bures(dim, RngStream(10 + dim)))
+            check_density_matrix(sample_bures_batch(dim, 1, RngStream(10 + dim))[0])
 
     def test_qubit_eigenvalue_law(self):
         batch, _, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(11))
@@ -211,8 +194,7 @@ class TestBuresSampler:
         batch, mats, _ = sample_batch(Measure.BURES, 3, 2000, RngStream(14),
                                       keep_matrices=True)
         assert batch.eigen_records.min() >= 0.0
-        for k in range(0, 2000, 400):
-            check_density_matrix(mats[k])
+        check_density_matrix(mats)
 
 
 class TestInverseCdf:
@@ -274,7 +256,7 @@ class TestInverseCdf:
 
 class TestQubitGSampler:
     def test_single_state_valid(self):
-        check_density_matrix(sample_g_qubit(RngStream(20)))
+        check_density_matrix(sample_g_qubit_batch(1, RngStream(20))[0][0])
 
     def test_mean_purity_exceeds_hs_and_matches_quadrature(self):
         _, eigs = sample_g_qubit_batch(100_000, RngStream(22), keep_matrices=False)
@@ -303,12 +285,6 @@ class TestEnvelope:
         # N^{-N/2} (2/N)^{N(N-1)/2} / sqrt(1 - 1/N) at N = 3
         expected = 3.0 ** -1.5 * (2 / 3) ** 3 / np.sqrt(2 / 3)
         assert abs(sup_density_ratio_unnormalized(3) - expected) <= 1e-15
-
-    def test_ratio_constant_on_qubits(self):
-        lam = np.linspace(0.05, 0.95, 19)
-        pts = np.stack([lam, 1 - lam], axis=-1)
-        vals = density_ratio_g_over_bures(pts)
-        assert np.max(np.abs(vals - 1 / np.sqrt(2))) <= 1e-12
 
     def test_audit_passes(self):
         # the polish meets non-finite gradients near the vertices
@@ -340,13 +316,11 @@ class TestEnvelope:
                           [0.0, 0.0, 1.0], [0.4, 0.4, 0.2]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for ratio in (density_ratio_g_over_bures,
-                          lambda e: np.exp(samplers._log_ratio_g_over_induced(e))):
-                assert ratio(np.array([1.0, 0.0, 0.0])) == 0.0
-                assert ratio(np.array([1.0, 0.0])) == 0.0
-                vals = ratio(stack)
-                assert np.array_equal(vals == 0.0, [True, False, True, True, False])
-                assert np.all(np.isfinite(vals))
+            for vertex in ([1.0, 0.0, 0.0], [1.0, 0.0]):
+                assert np.exp(samplers._log_ratio_g_over_induced(np.array(vertex))) == 0.0
+            vals = np.exp(samplers._log_ratio_g_over_induced(stack))
+            assert np.array_equal(vals == 0.0, [True, False, True, True, False])
+            assert np.all(np.isfinite(vals))
 
 
 class TestEnvelopeFailsClosed:
@@ -410,15 +384,15 @@ class TestRejectionConstant:
 
 class TestRejectionSampler:
     def test_single_sample(self):
-        rho, report = sample_g_rejection(3, RngStream(40))
-        check_density_matrix(rho)
+        mats, _, report = sample_g_rejection_batch(3, 1, RngStream(40), keep_matrices=True)
+        check_density_matrix(mats[0])
         assert report.accepted == 1
         assert report.proposed >= 1
         assert report.empirical_rate == report.accepted / report.proposed
 
     def test_dim2_refused(self):
         with pytest.raises(InvalidDimensionError):
-            sample_g_rejection(2, RngStream(0))
+            sample_g_rejection_batch(2, 1, RngStream(0))
 
     def test_budget_exhaustion_carries_report(self):
         with pytest.raises(SamplingBudgetError) as info:
@@ -519,8 +493,7 @@ class TestRejectionSampler:
         mats, eigs, _ = sample_g_rejection_batch(4, 300, RngStream(56), keep_matrices=True)
         _, eigs_only, _ = sample_g_rejection_batch(4, 300, RngStream(56))
         assert np.array_equal(eigs, eigs_only)
-        for rho in mats[::37]:
-            check_density_matrix(rho)
+        check_density_matrix(mats)
         assert np.max(np.abs(np.linalg.eigvalsh(mats)[:, ::-1] - eigs)) <= 1e-14
 
     @pytest.mark.parametrize("dim", [4, 5])
@@ -564,11 +537,10 @@ class TestSampleBatchFrontend:
 
     def test_unitary_invariance_of_projection_law(self):
         # distribution of <psi|rho|psi> must not depend on the direction psi
-        from superfid import haar_unitary
         _, mats, _ = sample_batch("hs", 3, 20_000, RngStream(54), keep_matrices=True)
         psi = np.zeros(3, dtype=complex)
         psi[0] = 1.0
-        rot = haar_unitary(3, RngStream(55)) @ psi
+        rot = haar_unitary_batch(3, 1, RngStream(55))[0] @ psi
         p_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))
         p_rot = np.real(np.einsum("i,nij,j->n", rot.conj(), mats, rot))
         assert ks_test_two_sample(p_fixed, p_rot).p_value > 0.01

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superfid import (InvalidDimensionError, RngStream, SingularityError,
-                      StepSizeError, dist_bures, dist_g, fd_second_derivative,
-                      fidelity, line_element_bprime, line_element_g,
+from superfid import (InvalidDimensionError, InvalidStateError, RngStream, SingularityError,
+                      StepSizeError, dist_g, fd_second_derivative, fidelity,
+                      line_element_bprime, line_element_g, random_tangent_batch,
                       sample_hs_batch, superfidelity)
-from superfid.qstate import random_tangent
 
 from conftest import basis_state, random_state
 
@@ -78,21 +77,10 @@ class TestDistances:
     def test_zero_self_distance(self):
         rho = random_state(3, 5)
         assert dist_g(rho, rho) == 0.0
-        assert dist_bures(rho, rho) <= 1e-5  # limited by eigh accuracy in F
 
     def test_orthogonal_pure_states(self):
         a, b = basis_state(2, 0), basis_state(2, 1)
         assert abs(dist_g(a, b) - np.sqrt(2)) < 1e-12
-        assert abs(dist_bures(a, b) - np.sqrt(2)) < 1e-12
-
-    def test_qubit_bures_expressible_through_g(self):
-        # F = G on qubits, so d_B = sqrt(2 - 2 sqrt(G)) there
-        a = sample_hs_batch(2, 1000, RngStream(70))
-        b = sample_hs_batch(2, 1000, RngStream(71))
-        f = fidelity(a, b)
-        g = superfidelity(a, b)
-        assert np.max(np.abs(f - g)) <= 1e-9
-        assert np.max(np.abs(dist_bures(a, b) - np.sqrt(2 - 2 * np.sqrt(g)))) <= 1e-8
 
     def test_triangle_inequality_statistical(self):
         for dim in (2, 3, 4):
@@ -144,7 +132,7 @@ class TestLineElements:
 
     def test_scaling_is_quadratic(self):
         rho = random_state(3, 10, mixedness=0.2)
-        drho = random_tangent(3, RngStream(10, 5))
+        drho = random_tangent_batch(3, 1, RngStream(10, 5))[0]
         base = line_element_g(rho, drho)
         assert abs(line_element_g(rho, 3.0 * drho) - 9.0 * base) <= 1e-10 * max(1, base)
 
@@ -164,7 +152,7 @@ class TestLineElements:
         worst = 0.0
         for seed in range(40):
             rho = random_state(2, 100 + seed, mixedness=0.2)
-            drho = random_tangent(2, RngStream(100 + seed, 1))
+            drho = random_tangent_batch(2, 1, RngStream(100 + seed, 1))[0]
             worst = max(worst, abs(line_element_g(rho, drho)
                                    - line_element_bprime(rho, drho)))
         assert worst <= 1e-8
@@ -173,7 +161,7 @@ class TestLineElements:
         gaps = []
         for seed in range(10):
             rho = random_state(3, 200 + seed, mixedness=0.2)
-            drho = random_tangent(3, RngStream(200 + seed, 1))
+            drho = random_tangent_batch(3, 1, RngStream(200 + seed, 1))[0]
             gaps.append(abs(line_element_g(rho, drho) - line_element_bprime(rho, drho)))
         assert max(gaps) > 1e-3
 
@@ -186,7 +174,7 @@ class TestFiniteDifference:
         # normalization is the one under which FD(d_G^2) reproduces
         # line_element_g (see the acceptance suite).
         rho = random_state(3, 11, mixedness=0.3)
-        drho = random_tangent(3, RngStream(11, 2))
+        drho = random_tangent_batch(3, 1, RngStream(11, 2))[0]
 
         def frob_sq(a, b):
             return float(np.linalg.norm(b - a) ** 2)
@@ -198,14 +186,14 @@ class TestFiniteDifference:
         for dim in (2, 3):
             for seed in range(25):
                 rho = random_state(dim, 300 + seed, mixedness=0.2)
-                drho = random_tangent(dim, RngStream(300 + seed, 1))
+                drho = random_tangent_batch(dim, 1, RngStream(300 + seed, 1))[0]
                 fd = fd_second_derivative(_dg_squared, rho, drho, 1e-3)
                 assert abs(fd - line_element_g(rho, drho)) <= 1e-4
 
     def test_matches_analytic_bprime_line_element(self):
         for seed in range(10):
             rho = random_state(3, 400 + seed, mixedness=0.2)
-            drho = random_tangent(3, RngStream(400 + seed, 1))
+            drho = random_tangent_batch(3, 1, RngStream(400 + seed, 1))[0]
             fd = fd_second_derivative(_dbprime_squared, rho, drho, 1e-3)
             assert abs(fd - line_element_bprime(rho, drho)) <= 1e-4
 
@@ -213,7 +201,7 @@ class TestFiniteDifference:
         ratios = []
         for seed in range(20):
             rho = random_state(3, 500 + seed, mixedness=0.2)
-            drho = random_tangent(3, RngStream(500 + seed, 1))
+            drho = random_tangent_batch(3, 1, RngStream(500 + seed, 1))[0]
             analytic = line_element_g(rho, drho)
             e1 = abs(fd_second_derivative(_dg_squared, rho, drho, 1e-2) - analytic)
             e2 = abs(fd_second_derivative(_dg_squared, rho, drho, 5e-3) - analytic)
@@ -239,3 +227,80 @@ class TestFiniteDifference:
         drho = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(StepSizeError):
             fd_second_derivative(_dg_squared, rho, drho, 1e-3)
+
+
+def _mixed_lines(dim, count, seed):
+    """``count`` states pulled 20 % toward I/N, and unit tangents at them."""
+    gen = RngStream(seed).generator()
+    rho = 0.8 * sample_hs_batch(dim, count, gen) + 0.2 * np.eye(dim) / dim
+    return rho, random_tangent_batch(dim, count, gen)
+
+
+def _assert_rows_match(stacked, one_by_one):
+    one_by_one = np.array(one_by_one)
+    assert stacked.shape == one_by_one.shape
+    assert np.all(np.abs(stacked - one_by_one) <= 1e-15 * np.abs(one_by_one))
+
+
+class TestStacks:
+    """Row k of a stack call equals the (N, N) call on row k."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_line_elements(self, dim):
+        rho, drho = _mixed_lines(dim, 50, 600 + dim)
+        for line_element in (line_element_g, line_element_bprime):
+            _assert_rows_match(line_element(rho, drho),
+                               [line_element(r, d) for r, d in zip(rho, drho)])
+            assert isinstance(line_element(rho[0], drho[0]), float)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_finite_difference(self, dim):
+        rho, drho = _mixed_lines(dim, 30, 610 + dim)
+        for metric_sq in (_dg_squared, _dbprime_squared):
+            _assert_rows_match(fd_second_derivative(metric_sq, rho, drho, 1e-3),
+                               [fd_second_derivative(metric_sq, r, d, 1e-3)
+                                for r, d in zip(rho, drho)])
+
+    def test_leading_shape_is_kept(self):
+        rho, drho = _mixed_lines(3, 12, 620)
+        flat = line_element_g(rho, drho)
+        assert np.array_equal(line_element_g(rho.reshape(3, 4, 3, 3),
+                                             drho.reshape(3, 4, 3, 3)), flat.reshape(3, 4))
+
+    def test_only_the_row_that_leaves_the_cone_shrinks_its_step(self):
+        # row 1's smallest eigenvalue 1e-4 forces its h below 1e-3; row 0 is
+        # well inside the cone and keeps h = 1e-3
+        rho = np.stack([np.diag([0.6, 0.4]), np.diag([1.0 - 1e-4, 1e-4])]).astype(complex)
+        drho = np.stack([np.diag([1.0, -1.0])] * 2).astype(complex) / np.sqrt(2)
+        both = fd_second_derivative(_dg_squared, rho, drho, 1e-3)
+        unshrunk = fd_second_derivative(_dg_squared, rho[0], drho[0], 1e-3)
+        assert both[0] == unshrunk
+        assert both[0] != fd_second_derivative(_dg_squared, rho[0], drho[0], 5e-4)
+        assert both[1] == fd_second_derivative(_dg_squared, rho[1], drho[1], 1e-3)
+
+    def test_one_unsalvageable_row_raises(self):
+        rho = np.stack([np.diag([0.6, 0.4]), np.diag([1.0 - 1e-9, 1e-9])]).astype(complex)
+        drho = np.stack([np.diag([1.0, -1.0])] * 2).astype(complex)
+        with pytest.raises(StepSizeError):
+            fd_second_derivative(_dg_squared, rho, drho, 1e-3)
+
+    def test_one_pure_row_raises(self):
+        rho, drho = _mixed_lines(2, 5, 630)
+        rho[3] = np.diag([1.0, 0.0])
+        with pytest.raises(SingularityError):
+            line_element_g(rho, drho)
+
+    def test_one_invalid_row_raises(self):
+        rho, drho = _mixed_lines(3, 5, 640)
+        rho[2, 0, 0] += 0.1   # trace 1.1
+        with pytest.raises(InvalidStateError, match="trace"):
+            line_element_g(rho, drho)
+        with pytest.raises(InvalidStateError, match="trace"):
+            fd_second_derivative(_dg_squared, rho, drho)
+
+    def test_shape_mismatch_rejected(self):
+        rho, drho = _mixed_lines(3, 5, 650)
+        with pytest.raises(InvalidDimensionError):
+            line_element_g(rho, drho[:4])
+        with pytest.raises(InvalidDimensionError):
+            fd_second_derivative(_dg_squared, rho[0], drho)
