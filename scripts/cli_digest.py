@@ -17,8 +17,9 @@ small counts, outputs that span several writer chunks of at most
 rejection run of ~10^4 proposals, which spans several proposal blocks and
 trims the overshoot of its last one), ``estimate`` with every method
 wherever it is supported at N = 2..5, ``grid`` for both measures,
-``verify all --scale 0.01`` and nine usage errors, four of them rejected by
-the argument parser.
+``verify all`` at scale 0.01 (once with ``--dim 3``) and at the benchmark's
+scale 1 (text and JSON), and nine usage errors, four of them rejected by the
+argument parser.
 """
 from __future__ import annotations
 
@@ -84,6 +85,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("grid-g-40", ["grid", "--measure", "g", "--resolution", "40"]),
     ("grid-bures-40", ["grid", "--measure", "bures", "--resolution", "40"]),
     ("verify-all", ["verify", "all", "--seed", "0", "--scale", "0.01"]),
+    # the constants workload's verify command, its JSON form and the purity filter
+    ("verify-all-scale-1", ["verify", "all", "--seed", "0", "--scale", "1"]),
+    ("verify-all-scale-1-json", ["verify", "all", "--seed", "0", "--scale", "1",
+                                 "--format", "json"]),
+    ("verify-all-dim-3", ["verify", "all", "--seed", "0", "--scale", "0.01", "--dim", "3"]),
     ("exit2-exact-4", _estimate(4, "exact")),
     ("exit2-grid-hs", ["grid", "--measure", "hs", "--resolution", "40"]),
     ("exit2-sample-workers", _sample("hs", 2, 10, "--workers", "2")),

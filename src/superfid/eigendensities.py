@@ -44,6 +44,7 @@ EstimateMethod = Literal["exact", "jensen-upper-bound", "series", "monte-carlo",
 PURE_DISCARD_EPS = 1e-14          # discard HS samples with tr rho^2 >= 1 - eps
 DISCARD_WARN_FRACTION = 1e-4      # "instability" threshold on the discard rate
 _ZETA_HALF = 1.4603545088095868   # |zeta(1/2)|; strip-mass constant for u^(-1/2) edges
+_GRID_BLOCK = 4096                # lattice points per density call in density_grid_qutrit
 
 
 @dataclass(frozen=True)
@@ -208,12 +209,17 @@ def c_g_monte_carlo(dim: int, samples: int, rng: RngStream) -> NormalizationEsti
         warnings.warn(
             f"{discarded}/{samples} samples at numerically pure states were discarded",
             InstabilityWarning, stacklevel=2)
-    y = 1.0 / np.sqrt(1.0 - p[keep])
+    # 1 / sqrt(1 - p) formed in place: in p itself unless some were discarded
+    y = p[keep] if discarded else p
+    del p, keep
+    np.subtract(1.0, y, out=y)
+    np.sqrt(y, out=y)
+    np.divide(1.0, y, out=y)
     mean, se = mc_mean(y)
     chs = c_hs(dim).value
     return NormalizationEstimate(
         dim=dim, value=chs / mean, method="monte-carlo",
-        std_error=chs * se / mean ** 2, terms_or_samples=int(keep.sum()))
+        std_error=chs * se / mean ** 2, terms_or_samples=len(y))
 
 
 def series_coefficients(k_max: int) -> np.ndarray:
@@ -426,7 +432,11 @@ class DensityGrid:
 
 def density_grid_qutrit(resolution: int,
                         measure: Measure | str = Measure.SUPERFIDELITY) -> DensityGrid:
-    """Evaluate the normalized qutrit eigenvalue density on a barycentric grid."""
+    """Evaluate the normalized qutrit eigenvalue density on a barycentric grid.
+
+    The density is evaluated ``_GRID_BLOCK`` lattice points at a time, so
+    the scratch stays bounded beyond the 25 B per point of the result.
+    """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     measure = Measure(measure)
@@ -434,24 +444,22 @@ def density_grid_qutrit(resolution: int,
     r = np.arange(resolution + 1)
     ii, jj = np.nonzero(np.add.outer(r, r) <= resolution)  # i-major order
     kk = resolution - ii - jj
-    # all three coordinates as k/resolution so permuted lattice points carry
-    # bitwise-identical triples (the densities then match exactly)
-    l1 = ii / resolution
-    l2 = jj / resolution
-    l3 = kk / resolution
-
-    on_boundary = (ii == 0) | (jj == 0) | (kk == 0)
     if measure is Measure.BURES:
-        singular = on_boundary
+        singular = (ii == 0) | (jj == 0) | (kk == 0)
     else:
         singular = (ii == resolution) | (jj == resolution) | (kk == resolution)
 
-    lam = np.stack([l1, l2, l3], axis=-1)
     density = np.full(len(ii), np.nan)
-    ok = ~singular
-    density[ok] = normalized_density(measure, 3)(lam[ok])
-    return DensityGrid(measure=measure, resolution=resolution,
-                       lambda1=l1, lambda2=l2, density=density, singular=singular)
+    f = normalized_density(measure, 3)
+    for a in range(0, len(ii), _GRID_BLOCK):
+        ok = ~singular[a:a + _GRID_BLOCK]
+        # all three coordinates as k/resolution so permuted lattice points carry
+        # bitwise-identical triples (the densities then match exactly)
+        lam = np.stack([ii[a:a + _GRID_BLOCK][ok], jj[a:a + _GRID_BLOCK][ok],
+                        kk[a:a + _GRID_BLOCK][ok]], axis=-1) / resolution
+        density[a:a + _GRID_BLOCK][ok] = f(lam)
+    return DensityGrid(measure=measure, resolution=resolution, lambda1=ii / resolution,
+                       lambda2=jj / resolution, density=density, singular=singular)
 
 
 # Fit f(u) = a u^(-1/2) + b + c u on rows u = h, 2h, 3h; columns are the

@@ -23,6 +23,7 @@ vectorizes over the sample index; one state is a batch of one.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import exp, lgamma, log, log1p, pi
 
@@ -47,12 +48,14 @@ __all__ = [
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
 _BLOCK = 4096                         # states per block: rejection proposals, HS purities
+_BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
 _AUDIT_GATE_SEED = 1597463007
 _AUDIT_POLISH_STEPS = 100             # near-face starts reach round-off in <= 22 up to N = 32
 _AUDIT_TIE = 1e-13                    # log-ratio differences below this count as round-off
 _audit_gate_cache: dict[int, "EnvelopeAudit"] = {}
+_audit_gate_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -189,14 +192,24 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
 def sample_bures_batch(dim: int, count: int, rng) -> np.ndarray:
     """``count`` Bures states A A^dag / tr(A A^dag), A = (I + U) G, U Haar, G Ginibre.
 
-    All Haar unitaries are drawn before any Ginibre matrix.
+    All Haar unitaries are drawn before any Ginibre matrix, each stack
+    ``_BURES_BLOCK`` states at a time; a generator fills either stack in C
+    order, so the blocks draw what one whole-stack call would.  Each block's
+    states overwrite its unitaries in the result, so the scratch is O(block)
+    beyond the result's 16 N^2 B per state.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     gen = _as_generator(rng)
-    u = haar_unitary_batch(dim, count, gen)
-    g = ginibre_batch(dim, count, gen)
-    return _normalized_gram((np.eye(dim) + u) @ g)
+    out = np.empty((count, dim, dim), dtype=complex)
+    for start in range(0, count, _BURES_BLOCK):
+        out[start:start + _BURES_BLOCK] = haar_unitary_batch(
+            dim, min(_BURES_BLOCK, count - start), gen)
+    eye = np.eye(dim)
+    for start in range(0, count, _BURES_BLOCK):
+        u = out[start:start + _BURES_BLOCK]
+        u[...] = _normalized_gram((eye + u) @ ginibre_batch(dim, len(u), gen))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +456,16 @@ def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
 
 
 def _audit_gate(dim: int):
-    audit = _audit_gate_cache.get(dim)
-    if audit is None:
-        audit = audit_sup_density_ratio(dim, RngStream(_AUDIT_GATE_SEED, dim),
-                                        probes=_AUDIT_GATE_PROBES)
-        _audit_gate_cache[dim] = audit
+    """Raise unless the envelope audit at ``dim`` passes; each dim is audited once.
+
+    The lock makes threads that reach a cold cache together wait for one audit.
+    """
+    with _audit_gate_lock:
+        audit = _audit_gate_cache.get(dim)
+        if audit is None:
+            audit = audit_sup_density_ratio(dim, RngStream(_AUDIT_GATE_SEED, dim),
+                                            probes=_AUDIT_GATE_PROBES)
+            _audit_gate_cache[dim] = audit
     if not audit.passed:
         raise EnvelopeAuditError(
             f"envelope audit failed for dim {dim}: ratio {audit.max_ratio} "

@@ -155,6 +155,12 @@ def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _SIN2_RULES = [_sin2_rule(n) for n in (32, 48)]  # coarse, fine
+# Units per density call, so the fine rule's scratch stays near 1 MB:
+# 2304 nodes per simplex cell and 48 per interval.  An interval's mass is a
+# BLAS dot product, which may round by the row's place in a group of rows;
+# a chunk that is a multiple of 8 keeps every row in its whole-call group.
+_CELL_CHUNK = 4
+_INTERVAL_CHUNK = 256
 
 
 def _checked_masses(masses_by_rule) -> np.ndarray:
@@ -179,11 +185,21 @@ def _interval_masses(density, edges: np.ndarray) -> np.ndarray:
     """Checked masses of a 1-D ``density`` between consecutive ``edges``.
 
     Each interval gets its own sin^2 substitution, so integrable
-    inverse-square-root singularities at the edges are fine.
+    inverse-square-root singularities at the edges are fine.  ``density`` is
+    called on ``_INTERVAL_CHUNK`` intervals at a time, which bounds the
+    scratch; each mass is the same whatever the chunk.
     """
     left, width = edges[:-1, None], np.diff(edges)[:, None]
-    return _checked_masses(
-        lambda rule: (np.asarray(density(left + width * rule[0]), dtype=float) * width) @ rule[2])
+
+    def masses_by_rule(rule):
+        masses = np.empty(len(width))
+        for a in range(0, len(width), _INTERVAL_CHUNK):
+            lo, w = left[a:a + _INTERVAL_CHUNK], width[a:a + _INTERVAL_CHUNK]
+            masses[a:a + len(w)] = (np.asarray(density(lo + w * rule[0]), dtype=float)
+                                    * w) @ rule[2]
+        return masses
+
+    return _checked_masses(masses_by_rule)
 
 
 def _simplex_cell_masses(density, grid: int) -> np.ndarray:
@@ -193,23 +209,29 @@ def _simplex_cell_masses(density, grid: int) -> np.ndarray:
     the half below the diagonal, the rest empty.  Both shapes map from the unit
     square by lambda_1 = h (i + u), lambda_2 = h (j + (1 - t u) v), t = 0 or 1,
     with Jacobian h^2 (1 - t u); on the cut cells lambda_3 = h (1 - u)(1 - v),
-    so every node stays inside the open simplex.
+    so every node stays inside the open simplex.  ``density`` is called on
+    ``_CELL_CHUNK`` cells at a time, which bounds the scratch; each mass is
+    the same whatever the chunk.
     """
     h = 1.0 / grid
     r = np.arange(grid)
-    i, j = np.nonzero(np.add.outer(r, r) < grid)
-    cut = (i + j == grid - 1)[:, None, None]
+    cell_i, cell_j = np.nonzero(np.add.outer(r, r) < grid)
 
     def masses_by_rule(rule):
         s, c, w = rule
         u, cu, v, cv = s[:, None], c[:, None], s[None, :], c[None, :]
-        shrink = np.where(cut, cu, 1.0)
-        x = h * (i[:, None, None] + u)
-        y = h * (j[:, None, None] + shrink * v)
-        z = np.where(cut, h * cu * cv, 1.0 - x - y)
-        f = np.asarray(density(np.stack(np.broadcast_arrays(x, y, z), axis=-1)), dtype=float)
+        ww = np.outer(w, w)
         cells = np.zeros((grid, grid))
-        cells[i, j] = h * h * np.sum(f * shrink * np.outer(w, w), axis=(1, 2))
+        for a in range(0, len(cell_i), _CELL_CHUNK):
+            i, j = cell_i[a:a + _CELL_CHUNK], cell_j[a:a + _CELL_CHUNK]
+            cut = (i + j == grid - 1)[:, None, None]
+            shrink = np.where(cut, cu, 1.0)
+            x = h * (i[:, None, None] + u)
+            y = h * (j[:, None, None] + shrink * v)
+            z = np.where(cut, h * cu * cv, 1.0 - x - y)
+            f = np.asarray(density(np.stack(np.broadcast_arrays(x, y, z), axis=-1)),
+                           dtype=float)
+            cells[i, j] = h * h * np.sum(f * shrink * ww, axis=(1, 2))
         return cells
 
     return _checked_masses(masses_by_rule)

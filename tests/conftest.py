@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import settings
 
@@ -20,3 +22,13 @@ def basis_state(dim: int, k: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[k, k] = 1.0
     return rho
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced allocation, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,16 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from superfid import eigendensities as ed
 from superfid import (DomainError, InstabilityWarning, RngStream, SingularityError,
                       UnsupportedDimensionError, c_bures, c_g_exact,
                       c_g_jensen_bound, c_g_monte_carlo, c_g_quadrature, c_g_series,
                       c_hs, cdf_g2, density_bures_unnormalized, density_g_unnormalized,
                       density_grid_qutrit, density_hs_unnormalized, grid_integral,
-                      log_density_bures_unnormalized, log_density_g_unnormalized,
-                      log_density_hs_unnormalized, pdf_g2_marginal, purity_mean_hs,
-                      purity_moment_hs, purity_variance_hs, simplex_quadrature)
+                      hs_purity_batch, log_density_bures_unnormalized,
+                      log_density_g_unnormalized, log_density_hs_unnormalized, mc_mean,
+                      pdf_g2_marginal, purity_mean_hs, purity_moment_hs, purity_variance_hs,
+                      simplex_quadrature)
 from superfid.eigendensities import NormalizationEstimate, normalized_density
 from superfid.qstate import Measure
 from superfid.verify import _permutation_symmetric
@@ -161,6 +166,28 @@ class TestNormalizationConstants:
         est = c_g_monte_carlo(10, 100_000, RngStream(10))
         assert np.isfinite(est.value) and est.std_error > 0
         assert est.value <= c_g_jensen_bound(10).value + 3 * est.std_error
+
+    @pytest.mark.parametrize("dim, samples, pure", [(2, 1000, 0), (5, 3 * 4096 + 7, 0),
+                                                     (3, 5000, 3)])
+    def test_monte_carlo_radical_equals_the_whole_array_form(self, monkeypatch, dim, samples,
+                                                             pure):
+        p = hs_purity_batch(dim, samples, RngStream(dim, 9))
+        p[:pure] = 1.0   # numerically pure states, which are discarded
+        monkeypatch.setattr(ed, "_hs_purities", lambda *args: p.copy())
+        mean, se = mc_mean(1.0 / np.sqrt(1.0 - p[p < 1.0 - 1e-14]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstabilityWarning)
+            est = c_g_monte_carlo(dim, samples, RngStream(dim, 9))
+        assert est.value == c_hs(dim).value / mean
+        assert est.std_error == c_hs(dim).value * se / mean ** 2
+        assert est.terms_or_samples == samples - pure
+
+    def test_monte_carlo_memory_is_16_bytes_per_sample(self):
+        # the purities, turned into the radical in place, and mc_mean's one
+        # temporary; forming the radical by whole-array expressions took 25 B
+        n = 2 ** 18
+        c_g_monte_carlo(5, 1000, RngStream(0))   # first-use allocations outside the trace
+        assert traced_peak(c_g_monte_carlo, 5, n, RngStream(1)) <= 16.5 * n
 
     def test_monte_carlo_needs_samples(self):
         with pytest.raises(ValueError):
@@ -361,6 +388,27 @@ class TestDensityGrid:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             density_grid_qutrit(1)
+
+    @pytest.mark.parametrize("measure", [Measure.SUPERFIDELITY, Measure.BURES])
+    @pytest.mark.parametrize("resolution", [2, 90, 400])
+    def test_blocks_equal_one_whole_evaluation(self, measure, resolution):
+        grid = density_grid_qutrit(resolution, measure)
+        r = np.arange(resolution + 1)
+        i, j = np.nonzero(np.add.outer(r, r) <= resolution)
+        lam = np.stack([i, j, resolution - i - j], axis=-1) / resolution
+        whole = np.full(len(i), np.nan)
+        whole[~grid.singular] = normalized_density(measure, 3)(lam[~grid.singular])
+        assert grid.density.tobytes() == whole.tobytes()
+        assert grid.lambda1.tobytes() == lam[:, 0].tobytes()
+        assert grid.lambda2.tobytes() == lam[:, 1].tobytes()
+
+    def test_memory_grows_only_with_the_lattice(self):
+        density_grid_qutrit(40, Measure.BURES)   # first-use allocations outside the trace
+        peaks = {res: traced_peak(density_grid_qutrit, res, Measure.BURES) for res in (400, 800)}
+        points = 801 * 802 // 2 - 401 * 402 // 2
+        # the index arrays and the result, ~49 B per point; one whole-lattice
+        # evaluation of the density took ~210 B per point
+        assert peaks[800] - peaks[400] <= 64 * points
 
     def test_lattice_order_is_i_major(self):
         res = 7

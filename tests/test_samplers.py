@@ -1,4 +1,6 @@
-import tracemalloc
+import sys
+import threading
+import time
 import warnings
 from math import lgamma
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, Measure,
                       RejectionReport, RngStream, SamplingBudgetError,
                       audit_sup_density_ratio, cdf_g2,
@@ -74,16 +77,6 @@ class TestHilbertSchmidtSampler:
             sample_hs_batch(1, 1, RngStream(0))
 
 
-def _traced_peak(fn, *args):
-    """Peak traced allocation, in bytes, while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestHsPurityBatch:
     BLOCK = samplers._BLOCK
 
@@ -142,8 +135,8 @@ class TestHsPurityBatch:
     def test_memory_is_bounded_by_the_block(self):
         b = self.BLOCK
         hs_purity_batch(5, b, RngStream(0))   # first-use allocations outside the trace
-        small = _traced_peak(hs_purity_batch, 5, 4 * b, RngStream(1))
-        large = _traced_peak(hs_purity_batch, 5, 16 * b, RngStream(1))
+        small = traced_peak(hs_purity_batch, 5, 4 * b, RngStream(1))
+        large = traced_peak(hs_purity_batch, 5, 16 * b, RngStream(1))
         # a whole-batch Ginibre build would need ~1.2 kB per state, ~80 MB here
         assert large < 16 * 2 ** 20
         # beyond the block's scratch, only the 8 B per state of the result grows
@@ -195,6 +188,29 @@ class TestBuresSampler:
                                       keep_matrices=True)
         assert batch.eigen_records.min() >= 0.0
         check_density_matrix(mats)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_blocks_equal_one_whole_batch(self, dim):
+        b = samplers._BLOCK
+        for count in (1, b - 1, b, b + 1, 2 * b + 5):
+            ref_gen = RngStream(count, dim).generator()
+            u = haar_unitary_batch(dim, count, ref_gen)
+            g = ginibre_batch(dim, count, ref_gen)
+            ref = samplers._normalized_gram((np.eye(dim) + u) @ g)
+            gen = RngStream(count, dim).generator()
+            out = sample_bures_batch(dim, count, gen)
+            assert out.tobytes() == ref.tobytes()
+            assert gen.random() == ref_gen.random()   # the stream ends at the same place
+
+    def test_memory_is_bounded_by_the_block(self):
+        b = samplers._BLOCK
+        sample_bures_batch(3, b, RngStream(0))   # first-use allocations outside the trace
+        small = traced_peak(sample_bures_batch, 3, 4 * b, RngStream(1))
+        large = traced_peak(sample_bures_batch, 3, 16 * b, RngStream(1))
+        # a whole-batch build needs ~5 stacks of 144 B per state, ~45 MB here
+        assert large < 16 * 2 ** 20
+        # beyond the block's scratch, only the 144 B per state of the result grows
+        assert large - small <= 144 * 12 * b + 4096
 
 
 class TestInverseCdf:
@@ -341,6 +357,40 @@ class TestEnvelopeFailsClosed:
         monkeypatch.setattr(samplers, "_audit_gate_cache", {})
         with pytest.raises(EnvelopeAuditError, match="envelope audit failed for dim 3"):
             sample_g_rejection_batch(3, 10, RngStream(60))
+
+    def test_threads_on_a_cold_cache_run_one_audit(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})
+        calls = []
+        audit = samplers.audit_sup_density_ratio
+
+        def slow_audit(*args, **kwargs):
+            calls.append(args[0])
+            time.sleep(0.2)   # keeps the other threads at the gate meanwhile
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "audit_sup_density_ratio", slow_audit)
+        n_threads = 4   # more than the cores of a small machine
+        start = threading.Barrier(n_threads)
+        eigs = {}
+
+        def draw(seed):
+            start.wait()
+            eigs[seed] = sample_g_rejection_batch(3, 10, RngStream(seed))[1]
+
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [3]
+        assert sorted(eigs) == list(range(n_threads))
+        assert samplers._audit_gate_cache[3].passed
 
     def test_block_check_raises_when_a_ratio_exceeds_the_bound(self, monkeypatch):
         monkeypatch.setattr(samplers, "_audit_gate_cache", {})

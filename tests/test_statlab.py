@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from superfid import (GofResult, Measure, QuadratureError, RngStream, SampleBatch,
                       c_hs, chi_square_gof, chi_square_gof_simplex, cdf_g2,
                       density_bures_unnormalized, density_g_unnormalized,
@@ -143,6 +142,35 @@ class TestChiSquare:
         i, j = np.indices(masses.shape)
         assert np.all(masses[i + j < grid] > 0) and np.all(masses[i + j >= grid] == 0)
 
+    @pytest.mark.parametrize("measure", [Measure.SUPERFIDELITY, Measure.HILBERT_SCHMIDT])
+    @pytest.mark.parametrize("grid", [2, 12, 13])
+    def test_cell_chunks_equal_one_whole_evaluation(self, monkeypatch, measure, grid):
+        density = normalized_density(measure, 3)
+        chunked = statlab._simplex_cell_masses(density, grid)
+        for chunk in (3, 10 ** 9):   # odd-sized chunks, and every cell in one call
+            monkeypatch.setattr(statlab, "_CELL_CHUNK", chunk)
+            assert statlab._simplex_cell_masses(density, grid).tobytes() == chunked.tobytes()
+
+    def test_interval_chunks_equal_one_whole_evaluation(self, monkeypatch):
+        theta = np.linspace(0.0, np.pi / 2, 2001)
+        edges = 0.5 + 0.5 * np.sin(theta) ** 2
+        bures = lambda x: np.asarray(density_bures_unnormalized(np.stack([x, 1 - x], axis=-1)))
+        chunked = statlab._interval_masses(bures, edges)
+        # chunks of 8 intervals, and every interval in one call; the BLAS dot
+        # kernel may round a row by its place in a group of up to 8 rows
+        for chunk in (8, 10 ** 9):
+            monkeypatch.setattr(statlab, "_INTERVAL_CHUNK", chunk)
+            assert statlab._interval_masses(bures, edges).tobytes() == chunked.tobytes()
+
+    def test_cell_and_interval_memory_is_bounded_by_the_chunk(self):
+        density = normalized_density(Measure.SUPERFIDELITY, 3)
+        # one whole evaluation of the 820 cells at grid 40 peaks near 260 MB
+        assert traced_peak(statlab._simplex_cell_masses, density, 40) < 4 * 2 ** 20
+        # and of 20000 intervals near 15 MB; the two results take 320 kB
+        edges = np.linspace(0.5, 1.0, 20_001)
+        peak = traced_peak(statlab._interval_masses, lambda x: (2 * x - 1) ** 2, edges)
+        assert peak < 2 * 2 ** 20
+
     def test_simplex_cells_fail_closed_on_a_divergent_density(self):
         # 1/|lambda_1 - 1/2| is not integrable along the cell edge lambda_1 = 1/2
         batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 2000, RngStream(16))
@@ -193,13 +221,7 @@ class TestSimplexQuadrature:
             simplex_quadrature(density_bures_unnormalized, 3, 1e-9)
 
     def test_memory_is_bounded_at_dim5(self):
-        tracemalloc.start()
-        try:
-            simplex_quadrature(density_g_unnormalized, 5, 1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert traced_peak(simplex_quadrature, density_g_unnormalized, 5, 1e-9) < 64 * 2 ** 20
 
     def test_numeric_cdf_matches_closed_form(self):
         cdf = numeric_cdf(lambda x: np.asarray(pdf_g2_marginal(x)), (0.0, 1.0))
