@@ -13,13 +13,15 @@ The list covers ``sample`` for every measure at N = 2..5 and for G at N = 6
 (CSV and JSON, with and without ``--full-matrix``, at odd counts, and every
 command shape of the benchmark's ``rejection`` and ``export`` workloads at
 small counts, outputs that span several writer chunks of at most
-``cli._REPR_CHUNK`` floats, one of them with 56 floats per row, and one
-rejection run of ~10^4 proposals, which spans several proposal blocks and
-trims the overshoot of its last one), ``estimate`` with every method
-wherever it is supported at N = 2..5, ``grid`` for both measures,
+``cli._REPR_CHUNK`` floats, one of them with 56 floats per row, qubit runs
+that span three ``samplers._BLOCK`` blocks of the inverse CDF, with and
+without matrices, and one rejection run of ~10^4 proposals, which spans
+several proposal blocks and trims the overshoot of its last one),
+``estimate`` with every method wherever it is supported at N = 2..5,
+``grid`` for both measures,
 ``verify all`` at scale 0.01 (once with ``--dim 3``) and at the benchmark's
-scale 1 (text and JSON), and nine usage errors, four of them rejected by the
-argument parser.
+scale 1 (text and JSON), nine usage errors, four of them rejected by the
+argument parser, and one rejection run that exhausts its proposal budget.
 """
 from __future__ import annotations
 
@@ -69,6 +71,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
     # several writer chunks, so the seams between chunks are covered
     ("sample-hs-3-json-full-5000", _sample("hs", 3, 5000, "--format", "json", "--full-matrix")),
     ("sample-g-2-csv-9000", _sample("g", 2, 9000)),
+    ("sample-g-2-csv-full-9000", _sample("g", 2, 9000, "--full-matrix")),
     # 400 rows of 56 floats: three writer chunks of 146, 146 and 108 rows
     ("sample-bures-5-json-full-400",
      _sample("bures", 5, 400, "--full-matrix", "--format", "json")),
@@ -99,6 +102,7 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("exit2-verify-scale-nan", ["verify", "purity", "--scale", "nan"]),
     ("exit2-sample-measure-xx", _sample("xx", 2, 10)),
     ("exit2-grid-seed", ["grid", "--measure", "g", "--resolution", "40", "--seed", "1"]),
+    ("exit3-sample-budget", _sample("g", 3, 5, "--max-proposals", "1")),
 ]
 
 

@@ -28,8 +28,8 @@ from .samplers import (EnvelopeAudit, RejectionReport, audit_sup_density_ratio,
                        sup_density_ratio_unnormalized)
 from .similarity import (dist_g, fd_second_derivative, fidelity, line_element_bprime,
                          line_element_g, superfidelity)
-from .statlab import (GofResult, SampleBatch, chi_square_gof,
-                      chi_square_gof_simplex, ks_test, ks_test_two_sample,
-                      mc_mean, mc_variance, numeric_cdf, simplex_quadrature)
+from .statlab import (GofResult, chi_square_gof, chi_square_gof_simplex, ks_test,
+                      ks_test_two_sample, mc_mean, mc_variance, numeric_cdf,
+                      simplex_quadrature)
 
 __version__ = "0.1.0"

@@ -196,12 +196,12 @@ def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    batch, mats, report = sm.sample_batch(args.measure, args.dim, args.count,
-                                          RngStream(args.seed),
-                                          max_proposals=args.max_proposals,
-                                          keep_matrices=args.full_matrix)
+    mats, eigs, report = sm.sample_batch(args.measure, args.dim, args.count,
+                                         RngStream(args.seed),
+                                         max_proposals=args.max_proposals,
+                                         keep_matrices=args.full_matrix)
     write = _sample_csv if args.format == "csv" else _sample_json
-    _emit(write(args, batch.eigen_records, batch.purity_records, mats, report), args.out)
+    _emit(write(args, eigs, np.sum(eigs ** 2, axis=-1), mats, report), args.out)
     return EXIT_OK
 
 

@@ -20,6 +20,8 @@
 
 Every sampler draws a stack of ``count`` states from one stream and
 vectorizes over the sample index; one state is a batch of one.
+:func:`sample_batch` routes a measure and a dimension to one of them and
+returns plain arrays, ``(matrices_or_None, eigs, report_or_None)``.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetErr
 from .qstate import (Measure, _as_generator, _dagger, _maybe_scalar, clamp_spectrum,
                      ginibre_batch, haar_unitary_batch)
 from .rng import RngStream
-from .statlab import SampleBatch
 
 __all__ = [
     "RejectionReport", "EnvelopeAudit",
@@ -47,13 +48,14 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
-_BLOCK = 4096                         # states per block: rejection proposals, HS purities
+_BLOCK = 4096                         # states per block: rejection, HS purities, qubit CDF
 _BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
 _AUDIT_GATE_SEED = 1597463007
 _AUDIT_POLISH_STEPS = 100             # near-face starts reach round-off in <= 22 up to N = 32
 _AUDIT_TIE = 1e-13                    # log-ratio differences below this count as round-off
+_AUDIT_TOLERANCE = 1e-9               # an audit passes when no ratio beats the bound by more
 _audit_gate_cache: dict[int, "EnvelopeAudit"] = {}
 _audit_gate_lock = threading.Lock()
 
@@ -65,31 +67,15 @@ class RejectionReport:
     proposed: int
     accepted: int
     bound_constant: float
-    empirical_rate: float
 
-    def __post_init__(self):
-        if self.accepted > self.proposed:
-            raise ValueError("accepted exceeds proposed")
-        if self.bound_constant <= 0:
-            raise ValueError("bound constant must be positive")
-        if not 0.0 <= self.empirical_rate <= 1.0:
-            raise ValueError("empirical rate outside [0, 1]")
-
-    @staticmethod
-    def from_counts(proposed: int, accepted: int, bound: float) -> "RejectionReport":
-        rate = accepted / proposed if proposed else 0.0
-        return RejectionReport(proposed=proposed, accepted=accepted,
-                               bound_constant=bound, empirical_rate=rate)
+    @property
+    def empirical_rate(self) -> float:
+        return self.accepted / self.proposed if self.proposed else 0.0
 
 
 # ---------------------------------------------------------------------------
 # batch plumbing
 # ---------------------------------------------------------------------------
-
-def _eig_records(rhos: np.ndarray) -> np.ndarray:
-    """Descending, clamped, renormalized eigenvalues of a (n, N, N) stack."""
-    return clamp_spectrum(np.linalg.eigvalsh(rhos)[..., ::-1].copy())
-
 
 def _haar_rotated(diag: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """U diag(d) U^dag for a (n, N) stack of spectra, U Haar, Hermitian-symmetrized."""
@@ -250,12 +236,19 @@ def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
     """Qubit states under the superfidelity measure: inverse CDF + Haar rotation.
 
     Returns ``(matrices, eigs)`` where ``eigs`` is (count, 2) descending;
-    ``matrices`` is None when not requested.
+    ``matrices`` is None when not requested.  The inverse CDF runs
+    ``_BLOCK`` states at a time; it is elementwise, so the blocks give the
+    values one whole-batch call would, and its scratch stays O(block)
+    beyond the 24 B per state of the uniforms and the spectra.
     """
     gen = _as_generator(rng)
     u = gen.random(count)
-    small = np.asarray(invert_cdf_g2(np.minimum(u, 1.0 - u)))
-    eigs = np.stack([1.0 - small, small], axis=-1)
+    eigs = np.empty((count, 2))
+    for start in range(0, count, _BLOCK):
+        block = u[start:start + _BLOCK]
+        small = invert_cdf_g2(np.minimum(block, 1.0 - block))
+        eigs[start:start + _BLOCK, 0] = 1.0 - small
+        eigs[start:start + _BLOCK, 1] = small
     matrices = None
     if keep_matrices:
         # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
@@ -348,12 +341,10 @@ class EnvelopeAudit:
     bound: float
     max_ratio: float
     argmax: np.ndarray
-    probes: int
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_ratio <= self.bound + self.tolerance
+        return self.max_ratio <= self.bound + _AUDIT_TOLERANCE
 
 
 def _log_ratio_gradient(lam: np.ndarray) -> np.ndarray:
@@ -418,9 +409,7 @@ def _polish_log_ratio(starts: np.ndarray):
     return lam, score
 
 
-def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
-                            probes: int = 10 ** 5,
-                            tolerance: float = 1e-9) -> EnvelopeAudit:
+def audit_sup_density_ratio(dim: int, rng, probes: int) -> EnvelopeAudit:
     """Probe the rejection ratio over random simplex points, then polish locally.
 
     The ratio is (prod l)^s / sqrt(1 - sum l^2) of the sampler's induced
@@ -430,11 +419,11 @@ def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
     ratio's two factors compete.  :func:`_polish_log_ratio` then ascends from
     the three best probes and from the maximally mixed point at once.  The
     envelope is declared valid when no point beats the bound by more than
-    ``tolerance``.
+    ``_AUDIT_TOLERANCE``.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    gen = (rng or RngStream(20_24, dim)).generator()
+    gen = _as_generator(rng)
     bound = exp(_log_envelope_bound(dim))
 
     lam = np.concatenate([gen.dirichlet(np.ones(dim), size=probes - probes // 2),
@@ -451,8 +440,7 @@ def audit_sup_density_ratio(dim: int, rng: RngStream | None = None,
         max_ratio = exp(log_ratio[best])
         argmax = polished[best]
 
-    return EnvelopeAudit(dim=dim, bound=bound, max_ratio=max_ratio,
-                         argmax=argmax, probes=probes, tolerance=tolerance)
+    return EnvelopeAudit(dim=dim, bound=bound, max_ratio=max_ratio, argmax=argmax)
 
 
 def _audit_gate(dim: int):
@@ -464,7 +452,7 @@ def _audit_gate(dim: int):
         audit = _audit_gate_cache.get(dim)
         if audit is None:
             audit = audit_sup_density_ratio(dim, RngStream(_AUDIT_GATE_SEED, dim),
-                                            probes=_AUDIT_GATE_PROBES)
+                                            _AUDIT_GATE_PROBES)
             _audit_gate_cache[dim] = audit
     if not audit.passed:
         raise EnvelopeAuditError(
@@ -548,8 +536,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
 
     while accepted < count:
         if proposed >= budget:
-            report = RejectionReport.from_counts(proposed, accepted,
-                                                 exp(log_bound))
+            report = RejectionReport(proposed, accepted, exp(log_bound))
             raise SamplingBudgetError(
                 f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
                 report=report)
@@ -574,7 +561,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
         if take.size:
             taken_eigs.append(_induced_spectra(z[:, take], trace[take]))
 
-    report = RejectionReport.from_counts(proposed, accepted, exp(log_bound))
+    report = RejectionReport(proposed, accepted, exp(log_bound))
     eigs = np.concatenate(taken_eigs, axis=0)
     mats = _haar_rotated(eigs, gen) if keep_matrices else None
     return mats, eigs, report
@@ -584,12 +571,16 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
 # unified batch front end
 # ---------------------------------------------------------------------------
 
-def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
+def sample_batch(measure: Measure | str, dim: int, count: int, rng,
                  max_proposals: int | None = None,
                  keep_matrices: bool = False):
-    """Sample ``count`` states and summarize them as a :class:`SampleBatch`.
+    """Sample ``count`` states of ``measure`` at dimension ``dim``.
 
-    Returns ``(batch, matrices_or_None, rejection_report_or_None)``.
+    Returns ``(matrices_or_None, eigs, report_or_None)``: the (count, N, N)
+    states when ``keep_matrices``, their descending, clamped (count, N)
+    spectra, and the :class:`RejectionReport` of the rejection sampler, which
+    serves G at N >= 3 and is the only one with a report.  ``rng`` is an
+    :class:`RngStream` or a numpy Generator.
     """
     measure = Measure(measure)
     if dim < 2:
@@ -597,20 +588,12 @@ def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
 
-    report = None
-    if measure is not Measure.SUPERFIDELITY:
-        draw = sample_hs_batch if measure is Measure.HILBERT_SCHMIDT else sample_bures_batch
-        mats = draw(dim, count, rng)
-        eigs = _eig_records(mats)
-        if not keep_matrices:
-            mats = None
-    elif dim == 2:
-        mats, eigs = sample_g_qubit_batch(count, rng, keep_matrices=keep_matrices)
-    else:
-        mats, eigs, report = sample_g_rejection_batch(
-            dim, count, rng, max_proposals=max_proposals, keep_matrices=keep_matrices)
-
-    purities = np.sum(eigs ** 2, axis=-1)
-    batch = SampleBatch(measure=measure, dim=dim, seed=rng.seed,
-                        eigen_records=eigs, purity_records=purities)
-    return batch, mats, report
+    if measure is Measure.SUPERFIDELITY:
+        if dim == 2:
+            return (*sample_g_qubit_batch(count, rng, keep_matrices=keep_matrices), None)
+        return sample_g_rejection_batch(dim, count, rng, max_proposals=max_proposals,
+                                        keep_matrices=keep_matrices)
+    draw = sample_hs_batch if measure is Measure.HILBERT_SCHMIDT else sample_bures_batch
+    mats = draw(dim, count, rng)
+    eigs = clamp_spectrum(np.linalg.eigvalsh(mats)[..., ::-1].copy())
+    return (mats if keep_matrices else None), eigs, None

@@ -17,42 +17,18 @@ density integrates to 1/C_HS (1/3 for N=2, 1/1680 for N=3).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError
-from .qstate import Measure
 from .rng import RngStream
 
 __all__ = [
-    "SampleBatch", "GofResult", "mc_mean", "mc_variance",
+    "GofResult", "mc_mean", "mc_variance",
     "ks_test", "ks_test_two_sample", "chi_square_gof", "chi_square_gof_simplex",
     "simplex_quadrature", "numeric_cdf",
 ]
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Eigenvalue/purity records from one sampling run."""
-
-    measure: Measure
-    dim: int
-    seed: int
-    eigen_records: np.ndarray = field(repr=False)   # (n, dim), sorted descending
-    purity_records: np.ndarray = field(repr=False)  # (n,)
-
-    def __post_init__(self):
-        if self.eigen_records.ndim != 2 or self.eigen_records.shape[0] == 0:
-            raise ValueError("eigen_records must be a nonempty (n, dim) array")
-        if self.eigen_records.shape != (len(self.purity_records), self.dim):
-            raise ValueError("eigen_records / purity_records shape mismatch")
-        p = self.purity_records
-        if p.min() < 1.0 / self.dim - 1e-9 or p.max() > 1.0 + 1e-9:
-            raise ValueError(f"purities outside [1/N, 1]: [{p.min()}, {p.max()}]")
-
-    def __len__(self) -> int:
-        return len(self.purity_records)
 
 
 @dataclass(frozen=True)

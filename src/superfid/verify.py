@@ -242,17 +242,17 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out = []
     n = max(5000, int(20_000 * scale))
 
-    batch, _, _ = sm.sample_batch(Measure.HILBERT_SCHMIDT, 2, n, RngStream(seed, 70))
-    res = st.chi_square_gof(batch.eigen_records[:, 0], lambda x: (2 * x - 1) ** 2,
+    _, eigs, _ = sm.sample_batch(Measure.HILBERT_SCHMIDT, 2, n, RngStream(seed, 70))
+    res = st.chi_square_gof(eigs[:, 0], lambda x: (2 * x - 1) ** 2,
                             bins=40, support=(0.5, 1.0))
     out.append(_result("sampler", "hs-qubit-eigenvalue-law",
                        res.p_value > 0.01, f"chi2 p = {res.p_value:.4f}"))
 
-    batch, _, _ = sm.sample_batch(Measure.BURES, 2, n, RngStream(seed, 71))
+    _, eigs, _ = sm.sample_batch(Measure.BURES, 2, n, RngStream(seed, 71))
     bures_cdf = st.numeric_cdf(
         lambda x: np.asarray(ed.density_bures_unnormalized(np.stack([x, 1 - x], axis=-1))),
         support=(0.5, 1.0))
-    res = st.ks_test(batch.eigen_records[:, 0], bures_cdf)
+    res = st.ks_test(eigs[:, 0], bures_cdf)
     out.append(_result("sampler", "bures-qubit-eigenvalue-law",
                        res.p_value > 0.01, f"KS p = {res.p_value:.4f}"))
 
@@ -264,8 +264,8 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        res.p_value > 0.01, f"KS p = {res.p_value:.4f}"))
 
     _, eg = sm.sample_g_qubit_batch(n, RngStream(seed, 73), keep_matrices=False)
-    bb, _, _ = sm.sample_batch(Measure.BURES, 2, n, RngStream(seed, 74))
-    res = st.ks_test_two_sample(eg[:, 0], bb.eigen_records[:, 0])
+    _, eb, _ = sm.sample_batch(Measure.BURES, 2, n, RngStream(seed, 74))
+    res = st.ks_test_two_sample(eg[:, 0], eb[:, 0])
     out.append(_result("sampler", "g-qubit-matches-bures",
                        res.p_value > 0.01, f"two-sample KS p = {res.p_value:.4f}"))
     median = ed.cdf_g2(0.5)
@@ -274,7 +274,7 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out.append(_result("sampler", "g-qubit-lambda-max-law", median == 0.5 and res.p_value > 0.01,
                        f"F_G,2(1/2) = {median!r}, KS p = {res.p_value:.4f} vs reflected F_G,2"))
 
-    audit = sm.audit_sup_density_ratio(3, RngStream(seed, 75), probes=n)
+    audit = sm.audit_sup_density_ratio(3, RngStream(seed, 75), n)
     out.append(_result("sampler", "envelope-audit-qutrit", audit.passed,
                        f"max ratio {audit.max_ratio:.12f} vs bound {audit.bound:.12f}"))
 
@@ -297,10 +297,10 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     ok = True
     for measure in Measure:
         for dim in (2, 3, 4):
-            b, mats, _ = sm.sample_batch(measure, dim, 50, RngStream(seed, 80 + dim),
-                                         keep_matrices=True)
+            mats, eigs, _ = sm.sample_batch(measure, dim, 50, RngStream(seed, 80 + dim),
+                                            keep_matrices=True)
             check_density_matrix(mats)
-            ok &= abs(b.eigen_records.sum(axis=-1) - 1).max() < 1e-9
+            ok &= abs(eigs.sum(axis=-1) - 1).max() < 1e-9
     out.append(_result("sampler", "sampled-states-valid", ok,
                        "density-matrix invariants of every drawn matrix"))
 
@@ -308,7 +308,7 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     psi[0] = 1.0
     rot = haar_unitary_batch(3, 1, RngStream(seed, 90))[0] @ psi
     m = max(4000, int(10_000 * scale))
-    _, mats, _ = sm.sample_batch(Measure.BURES, 3, m, RngStream(seed, 91), keep_matrices=True)
+    mats, _, _ = sm.sample_batch(Measure.BURES, 3, m, RngStream(seed, 91), keep_matrices=True)
     ev_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))
     ev_rot = np.real(np.einsum("i,nij,j->n", rot.conj(), mats, rot))
     res = st.ks_test_two_sample(ev_fixed, ev_rot)

@@ -60,15 +60,16 @@ class TestHilbertSchmidtSampler:
             check_density_matrix(sample_hs_batch(dim, 1, RngStream(dim))[0])
 
     def test_mean_and_variance_of_purity(self):
-        batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 2, 100_000, RngStream(1))
-        mean, se = mc_mean(batch.purity_records)
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 2, 100_000, RngStream(1))
+        purity = np.sum(eigs ** 2, axis=-1)
+        mean, se = mc_mean(purity)
         assert abs(mean - purity_mean_hs(2)) <= 3 * se
-        var = batch.purity_records.var(ddof=1)
+        var = purity.var(ddof=1)
         assert abs(var - purity_variance_hs(2)) <= 3e-4
 
     def test_eigenvalue_law_chi_square(self):
-        batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 2, 50_000, RngStream(2))
-        res = chi_square_gof(batch.eigen_records[:, 0], lambda x: (2 * x - 1) ** 2,
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 2, 50_000, RngStream(2))
+        res = chi_square_gof(eigs[:, 0], lambda x: (2 * x - 1) ** 2,
                              bins=40, support=(0.5, 1.0))
         assert res.p_value > 0.01
 
@@ -153,7 +154,7 @@ class TestEveryStateValid:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_batch_passes_the_density_matrix_checks(self, measure, dim):
         # every batch sampler: HS, Bures, the qubit G sampler and G rejection
-        _, mats, _ = sample_batch(measure, dim, 200, RngStream(dim, 7), keep_matrices=True)
+        mats, _, _ = sample_batch(measure, dim, 200, RngStream(dim, 7), keep_matrices=True)
         assert check_density_matrix(mats).shape == (200, dim, dim)
 
     @pytest.mark.parametrize("sampler", [sample_hs_batch, sample_bures_batch])
@@ -169,24 +170,24 @@ class TestBuresSampler:
             check_density_matrix(sample_bures_batch(dim, 1, RngStream(10 + dim))[0])
 
     def test_qubit_eigenvalue_law(self):
-        batch, _, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(11))
+        _, eigs, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(11))
         cdf = numeric_cdf(
             lambda x: np.asarray(density_bures_unnormalized(np.stack([x, 1 - x], axis=-1))),
             support=(0.5, 1.0))
-        res = ks_test(batch.eigen_records[:, 0], cdf)
+        res = ks_test(eigs[:, 0], cdf)
         assert res.p_value > 0.01
 
     def test_qubit_matches_g_measure(self):
         # on qubits the superfidelity measure coincides with Bures
-        bures, _, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(12))
+        _, bures, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(12))
         _, eg = sample_g_qubit_batch(50_000, RngStream(13), keep_matrices=False)
-        res = ks_test_two_sample(bures.eigen_records[:, 0], eg[:, 0])
+        res = ks_test_two_sample(bures[:, 0], eg[:, 0])
         assert res.p_value > 0.01
 
     def test_validity_sweep(self):
-        batch, mats, _ = sample_batch(Measure.BURES, 3, 2000, RngStream(14),
-                                      keep_matrices=True)
-        assert batch.eigen_records.min() >= 0.0
+        mats, eigs, _ = sample_batch(Measure.BURES, 3, 2000, RngStream(14),
+                                     keep_matrices=True)
+        assert eigs.min() >= 0.0
         check_density_matrix(mats)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -293,6 +294,29 @@ class TestQubitGSampler:
         for axis in range(3):
             mean, se = mc_mean(bloch[:, axis])
             assert abs(mean) <= 3 * se
+
+    def test_blocks_equal_one_whole_batch(self):
+        count = 2 * samplers._BLOCK + 5
+        ref_gen = RngStream(24).generator()
+        u = ref_gen.random(count)
+        small = np.asarray(invert_cdf_g2(np.minimum(u, 1.0 - u)))
+        eigs = np.stack([1.0 - small, small], axis=-1)
+        mats = samplers._haar_rotated(np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1]), ref_gen)
+        got_mats, got_eigs = sample_g_qubit_batch(count, RngStream(24), keep_matrices=False)
+        assert got_mats is None and got_eigs.tobytes() == eigs.tobytes()
+        got_mats, got_eigs = sample_g_qubit_batch(count, RngStream(24), keep_matrices=True)
+        assert got_eigs.tobytes() == eigs.tobytes()
+        assert got_mats.tobytes() == mats.tobytes()
+
+    def test_memory_is_bounded_by_the_block(self):
+        b = samplers._BLOCK
+        sample_g_qubit_batch(b, RngStream(0), False)   # first-use allocations outside the trace
+        small = traced_peak(sample_g_qubit_batch, 4 * b, RngStream(1), False)
+        large = traced_peak(sample_g_qubit_batch, 16 * b, RngStream(1), False)
+        # a whole-batch inverse CDF keeps ~64 B per state of temporaries, ~4 MB here
+        assert large < 3 * 2 ** 20
+        # beyond the block's scratch, only the uniforms and spectra grow: 24 B per state
+        assert large - small <= 24 * 12 * b + 4096
 
 
 class TestEnvelope:
@@ -452,6 +476,15 @@ class TestRejectionSampler:
         assert report.proposed == 1000
         assert report.accepted < 1000
 
+    def test_empirical_rate_follows_the_counts(self):
+        assert RejectionReport(proposed=0, accepted=0, bound_constant=1.0).empirical_rate == 0.0
+        assert RejectionReport(proposed=8, accepted=2, bound_constant=1.0).empirical_rate == 0.25
+        with pytest.raises(SamplingBudgetError) as info:
+            sample_g_rejection_batch(3, 5, RngStream(41), max_proposals=1)
+        report = info.value.report
+        assert report.proposed == 5 and report.accepted < 5
+        assert report.empirical_rate == report.accepted / 5
+
     def test_last_block_counts_up_to_the_last_kept_accept(self):
         # at seed 7 the 1928th accept is proposal 4093, the last of the first
         # block's accepts, so count=1928 ends the block with no overshoot to trim
@@ -557,11 +590,11 @@ class TestRejectionSampler:
         _, eigs, _ = sample_g_rejection_batch(dim, 20_000, RngStream(49))
         lam_max = eigs[:, 0]
 
-        hs, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, dim, 400_000, RngStream(149))
-        w = 1.0 / np.sqrt(1.0 - hs.purity_records)
-        edges = np.quantile(hs.eigen_records[:, 0], np.linspace(0, 1, 16))
+        _, hs, _ = sample_batch(Measure.HILBERT_SCHMIDT, dim, 400_000, RngStream(149))
+        w = 1.0 / np.sqrt(1.0 - np.sum(hs ** 2, axis=-1))
+        edges = np.quantile(hs[:, 0], np.linspace(0, 1, 16))
         edges[0], edges[-1] = 1.0 / dim, 1.0
-        wsum, _ = np.histogram(hs.eigen_records[:, 0], bins=edges, weights=w)
+        wsum, _ = np.histogram(hs[:, 0], bins=edges, weights=w)
         expected = len(lam_max) * wsum / w.sum()
         counts, _ = np.histogram(lam_max, bins=edges)
         keep = expected >= 5
@@ -573,21 +606,40 @@ class TestRejectionSampler:
 
 class TestSampleBatchFrontend:
     def test_routing_and_reports(self):
-        b, m, r = sample_batch("hs", 3, 10, RngStream(50), keep_matrices=True)
-        assert r is None and m.shape == (10, 3, 3)
-        b, m, r = sample_batch("g", 2, 10, RngStream(51))
-        assert r is None and m is None
-        b, m, r = sample_batch("g", 3, 10, RngStream(52))
-        assert r is not None and r.accepted == 10
+        m, e, r = sample_batch("hs", 3, 10, RngStream(50), keep_matrices=True)
+        assert r is None and m.shape == (10, 3, 3) and e.shape == (10, 3)
+        m, e, r = sample_batch("g", 2, 10, RngStream(51))
+        assert r is None and m is None and e.shape == (10, 2)
+        m, e, r = sample_batch("g", 3, 10, RngStream(52))
+        assert r is not None and r.accepted == 10 and e.shape == (10, 3)
+
+    def test_rejection_branch_is_the_rejection_sampler(self):
+        for keep in (False, True):
+            got = sample_batch("g", 3, 300, RngStream(58), keep_matrices=keep)
+            want = sample_g_rejection_batch(3, 300, RngStream(58), keep_matrices=keep)
+            for a, b in zip(got[:2], want[:2]):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert got[2] == want[2]
+
+    def test_accepts_a_generator(self):
+        for measure, dim in (("hs", 3), ("bures", 2), ("g", 2), ("g", 3)):
+            got = sample_batch(measure, dim, 20, RngStream(59).generator(), keep_matrices=True)
+            want = sample_batch(measure, dim, 20, RngStream(59), keep_matrices=True)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
 
     def test_purity_consistent_with_eigenvalues(self):
-        batch, _, _ = sample_batch("bures", 4, 500, RngStream(53))
-        assert np.max(np.abs(batch.purity_records
-                             - np.sum(batch.eigen_records ** 2, axis=-1))) <= 1e-14
+        # the purity column sum l^2 lies in [1/N, 1] and equals tr rho^2
+        mats, eigs, _ = sample_batch("bures", 4, 500, RngStream(53), keep_matrices=True)
+        purity = np.sum(eigs ** 2, axis=-1)
+        assert purity.min() >= 0.25 - 1e-12 and purity.max() <= 1.0 + 1e-12
+        trace_sq = np.einsum("nij,nji->n", mats, mats).real
+        assert np.max(np.abs(purity - trace_sq)) <= 1e-14
 
     def test_unitary_invariance_of_projection_law(self):
         # distribution of <psi|rho|psi> must not depend on the direction psi
-        _, mats, _ = sample_batch("hs", 3, 20_000, RngStream(54), keep_matrices=True)
+        mats, _, _ = sample_batch("hs", 3, 20_000, RngStream(54), keep_matrices=True)
         psi = np.zeros(3, dtype=complex)
         psi[0] = 1.0
         rot = haar_unitary_batch(3, 1, RngStream(55))[0] @ psi
@@ -599,6 +651,6 @@ class TestSampleBatchFrontend:
     @given(seed=st.integers(0, 2 ** 31))
     def test_all_measures_emit_valid_batches(self, seed):
         for measure in ("hs", "bures", "g"):
-            batch, _, _ = sample_batch(measure, 2, 50, RngStream(seed))
-            assert np.all(batch.eigen_records[:, 0] >= batch.eigen_records[:, 1])
-            assert np.max(np.abs(batch.eigen_records.sum(axis=-1) - 1)) <= 1e-12
+            _, eigs, _ = sample_batch(measure, 2, 50, RngStream(seed))
+            assert np.all(eigs[:, 0] >= eigs[:, 1])
+            assert np.max(np.abs(eigs.sum(axis=-1) - 1)) <= 1e-12

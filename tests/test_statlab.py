@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from superfid import (GofResult, Measure, QuadratureError, RngStream, SampleBatch,
-                      c_hs, chi_square_gof, chi_square_gof_simplex, cdf_g2,
+from superfid import (GofResult, Measure, QuadratureError, RngStream, c_hs,
+                      chi_square_gof, chi_square_gof_simplex, cdf_g2,
                       density_bures_unnormalized, density_g_unnormalized,
                       density_hs_unnormalized, invert_cdf_g2, ks_test,
                       ks_test_two_sample, mc_mean, mc_variance, numeric_cdf,
@@ -95,15 +95,15 @@ class TestChiSquare:
         assert good >= 95
 
     def test_power_against_wrong_density(self):
-        batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 10_000, RngStream(10))
-        res = chi_square_gof_simplex(batch.eigen_records,
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 10_000, RngStream(10))
+        res = chi_square_gof_simplex(eigs,
                                      normalized_density(Measure.SUPERFIDELITY, 3),
                                      grid=10, rng=RngStream(11))
         assert res.p_value < 1e-6
 
     def test_simplex_calibration(self):
-        batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 20_000, RngStream(12))
-        res = chi_square_gof_simplex(batch.eigen_records, density_hs_unnormalized,
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 20_000, RngStream(12))
+        res = chi_square_gof_simplex(eigs, density_hs_unnormalized,
                                      grid=10, rng=RngStream(13))
         assert res.p_value > 0.01
 
@@ -173,9 +173,9 @@ class TestChiSquare:
 
     def test_simplex_cells_fail_closed_on_a_divergent_density(self):
         # 1/|lambda_1 - 1/2| is not integrable along the cell edge lambda_1 = 1/2
-        batch, _, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 2000, RngStream(16))
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 2000, RngStream(16))
         with pytest.raises(QuadratureError):
-            chi_square_gof_simplex(batch.eigen_records, lambda lam: 1.0 / np.abs(lam[..., 0] - 0.5),
+            chi_square_gof_simplex(eigs, lambda lam: 1.0 / np.abs(lam[..., 0] - 0.5),
                                    grid=10, rng=RngStream(17))
 
     def test_small_bins_are_merged(self):
@@ -240,19 +240,6 @@ class TestRecordTypes:
     def test_gof_result_validation(self):
         with pytest.raises(ValueError):
             GofResult(statistic=1.0, p_value=1.5, bins_or_n=10)
-
-    def test_sample_batch_validation(self):
-        eigs = np.array([[0.7, 0.3], [0.6, 0.4]])
-        batch = SampleBatch(measure=Measure.HILBERT_SCHMIDT, dim=2, seed=1,
-                            eigen_records=eigs,
-                            purity_records=np.sum(eigs ** 2, axis=-1))
-        assert len(batch) == 2
-        with pytest.raises(ValueError):
-            SampleBatch(measure=Measure.BURES, dim=2, seed=1,
-                        eigen_records=np.empty((0, 2)), purity_records=np.empty(0))
-        with pytest.raises(ValueError):
-            SampleBatch(measure=Measure.BURES, dim=2, seed=1,
-                        eigen_records=eigs, purity_records=np.array([0.2, 0.3]))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 31))
