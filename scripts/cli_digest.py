@@ -18,6 +18,8 @@ that span three ``samplers._BLOCK`` blocks of the inverse CDF, with and
 without matrices, and one rejection run of ~10^4 proposals, which spans
 several proposal blocks and trims the overshoot of its last one),
 ``estimate`` with every method wherever it is supported at N = 2..5,
+``estimate --method mc`` and ``--method series`` at an odd sample count that
+spans three ``samplers._BLOCK`` blocks of HS purities,
 ``grid`` for both measures,
 ``verify all`` at scale 0.01 (once with ``--dim 3``) and at the benchmark's
 scale 1 (text and JSON), nine usage errors, four of them rejected by the
@@ -85,6 +87,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
       for d in (2, 3, 4, 5)],
     *[(f"estimate-quadrature-{d}", _estimate(d, "quadrature")) for d in (2, 3, 4, 5)],
     ("estimate-mc-3-out", _estimate(3, "mc", "--samples", "5000", "--out", OUT)),
+    # the benchmark's mc and series dimensions at an odd count: three HS-purity
+    # blocks, the last one partial, so both threads of the purity draw work
+    ("estimate-mc-5-10001", _estimate(5, "mc", "--samples", "10001")),
+    ("estimate-series-4-10001", _estimate(4, "series", "--samples", "10001")),
     ("grid-g-40", ["grid", "--measure", "g", "--resolution", "40"]),
     ("grid-bures-40", ["grid", "--measure", "bures", "--resolution", "40"]),
     ("verify-all", ["verify", "all", "--seed", "0", "--scale", "0.01"]),

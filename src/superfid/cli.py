@@ -17,6 +17,10 @@ checked by the library function that uses it.
 Outputs carry no timestamps and format floats via ``repr``, so a fixed
 (command line, seed) pair reproduces byte-identical bytes: ``sample`` draws
 every state in this process from the one stream ``RngStream(seed)``.
+``estimate --method mc|series`` draws its HS purities from that stream's
+keyed PCG64 blocks, split between this thread and one helper thread; each
+block's values depend only on (seed, block), so the bytes do not depend on
+the split.
 ``sample`` and ``grid`` write their rows chunk by chunk (at most 8192 floats
 per chunk), each chunk through one row template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import lgamma, log, pi, sqrt
+from math import asin, lgamma, log, pi, sqrt
 from typing import Literal
 
 import numpy as np
@@ -41,8 +41,9 @@ __all__ = [
 
 EstimateMethod = Literal["exact", "jensen-upper-bound", "series", "monte-carlo", "quadrature"]
 
-PURE_DISCARD_EPS = 1e-14          # discard HS samples with tr rho^2 >= 1 - eps
+PURE_DISCARD_EPS = 1e-14          # N >= 3: discard HS samples with tr rho^2 >= 1 - eps
 DISCARD_WARN_FRACTION = 1e-4      # "instability" threshold on the discard rate
+QUBIT_TAIL_U = 0.999              # N = 2 Monte Carlo: sampled for u <= U, exact tail above
 _ZETA_HALF = 1.4603545088095868   # |zeta(1/2)|; strip-mass constant for u^(-1/2) edges
 _GRID_BLOCK = 4096                # lattice points per density call in density_grid_qutrit
 
@@ -191,35 +192,67 @@ def _hs_purities(dim: int, samples: int, rng: RngStream) -> np.ndarray:
     return samplers.hs_purity_batch(dim, samples, rng)
 
 
+def _reciprocal_radical_mean(dim: int, samples: int,
+                             rng: RngStream) -> tuple[float, float, int]:
+    """E_HS[1 / sqrt(1 - tr rho^2)] by Monte Carlo: (mean, standard error, samples kept).
+
+    At N >= 3, samples with tr rho^2 >= 1 - 1e-14 are discarded (and
+    counted); more than 0.01% of them triggers an :class:`InstabilityWarning`.
+
+    At N = 2 the variable y = 1 / sqrt(1 - p) has infinite variance, since
+    E_HS[1 / (1 - p)] diverges at the pure states, so its plain sample mean
+    has no valid error bar.  There u = sqrt(2p - 1) has density 3 u^2 on
+    [0, 1] and y = sqrt(2) / sqrt(1 - u^2).  So only E[y; u <= U] is sampled,
+    as the mean of y over all draws with every draw above U = ``QUBIT_TAIL_U``
+    counted as 0, and the exact tail E[y; u > U] = (3 sqrt2 / 2) (pi/2 -
+    arcsin U + U sqrt(1 - U^2)) is added.  The sampled part is bounded, so
+    the standard error covers.  Numerically pure draws lie above U, so none
+    is discarded.
+    """
+    p = _hs_purities(dim, samples, rng)
+    tail = 0.0
+    if dim == 2:
+        u = QUBIT_TAIL_U
+        tail = 1.5 * sqrt(2.0) * (0.5 * pi - asin(u) + u * sqrt(1.0 - u * u))
+        above = p > 0.5 * (1.0 + u * u)   # u = sqrt(2p - 1) > U
+        p[above] = 0.0                    # a finite radical, set to 0 once formed
+        y = p
+    else:
+        keep = p < 1.0 - PURE_DISCARD_EPS
+        discarded = int(samples - keep.sum())
+        if discarded > DISCARD_WARN_FRACTION * samples:
+            warnings.warn(
+                f"{discarded}/{samples} samples at numerically pure states were discarded",
+                InstabilityWarning, stacklevel=3)
+        # 1 / sqrt(1 - p) formed in place: in p itself unless some were discarded
+        y = p[keep] if discarded else p
+        del keep
+    del p
+    np.subtract(1.0, y, out=y)
+    np.sqrt(y, out=y)
+    np.divide(1.0, y, out=y)
+    if dim == 2:
+        y[above] = 0.0
+    mean, se = mc_mean(y)
+    return mean + tail, se, len(y)
+
+
 def c_g_monte_carlo(dim: int, samples: int, rng: RngStream) -> NormalizationEstimate:
     """Monte-Carlo constant from 1/C_G = (1/C_HS) E_HS[1 / sqrt(1 - tr rho^2)].
 
-    The standard error follows from the delta method on the reciprocal.
-    Samples with tr rho^2 >= 1 - 1e-14 are discarded (and counted); more than
-    0.01% of them triggers an :class:`InstabilityWarning`.
+    The expectation comes from :func:`_reciprocal_radical_mean`, which adds
+    an exact tail at N = 2.  The standard error follows from the delta method
+    on the reciprocal.
     """
     if dim < 2:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    p = _hs_purities(dim, samples, rng)
-    keep = p < 1.0 - PURE_DISCARD_EPS
-    discarded = int(samples - keep.sum())
-    if discarded > DISCARD_WARN_FRACTION * samples:
-        warnings.warn(
-            f"{discarded}/{samples} samples at numerically pure states were discarded",
-            InstabilityWarning, stacklevel=2)
-    # 1 / sqrt(1 - p) formed in place: in p itself unless some were discarded
-    y = p[keep] if discarded else p
-    del p, keep
-    np.subtract(1.0, y, out=y)
-    np.sqrt(y, out=y)
-    np.divide(1.0, y, out=y)
-    mean, se = mc_mean(y)
+    mean, se, kept = _reciprocal_radical_mean(dim, samples, rng)
     chs = c_hs(dim).value
     return NormalizationEstimate(
         dim=dim, value=chs / mean, method="monte-carlo",
-        std_error=chs * se / mean ** 2, terms_or_samples=len(y))
+        std_error=chs * se / mean ** 2, terms_or_samples=kept)
 
 
 def series_coefficients(k_max: int) -> np.ndarray:

@@ -6,6 +6,17 @@ reproduce identical value sequences, and distinct stream indices give
 statistically independent streams, so separate draws (the checks of one
 ``verify`` suite, say) need not share a sequence.  ``superfid sample`` draws
 from stream 0 of its seed.
+
+A stream has two families of generators.  :meth:`RngStream.generator` is one
+Philox sequence, which a sampler reads from front to back.
+:meth:`RngStream.block` is keyed by a block kind and a block index as well:
+block ``b`` of kind ``k`` is a PCG64 generator seeded from
+``SeedSequence(seed, spawn_key=(stream, k, b))``, so its values depend only
+on (seed, stream, kind, block), not on which blocks were drawn before it or
+on which thread draws it.  A sampler that fills its output block by block
+from these can split the blocks between threads, stop early or draw a
+prefix, and give the same values.  The blocks use PCG64 because it fills
+``standard_gamma`` rows faster than Philox; seeding one costs ~15 us.
 """
 from __future__ import annotations
 
@@ -29,11 +40,17 @@ class RngStream:
         if self.stream < 0:
             raise ValueError("stream index must be non-negative")
 
+    def _seed_sequence(self, *key: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(entropy=self.seed & 0xFFFFFFFFFFFFFFFF,
+                                      spawn_key=(self.stream, *key))
+
     def generator(self) -> np.random.Generator:
         """Fresh Philox generator; repeated calls replay the same sequence."""
-        ss = np.random.SeedSequence(entropy=self.seed & 0xFFFFFFFFFFFFFFFF,
-                                    spawn_key=(self.stream,))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(self._seed_sequence()))
+
+    def block(self, kind: int, index: int) -> np.random.Generator:
+        """Fresh PCG64 generator of block ``index`` of kind ``kind`` in this stream."""
+        return np.random.Generator(np.random.PCG64(self._seed_sequence(kind, index)))
 
 
 def seed_from_env(default: int = DEFAULT_SEED) -> int:

@@ -18,8 +18,12 @@
   trace, determinant and e_2 of its tridiagonal matrix, and only accepted
   proposals are diagonalized.
 
-Every sampler draws a stack of ``count`` states from one stream and
-vectorizes over the sample index; one state is a batch of one.
+Every sampler draws a stack of ``count`` states and vectorizes over the
+sample index; one state is a batch of one.  HS purities come from the keyed
+blocks of :meth:`RngStream.block`: block b fills its own slice of the
+result, so the blocks are split between the calling thread and one helper
+thread, and the values do not depend on that split.  Every other sampler
+reads one Philox sequence, :meth:`RngStream.generator`, from front to back.
 :func:`sample_batch` routes a measure and a dimension to one of them and
 returns plain arrays, ``(matrices_or_None, eigs, report_or_None)``.
 """
@@ -49,6 +53,7 @@ __all__ = [
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
 _BLOCK = 4096                         # states per block: rejection, HS purities, qubit CDF
+_HS_PURITY_KIND = 0                   # RngStream.block kind of the HS purity draws
 _BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
@@ -78,13 +83,19 @@ class RejectionReport:
 # ---------------------------------------------------------------------------
 
 def _haar_rotated(diag: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """U diag(d) U^dag for a (n, N) stack of spectra, U Haar, Hermitian-symmetrized."""
+    """U diag(d) U^dag for a (n, N) stack of spectra, U Haar, Hermitian-symmetrized.
+
+    The samplers call it one ``_BLOCK`` of spectra at a time.  A generator
+    fills the Haar stack in C order and each state's QR and products are its
+    own, so the blocks give the bytes one whole-stack call would.
+    """
     haar = haar_unitary_batch(diag.shape[-1], len(diag), gen)
     mats = (haar * diag[:, None, :]) @ _dagger(haar)
     return 0.5 * (mats + _dagger(mats))
 
 
-def _laguerre_tridiagonal(dim: int, count: int, s: float, gen: np.random.Generator):
+def _laguerre_tridiagonal(dim: int, count: int, s: float, gen: np.random.Generator,
+                          out: np.ndarray | None = None):
     """``count`` draws of the tridiagonal W = B B^T of the induced measure.
 
     B is N x N lower bidiagonal with independent entries: a_k^2 ~ Gamma(N - s - k)
@@ -99,15 +110,16 @@ def _laguerre_tridiagonal(dim: int, count: int, s: float, gen: np.random.Generat
     that the invariants of :func:`_trace_and_e2` are row adds.  W has
     diagonal z_0, z_1 + z_2, z_3 + z_4, ... and squared off-diagonal
     z_0 z_1, z_2 z_3, ...  Each row is one ``standard_gamma`` call, so a run
-    drawn in blocks has other values than the same run drawn whole.
+    drawn in blocks has other values than the same run drawn whole.  With
+    ``out``, a (2N - 1, count) array, the rows are drawn into it.
     """
-    z = np.empty((2 * dim - 1, count))
+    z = np.empty((2 * dim - 1, count)) if out is None else out
     for i, row in enumerate(z):
         gen.standard_gamma(dim - (i + 1) // 2 - (s if i % 2 == 0 else 0.0), out=row)
     return z
 
 
-def _trace_and_e2(z: np.ndarray):
+def _trace_and_e2(z: np.ndarray, e2: np.ndarray | None = None):
     """tr W and e_2(W), the sum of W's 2 x 2 principal minors, from a path block z.
 
     With tr W = sum z_i and tr W^2 = sum z_i^2 + 2 sum z_i z_{i+1},
@@ -115,13 +127,24 @@ def _trace_and_e2(z: np.ndarray):
     j >= i + 2 that are not adjacent on the path.  Every term is positive, so
     e_2 has no cancellation, and 1 - sum l^2 = 2 e_2 / (tr W)^2 for the
     spectrum l of W / tr W.  Both results have shape (count,).
+
+    Given a row ``e2`` to write e_2 into, nothing is allocated and z is
+    consumed: tr W accumulates in z[0], and each product goes to the row
+    z[j - 2] that the running prefix sum has just read for the last time.
+    Both forms do the same operations in the same order, so they agree bitwise.
+    :func:`hs_purity_batch` uses the in-place form: the other one's
+    per-block temporaries overlap between its two threads as they happen to
+    be scheduled, which moved its traced peak by up to ~130 kB.
     """
-    prefix = z[0].copy()
-    e2 = z[2] * prefix
+    in_place = e2 is not None
+    prefix = z[0] if in_place else z[0].copy()
+    e2 = np.multiply(z[2], prefix, out=e2)
     for j in range(3, len(z)):
         prefix += z[j - 2]
-        e2 += z[j] * prefix
-    return prefix + z[-2] + z[-1], e2
+        e2 += np.multiply(z[j], prefix, out=z[j - 2] if in_place else None)
+    prefix += z[-2]
+    prefix += z[-1]
+    return prefix, e2
 
 
 def _normalized_gram(a: np.ndarray) -> np.ndarray:
@@ -150,7 +173,7 @@ def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
     return _normalized_gram(ginibre_batch(dim, count, _as_generator(rng)))
 
 
-def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
+def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """Purities of ``count`` Hilbert-Schmidt states without forming any matrix.
 
     For beta = 2 the spectrum of G G^dag (G an N x N Ginibre matrix) is that
@@ -158,20 +181,60 @@ def hs_purity_batch(dim: int, count: int, rng) -> np.ndarray:
     purity 1 - 2 e_2(W) / (tr W)^2 (:func:`_trace_and_e2`) is a few row
     operations on 2N - 1 gamma draws per state.
 
-    The draws are made ``_BLOCK`` states at a time, so memory is O(block)
-    plus the 8 B per state of the result.  The values depend on ``_BLOCK``,
-    which sets how each row's draws split into blocks.
+    Block b of ``_BLOCK`` states draws from ``rng.block(_HS_PURITY_KIND, b)``
+    and fills its own slice of the result, so the values depend only on the
+    stream and ``_BLOCK``, and a shorter run gives a prefix of the whole
+    blocks of a longer one.  When there are two blocks or more, the odd
+    blocks are drawn on one helper thread while the calling thread draws the
+    even ones; ``standard_gamma`` releases the GIL.  Each thread reuses one
+    (2N - 1, ``_BLOCK``) scratch allocated here before the helper starts and
+    works in place, so memory is that scratch plus the 8 B per state of the
+    result.  The helper is joined before this returns or raises, and an
+    exception it raised is raised here.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    gen = _as_generator(rng)
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
     out = np.empty(count)
-    for start in range(0, count, _BLOCK):
-        trace, e2 = _trace_and_e2(_laguerre_tridiagonal(dim, min(_BLOCK, count - start),
-                                                        0.0, gen))
-        out[start:start + len(trace)] = 1.0 - 2.0 * e2 / (trace * trace)
+    blocks = -(-count // _BLOCK)
+    scratch = np.empty((min(blocks, 2), 2 * dim - 1, _BLOCK))
+
+    def draw(first: int, z: np.ndarray):
+        for b in range(first, blocks, 2):
+            result = out[b * _BLOCK:(b + 1) * _BLOCK]
+            trace, e2 = _trace_and_e2(
+                _laguerre_tridiagonal(dim, len(result), 0.0, rng.block(_HS_PURITY_KIND, b),
+                                      out=z[:, :len(result)]), result)
+            # 1 - 2 e2 / (trace * trace), in place and in that order
+            e2 *= 2.0
+            np.multiply(trace, trace, out=trace)
+            e2 /= trace
+            np.subtract(1.0, e2, out=e2)
+
+    if blocks < 2:
+        for z in scratch:   # none when count is 0
+            draw(0, z)
+        return out
+    errors = []
+
+    def draw_odd_blocks():
+        try:
+            draw(1, scratch[1])
+        except BaseException as exc:   # raised again on the calling thread
+            errors.append(exc)
+
+    # a daemon, so that an interrupted run can exit without waiting for it
+    helper = threading.Thread(target=draw_odd_blocks, name="superfid-hs-purity", daemon=True)
+    helper.start()
+    try:
+        draw(0, scratch[0])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -238,21 +301,24 @@ def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
     Returns ``(matrices, eigs)`` where ``eigs`` is (count, 2) descending;
     ``matrices`` is None when not requested.  The inverse CDF runs
     ``_BLOCK`` states at a time; it is elementwise, so the blocks give the
-    values one whole-batch call would, and its scratch stays O(block)
-    beyond the 24 B per state of the uniforms and the spectra.
+    values one whole-batch call would.  The Haar rotations are drawn after
+    all the uniforms, one block at a time (:func:`_haar_rotated`), so the
+    scratch stays O(block) beyond the 24 B per state of the uniforms and the
+    spectra and the 64 B per state of the matrices.
     """
     gen = _as_generator(rng)
     u = gen.random(count)
     eigs = np.empty((count, 2))
+    matrices = np.empty((count, 2, 2), dtype=complex) if keep_matrices else None
     for start in range(0, count, _BLOCK):
-        block = u[start:start + _BLOCK]
-        small = invert_cdf_g2(np.minimum(block, 1.0 - block))
-        eigs[start:start + _BLOCK, 0] = 1.0 - small
-        eigs[start:start + _BLOCK, 1] = small
-    matrices = None
-    if keep_matrices:
-        # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
-        matrices = _haar_rotated(np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1]), gen)
+        block = slice(start, start + _BLOCK)
+        small = invert_cdf_g2(np.minimum(u[block], 1.0 - u[block]))
+        eigs[block, 0] = 1.0 - small
+        eigs[block, 1] = small
+        if keep_matrices:
+            # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
+            matrices[block] = _haar_rotated(
+                np.where((u[block] > 0.5)[:, None], eigs[block], eigs[block, ::-1]), gen)
     return matrices, eigs
 
 
@@ -563,7 +629,11 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
 
     report = RejectionReport(proposed, accepted, exp(log_bound))
     eigs = np.concatenate(taken_eigs, axis=0)
-    mats = _haar_rotated(eigs, gen) if keep_matrices else None
+    mats = None
+    if keep_matrices:
+        mats = np.empty((count, dim, dim), dtype=complex)
+        for start in range(0, count, _BLOCK):
+            mats[start:start + _BLOCK] = _haar_rotated(eigs[start:start + _BLOCK], gen)
     return mats, eigs, report
 
 

@@ -10,7 +10,10 @@ at scale 20, where each size is at least its acceptance size.
 the calling thread runs the other three; their heavy numpy calls release the
 GIL, so on two cores ``all`` takes about as long as its three caller-side
 suites.  Every suite draws only from its own streams, so the output does not
-depend on scheduling.  The helper's working sets are bounded by blocks
+depend on scheduling.  HS purities (the density suite's Monte-Carlo
+constants, the purity suite's moments) are drawn from keyed blocks split
+between the drawing thread and a helper of its own, which does not change
+their values either.  The helper's working sets are bounded by blocks
 (Bures states, simplex cells, CDF intervals), so its allocations peak below
 6 MB at scale 1, which bounds what its own malloc arena adds to the peak RSS.
 """
@@ -336,9 +339,7 @@ def _purity_checks(seed: int, scale: float = 1.0,
                            f"+- {3 * se_m:.1e}), var {var:.6f} "
                            f"(expect {ed.purity_variance_hs(dim):.6f} +- {3 * se_v:.1e})"))
 
-    p = sm.hs_purity_batch(2, n, RngStream(seed, 110))
-    y = 1.0 / np.sqrt(1.0 - p)
-    mean, se = st.mc_mean(y)
+    mean, se, _ = ed._reciprocal_radical_mean(2, n, RngStream(seed, 110))
     target = 3 * pi / (2 * sqrt(2))
     out.append(_result("purity", "reciprocal-radical-expectation",
                        abs(mean - target) <= 3 * se,

@@ -168,19 +168,28 @@ class TestNormalizationConstants:
         assert est.value <= c_g_jensen_bound(10).value + 3 * est.std_error
 
     @pytest.mark.parametrize("dim, samples, pure", [(2, 1000, 0), (5, 3 * 4096 + 7, 0),
-                                                     (3, 5000, 3)])
+                                                     (3, 5000, 3), (2, 5000, 3)])
     def test_monte_carlo_radical_equals_the_whole_array_form(self, monkeypatch, dim, samples,
                                                              pure):
         p = hs_purity_batch(dim, samples, RngStream(dim, 9))
-        p[:pure] = 1.0   # numerically pure states, which are discarded
+        p[:pure] = 1.0   # numerically pure states: discarded at N >= 3
         monkeypatch.setattr(ed, "_hs_purities", lambda *args: p.copy())
-        mean, se = mc_mean(1.0 / np.sqrt(1.0 - p[p < 1.0 - 1e-14]))
+        if dim == 2:
+            # sampled below u = sqrt(2p - 1) = U over all draws, plus the exact tail above it
+            u = ed.QUBIT_TAIL_U
+            kept = p
+            below = p <= 0.5 * (1 + u * u)
+            mean, se = mc_mean(np.where(below, 1.0 / np.sqrt(1.0 - np.where(below, p, 0.0)), 0.0))
+            mean += 1.5 * np.sqrt(2.0) * (np.pi / 2 - np.arcsin(u) + u * np.sqrt(1 - u * u))
+        else:
+            kept = p[p < 1.0 - 1e-14]
+            mean, se = mc_mean(1.0 / np.sqrt(1.0 - kept))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InstabilityWarning)
             est = c_g_monte_carlo(dim, samples, RngStream(dim, 9))
         assert est.value == c_hs(dim).value / mean
         assert est.std_error == c_hs(dim).value * se / mean ** 2
-        assert est.terms_or_samples == samples - pure
+        assert est.terms_or_samples == len(kept)
 
     def test_monte_carlo_memory_is_16_bytes_per_sample(self):
         # the purities, turned into the radical in place, and mc_mean's one
@@ -469,4 +478,8 @@ class TestInstabilityGuard:
 
         monkeypatch.setattr(ed, "_hs_purities", fake_purities)
         with pytest.warns(InstabilityWarning):
-            ed.c_g_monte_carlo(2, 10_000, RngStream(0))
+            ed.c_g_monte_carlo(3, 10_000, RngStream(0))
+        # at N = 2 they lie above the sampled range, so they count as 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", InstabilityWarning)
+            assert ed.c_g_monte_carlo(2, 10_000, RngStream(0)).terms_or_samples == 10_000

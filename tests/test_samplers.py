@@ -81,30 +81,74 @@ class TestHilbertSchmidtSampler:
 class TestHsPurityBatch:
     BLOCK = samplers._BLOCK
 
+    @staticmethod
+    def serial_reference(dim, count, rng):
+        # block b: its own keyed generator, its gamma rows and the allocating
+        # form of the trace and e_2
+        ref = [np.empty(0)]
+        for b, start in enumerate(range(0, count, TestHsPurityBatch.BLOCK)):
+            z = samplers._laguerre_tridiagonal(dim, min(TestHsPurityBatch.BLOCK, count - start),
+                                               0.0, rng.block(samplers._HS_PURITY_KIND, b))
+            trace, e2 = samplers._trace_and_e2(z)
+            ref.append(1.0 - 2.0 * e2 / (trace * trace))
+        return np.concatenate(ref)
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_blocks_equal_one_whole_batch(self, dim):
-        # the values depend on BLOCK: each block draws its path variables
-        # a_1^2, b_1^2, a_2^2, ..., a_N^2 one variable at a time
+        # the threaded run equals one serial pass over the blocks in order
         b = self.BLOCK
-        shapes = np.repeat(np.arange(dim, 0, -1), 2)[1:].astype(float)
-        for count in (1, b - 1, b, b + 1, 3 * b + 5):
-            ref_gen = RngStream(count, dim).generator()
-            ref = []
-            for start in range(0, count, b):
-                z = np.stack([ref_gen.standard_gamma(k, size=min(b, count - start))
-                              for k in shapes])
-                # e_2(W) sums z_i z_j over the pairs j >= i + 2
-                prefix = np.cumsum(z, axis=0)
-                e2 = z[2] * prefix[0]
-                for j in range(3, len(z)):
-                    e2 += z[j] * prefix[j - 2]
-                ref.append(1.0 - 2.0 * e2 / prefix[-1] ** 2)
-            ref = np.concatenate(ref)
-            gen = RngStream(count, dim).generator()
-            got = hs_purity_batch(dim, count, gen)
-            assert got.tobytes() == ref.tobytes()
-            # the generator ends where the whole batch left it
-            assert np.array_equal(gen.random(3), ref_gen.random(3))
+        for count in (0, 1, b - 1, b, b + 1, 3 * b + 5):
+            got = hs_purity_batch(dim, count, RngStream(count, dim))
+            assert got.tobytes() == self.serial_reference(dim, count, RngStream(count, dim)).tobytes()
+
+    def test_a_prefix_of_whole_blocks_is_a_shorter_run(self):
+        b = self.BLOCK
+        whole = hs_purity_batch(4, 5 * b + 7, RngStream(25))
+        for blocks in (1, 2, 3, 5):
+            assert whole[:blocks * b].tobytes() == hs_purity_batch(4, blocks * b,
+                                                                   RngStream(25)).tobytes()
+
+    def test_repeated_runs_are_identical(self):
+        # the blocks are split between two threads; the values must not depend on
+        # timing, also with three callers at once (six threads on any core count)
+        # and a short switch interval
+        count = 6 * self.BLOCK + 3
+        first = hs_purity_batch(3, count, RngStream(26)).tobytes()
+        results = []
+
+        def run():
+            for _ in range(20):
+                results.append(hs_purity_batch(3, count, RngStream(26)).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 60 and all(r == first for r in results)
+
+    def test_takes_only_a_stream(self):
+        with pytest.raises(TypeError, match="RngStream"):
+            hs_purity_batch(3, 10, RngStream(0).generator())
+
+    def test_helper_error_is_raised_after_the_join(self, monkeypatch):
+        block = RngStream.block
+
+        def failing_block(rng, kind, index):
+            if index == 3:   # an odd block: drawn on the helper thread
+                raise RuntimeError("block 3 failed")
+            return block(rng, kind, index)
+
+        monkeypatch.setattr(RngStream, "block", failing_block)
+        with pytest.raises(RuntimeError, match="block 3 failed"):
+            hs_purity_batch(3, 6 * self.BLOCK, RngStream(0))
+        assert not any(t.name == "superfid-hs-purity" for t in threading.enumerate())
 
     def test_qubit_law(self):
         # exact law of the qubit purity: P(p <= x) = (2x - 1)^(3/2) on [1/2, 1]
@@ -317,6 +361,17 @@ class TestQubitGSampler:
         assert large < 3 * 2 ** 20
         # beyond the block's scratch, only the uniforms and spectra grow: 24 B per state
         assert large - small <= 24 * 12 * b + 4096
+
+    def test_memory_with_matrices_is_bounded_by_the_block(self):
+        b = samplers._BLOCK
+        sample_g_qubit_batch(b, RngStream(0), True)   # first-use allocations outside the trace
+        small = traced_peak(sample_g_qubit_batch, 4 * b, RngStream(1), True)
+        large = traced_peak(sample_g_qubit_batch, 16 * b, RngStream(1), True)
+        # a whole-batch rotation keeps ~330 B per state of temporaries, ~21 MB here
+        assert large < 8 * 2 ** 20
+        # beyond the block's scratch, only the uniforms, spectra and matrices
+        # grow: 24 + 64 B per state
+        assert large - small <= 88 * 12 * b + 4096
 
 
 class TestEnvelope:
