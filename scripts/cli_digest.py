@@ -16,7 +16,10 @@ small counts, outputs that span several writer chunks of at most
 ``cli._REPR_CHUNK`` floats, one of them with 56 floats per row, qubit runs
 that span three ``samplers._BLOCK`` blocks of the inverse CDF, with and
 without matrices, and one rejection run of ~10^4 proposals, which spans
-several proposal blocks and trims the overshoot of its last one),
+several proposal blocks and trims the overshoot of its last one), three runs
+with matrices over two whole keyed blocks and a partial third (HS in 4096-
+and Bures in 1024-state blocks at N = 3, G over ~2.5 proposal blocks), which
+pin the blocks that a streamed ``sample`` must reproduce,
 ``estimate`` with every method wherever it is supported at N = 2..5,
 ``estimate --method mc`` and ``--method series`` at an odd sample count that
 spans three ``samplers._BLOCK`` blocks of HS purities,
@@ -79,6 +82,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
      _sample("bures", 5, 400, "--full-matrix", "--format", "json")),
     # ~10^4 proposals: several 4096-proposal blocks and the overshoot trim
     ("sample-g-3-csv-5000", _sample("g", 3, 5000)),
+    # the keyed-block contract: two whole blocks and a partial third, with matrices
+    ("sample-hs-3-csv-full-8197", _sample("hs", 3, 2 * 4096 + 5, "--full-matrix")),
+    ("sample-bures-3-csv-full-2053", _sample("bures", 3, 2 * 1024 + 5, "--full-matrix")),
+    ("sample-g-3-csv-full-5000", _sample("g", 3, 5000, "--full-matrix")),
     ("estimate-exact-2", _estimate(2, "exact")),
     ("estimate-exact-3", _estimate(3, "exact")),
     *[(f"estimate-jensen-{d}", _estimate(d, "jensen")) for d in (2, 3, 4, 5)],

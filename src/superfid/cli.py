@@ -15,12 +15,12 @@ The master seed falls back to the SUPERFID_SEED environment variable, then 0.
 The parsed arguments go straight to the command's handler; each value is
 checked by the library function that uses it.
 Outputs carry no timestamps and format floats via ``repr``, so a fixed
-(command line, seed) pair reproduces byte-identical bytes: ``sample`` draws
-every state in this process from the one stream ``RngStream(seed)``.
-``estimate --method mc|series`` draws its HS purities from that stream's
-keyed PCG64 blocks, split between this thread and one helper thread; each
-block's values depend only on (seed, block), so the bytes do not depend on
-the split.
+(command line, seed) pair reproduces byte-identical bytes: ``sample`` and
+``estimate --method mc|series`` draw from the keyed PCG64 blocks of the
+stream ``RngStream(seed)``, each block's values depending only on (seed,
+sampler, block), so the records of each whole block are the same for every
+``sample --count`` that covers it.  The estimates' HS purity blocks are split
+between this thread and one helper thread, which does not change a byte.
 ``sample`` and ``grid`` write their rows chunk by chunk (at most 8192 floats
 per chunk), each chunk through one row template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that

@@ -264,7 +264,7 @@ def series_coefficients(k_max: int) -> np.ndarray:
     return c
 
 
-def _series_tail(terms: np.ndarray, alpha: float) -> float:
+def _series_tail(terms: np.ndarray, alpha: float) -> tuple[float, tuple[float, float]]:
     """Estimate sum_{k>K} t_k for positive terms t_k ~ k^(-alpha) (a + b/k).
 
     a and b are fitted to the last two terms t_{K-1}, t_K; the tail is then
@@ -272,6 +272,9 @@ def _series_tail(terms: np.ndarray, alpha: float) -> float:
     that fit is impossible (K = 1) or not finite and non-negative, the
     amplitude-only tail t_K K^alpha zeta(alpha, K+1) is used; it is positive
     by construction.  t_k k^alpha is formed in logs so that it cannot overflow.
+
+    Either tail is linear in t_{K-1} and t_K.  Returns the tail and its two
+    parts, the one proportional to t_{K-1} and the one proportional to t_K.
     """
     from scipy.special import zeta  # deferred: scipy.special is slow to import
 
@@ -282,12 +285,14 @@ def _series_tail(terms: np.ndarray, alpha: float) -> float:
     g = scaled(k_last)
     z = float(zeta(alpha, k_last + 1))
     if k_last >= 2:
-        b = (scaled(k_last - 1) - g) * k_last * (k_last - 1)
+        g_prev, z1 = scaled(k_last - 1), float(zeta(alpha + 1, k_last + 1))
+        b = (g_prev - g) * k_last * (k_last - 1)
         a = g - b / k_last
-        tail = a * z + b * float(zeta(alpha + 1, k_last + 1))
+        tail = a * z + b * z1
         if np.isfinite(tail) and tail >= 0:
-            return tail
-    return g * z
+            return tail, (g_prev * (k_last - 1) * (k_last * z1 - z),
+                          g * k_last * (z - (k_last - 1) * z1))
+    return g * z, (0.0, g * z)
 
 
 def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
@@ -304,9 +309,12 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     fitted as t_k ~ k^(-alpha) (a + b/k) to the last two terms (see
     :func:`_series_tail`) and reported as ``truncation_tail``; the last term
     is still reported as ``truncation_last_term``.  All purity moments come
-    from one Hilbert-Schmidt Monte-Carlo batch of ``samples`` >= 2 states;
-    ``std_error`` carries the standard error of their mean of
-    sum_{k<=k_max} c_k p^k through the reciprocal (delta method).
+    from one Hilbert-Schmidt Monte-Carlo batch of ``samples`` >= 2 states.
+    The tail is linear in the last two term means, so 1/C is the sample mean
+    of one polynomial F(p): the series with each of those two terms scaled
+    by 1 + (its tail part) / (the term).  ``std_error`` carries the standard
+    error of that mean through the reciprocal (delta method), so it covers
+    the tail's sampling noise as well; the fit's bias stays uncovered.
     """
     if dim < 2:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
@@ -325,12 +333,14 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
             p_pow = p_pow * p
         terms[k] = coeff[k] * float(p_pow.mean()) * inv_chs
     partial = np.cumsum(terms)
-    tail = _series_tail(terms, (dim - 1) ** 2 + 0.5)
-    _, se_f = mc_mean(np.polynomial.polynomial.polyval(p, coeff))
+    tail, tail_parts = _series_tail(terms, (dim - 1) ** 2 + 0.5)
+    f_coeff = coeff * inv_chs
+    f_coeff[-2:] *= 1.0 + np.asarray(tail_parts) / terms[-2:]
+    _, se_f = mc_mean(np.polynomial.polynomial.polyval(p, f_coeff))
 
     inv_c = float(partial[k_max] + tail)
     estimate = NormalizationEstimate(
-        dim=dim, value=1.0 / inv_c, method="series", std_error=se_f * inv_chs / inv_c ** 2,
+        dim=dim, value=1.0 / inv_c, method="series", std_error=se_f / inv_c ** 2,
         terms_or_samples=k_max, truncation_last_term=float(terms[k_max]),
         truncation_tail=tail)
     if return_partial_sums:

@@ -7,16 +7,19 @@ statistically independent streams, so separate draws (the checks of one
 ``verify`` suite, say) need not share a sequence.  ``superfid sample`` draws
 from stream 0 of its seed.
 
-A stream has two families of generators.  :meth:`RngStream.generator` is one
-Philox sequence, which a sampler reads from front to back.
-:meth:`RngStream.block` is keyed by a block kind and a block index as well:
-block ``b`` of kind ``k`` is a PCG64 generator seeded from
-``SeedSequence(seed, spawn_key=(stream, k, b))``, so its values depend only
-on (seed, stream, kind, block), not on which blocks were drawn before it or
-on which thread draws it.  A sampler that fills its output block by block
-from these can split the blocks between threads, stop early or draw a
-prefix, and give the same values.  The blocks use PCG64 because it fills
-``standard_gamma`` rows faster than Philox; seeding one costs ~15 us.
+A stream has two families of generators.  :meth:`RngStream.block` is keyed
+by a block kind and a block index as well: block ``b`` of kind ``k`` is a
+PCG64 generator seeded from ``SeedSequence(seed, spawn_key=(stream, k, b))``,
+so its values depend only on (seed, stream, kind, block), not on which
+blocks were drawn before it or on which thread draws it.  Every sampler
+fills its output block by block from these, one kind per sampler, so it can
+split the blocks between threads, stop early or draw a prefix, and give the
+same values.  The blocks use PCG64 because it fills ``standard_gamma`` rows
+faster than Philox; seeding one costs ~15 us.  :meth:`RngStream.generator`
+is one Philox sequence, independent of every block, which only code outside
+the samplers reads from front to back: the ``qstate`` primitives, the
+envelope audit, ``statlab``'s simplex test and ``verify``'s inverse-CDF
+check.
 """
 from __future__ import annotations
 

@@ -19,13 +19,15 @@
   proposals are diagonalized.
 
 Every sampler draws a stack of ``count`` states and vectorizes over the
-sample index; one state is a batch of one.  HS purities come from the keyed
-blocks of :meth:`RngStream.block`: block b fills its own slice of the
-result, so the blocks are split between the calling thread and one helper
-thread, and the values do not depend on that split.  Every other sampler
-reads one Philox sequence, :meth:`RngStream.generator`, from front to back.
-:func:`sample_batch` routes a measure and a dimension to one of them and
-returns plain arrays, ``(matrices_or_None, eigs, report_or_None)``.
+sample index; one state is a batch of one.  Every sampler takes only an
+:class:`RngStream` and has one block kind: block b of its output draws
+everything it needs from ``rng.block(kind, b)`` alone, in a fixed order, so
+a value depends only on (seed, stream, kind, b, block size).  A shorter run
+gives the whole blocks of a longer one as a prefix, and the HS purities'
+blocks can be split between the calling thread and one helper thread
+without changing a value.  :func:`sample_batch` routes a measure and a
+dimension to one of the samplers and returns plain arrays,
+``(matrices_or_None, eigs, report_or_None)``.
 """
 from __future__ import annotations
 
@@ -52,9 +54,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
-_BLOCK = 4096                         # states per block: rejection, HS purities, qubit CDF
-_HS_PURITY_KIND = 0                   # RngStream.block kind of the HS purity draws
+_BLOCK = 4096                         # states per block: HS, rejection proposals, qubit G
 _BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
+# RngStream.block kinds 0..4, one per sampler; with the block sizes they fix every value
+_HS_PURITY_KIND, _HS_KIND, _BURES_KIND, _G_QUBIT_KIND, _G_REJECTION_KIND = range(5)
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
 _AUDIT_GATE_SEED = 1597463007
@@ -82,12 +85,29 @@ class RejectionReport:
 # batch plumbing
 # ---------------------------------------------------------------------------
 
+def _check_stream(rng: RngStream, count: int) -> None:
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+
+
+def _blocks(rng: RngStream, kind: int, count: int, size: int):
+    """``(start, stop, rng.block(kind, b))`` for each block b of ``size`` states of ``count``.
+
+    ``rng`` and ``count`` are checked at the call, each generator is made as
+    its block is reached.
+    """
+    _check_stream(rng, count)
+    return ((start, min(start + size, count), rng.block(kind, b))
+            for b, start in enumerate(range(0, count, size)))
+
+
 def _haar_rotated(diag: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """U diag(d) U^dag for a (n, N) stack of spectra, U Haar, Hermitian-symmetrized.
 
-    The samplers call it one ``_BLOCK`` of spectra at a time.  A generator
-    fills the Haar stack in C order and each state's QR and products are its
-    own, so the blocks give the bytes one whole-stack call would.
+    The samplers call it once per block, with the block's generator, after
+    the block's other draws.
     """
     haar = haar_unitary_batch(diag.shape[-1], len(diag), gen)
     mats = (haar * diag[:, None, :]) @ _dagger(haar)
@@ -158,19 +178,26 @@ def _normalized_gram(a: np.ndarray) -> np.ndarray:
     what changed, so spectra are unchanged.
     """
     w = a @ _dagger(a)
-    dim = w.shape[-1]
-    i, j = np.triu_indices(dim, k=1)
-    w[:, i, j] = w[:, j, i].conj()
-    w.imag[:, range(dim), range(dim)] = 0.0
+    for i in range(w.shape[-1]):
+        w[:, i, i + 1:] = w[:, i + 1:, i].conj()
+        w.imag[:, i, i] = 0.0
     w /= np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
     return w
 
 
-def sample_hs_batch(dim: int, count: int, rng) -> np.ndarray:
-    """``count`` Hilbert-Schmidt states G G^dag / tr(G G^dag), G Ginibre."""
+def sample_hs_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
+    """``count`` Hilbert-Schmidt states G G^dag / tr(G G^dag), G Ginibre.
+
+    Block b of ``_BLOCK`` states draws its Ginibre matrices from
+    ``rng.block(_HS_KIND, b)``.
+    """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    return _normalized_gram(ginibre_batch(dim, count, _as_generator(rng)))
+    blocks = _blocks(rng, _HS_KIND, count, _BLOCK)
+    out = np.empty((count, dim, dim), dtype=complex)
+    for start, stop, gen in blocks:
+        out[start:stop] = _normalized_gram(ginibre_batch(dim, stop - start, gen))
+    return out
 
 
 def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
@@ -182,22 +209,17 @@ def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     operations on 2N - 1 gamma draws per state.
 
     Block b of ``_BLOCK`` states draws from ``rng.block(_HS_PURITY_KIND, b)``
-    and fills its own slice of the result, so the values depend only on the
-    stream and ``_BLOCK``, and a shorter run gives a prefix of the whole
-    blocks of a longer one.  When there are two blocks or more, the odd
-    blocks are drawn on one helper thread while the calling thread draws the
-    even ones; ``standard_gamma`` releases the GIL.  Each thread reuses one
-    (2N - 1, ``_BLOCK``) scratch allocated here before the helper starts and
-    works in place, so memory is that scratch plus the 8 B per state of the
-    result.  The helper is joined before this returns or raises, and an
-    exception it raised is raised here.
+    and fills its own slice of the result.  When there are two blocks or
+    more, the odd blocks are drawn on one helper thread while the calling
+    thread draws the even ones; ``standard_gamma`` releases the GIL.  Each
+    thread reuses one (2N - 1, ``_BLOCK``) scratch allocated here before the
+    helper starts and works in place, so memory is that scratch plus the 8 B
+    per state of the result.  The helper is joined before this returns or
+    raises, and an exception it raised is raised here.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if not isinstance(rng, RngStream):
-        raise TypeError(f"expected RngStream, got {type(rng)!r}")
+    _check_stream(rng, count)
     out = np.empty(count)
     blocks = -(-count // _BLOCK)
     scratch = np.empty((min(blocks, 2), 2 * dim - 1, _BLOCK))
@@ -238,26 +260,22 @@ def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     return out
 
 
-def sample_bures_batch(dim: int, count: int, rng) -> np.ndarray:
+def sample_bures_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """``count`` Bures states A A^dag / tr(A A^dag), A = (I + U) G, U Haar, G Ginibre.
 
-    All Haar unitaries are drawn before any Ginibre matrix, each stack
-    ``_BURES_BLOCK`` states at a time; a generator fills either stack in C
-    order, so the blocks draw what one whole-stack call would.  Each block's
-    states overwrite its unitaries in the result, so the scratch is O(block)
+    Block b of ``_BURES_BLOCK`` states draws its unitaries, then its Ginibre
+    matrices, from ``rng.block(_BURES_KIND, b)``, so the scratch is O(block)
     beyond the result's 16 N^2 B per state.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    gen = _as_generator(rng)
+    blocks = _blocks(rng, _BURES_KIND, count, _BURES_BLOCK)
     out = np.empty((count, dim, dim), dtype=complex)
-    for start in range(0, count, _BURES_BLOCK):
-        out[start:start + _BURES_BLOCK] = haar_unitary_batch(
-            dim, min(_BURES_BLOCK, count - start), gen)
     eye = np.eye(dim)
-    for start in range(0, count, _BURES_BLOCK):
-        u = out[start:start + _BURES_BLOCK]
-        u[...] = _normalized_gram((eye + u) @ ginibre_batch(dim, len(u), gen))
+    for start, stop, gen in blocks:
+        a = haar_unitary_batch(dim, stop - start, gen)
+        a += eye
+        out[start:stop] = _normalized_gram(a @ ginibre_batch(dim, stop - start, gen))
     return out
 
 
@@ -295,30 +313,29 @@ def invert_cdf_g2(u):
     return _maybe_scalar(t)
 
 
-def sample_g_qubit_batch(count: int, rng, keep_matrices: bool = True):
+def sample_g_qubit_batch(count: int, rng: RngStream, keep_matrices: bool = True):
     """Qubit states under the superfidelity measure: inverse CDF + Haar rotation.
 
     Returns ``(matrices, eigs)`` where ``eigs`` is (count, 2) descending;
-    ``matrices`` is None when not requested.  The inverse CDF runs
-    ``_BLOCK`` states at a time; it is elementwise, so the blocks give the
-    values one whole-batch call would.  The Haar rotations are drawn after
-    all the uniforms, one block at a time (:func:`_haar_rotated`), so the
-    scratch stays O(block) beyond the 24 B per state of the uniforms and the
-    spectra and the 64 B per state of the matrices.
+    ``matrices`` is None when not requested.  Block b of ``_BLOCK`` states
+    draws its uniforms, then its rotations (:func:`_haar_rotated`), from
+    ``rng.block(_G_QUBIT_KIND, b)``, so the spectra do not depend on
+    ``keep_matrices`` and the scratch stays O(block) beyond the 16 B per
+    state of the spectra and the 64 B per state of the matrices.
     """
-    gen = _as_generator(rng)
-    u = gen.random(count)
+    blocks = _blocks(rng, _G_QUBIT_KIND, count, _BLOCK)
     eigs = np.empty((count, 2))
     matrices = np.empty((count, 2, 2), dtype=complex) if keep_matrices else None
-    for start in range(0, count, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        small = invert_cdf_g2(np.minimum(u[block], 1.0 - u[block]))
-        eigs[block, 0] = 1.0 - small
-        eigs[block, 1] = small
+    for start, stop, gen in blocks:
+        u = gen.random(stop - start)
+        small = invert_cdf_g2(np.minimum(u, 1.0 - u))
+        block = eigs[start:stop]
+        block[:, 0] = 1.0 - small
+        block[:, 1] = small
         if keep_matrices:
             # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
-            matrices[block] = _haar_rotated(
-                np.where((u[block] > 0.5)[:, None], eigs[block], eigs[block, ::-1]), gen)
+            matrices[start:stop] = _haar_rotated(
+                np.where((u > 0.5)[:, None], block, block[:, ::-1]), gen)
     return matrices, eigs
 
 
@@ -362,18 +379,24 @@ def _log_ratio_g_over_induced(eigs: np.ndarray) -> np.ndarray:
     return _log_ratio_from_invariants(eigs.shape[-1], log_prod, _g_radicand(eigs))
 
 
+def _log_prod(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """log prod l = sum log a_k^2 - N log T for the spectra l of W / T, T = tr W.
+
+    Exact to round-off, since det W = prod a_k^2; -inf where an a_k^2 is 0.
+    """
+    with np.errstate(divide="ignore"):
+        return np.sum(np.log(z[0::2]), axis=0) - (len(z) + 1) // 2 * np.log(trace)
+
+
 def _log_ratio_of_tridiagonal(z: np.ndarray):
     """tr W and the log rejection ratio of W / tr W for each column of a path block z.
 
-    No eigenvalues are needed: with T = tr W, log prod l = sum log a_k^2 - N log T,
-    since det W = prod a_k^2, and 1 - sum l^2 = 2 e_2(W) / T^2
-    (:func:`_trace_and_e2`).
+    No eigenvalues are needed: log prod l comes from :func:`_log_prod`, and
+    1 - sum l^2 = 2 e_2(W) / T^2 (:func:`_trace_and_e2`).
     """
-    dim = (len(z) + 1) // 2
     trace, e2 = _trace_and_e2(z)
-    with np.errstate(divide="ignore"):
-        log_prod = np.sum(np.log(z[0::2]), axis=0) - dim * np.log(trace)
-    return trace, _log_ratio_from_invariants(dim, log_prod, 2.0 * e2 / (trace * trace))
+    return trace, _log_ratio_from_invariants((len(z) + 1) // 2, _log_prod(z, trace),
+                                             2.0 * e2 / (trace * trace))
 
 
 def _log_envelope_bound(dim: int) -> float:
@@ -549,7 +572,13 @@ def rejection_constant_c(dim: int) -> float:
 
 
 def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """Descending, clamped spectra of W / tr W for the columns of a path block z."""
+    """Descending, clamped spectra of W / tr W for the columns of a path block z.
+
+    ``eigvalsh`` has an absolute error of ~1e-16, which leaves the smallest
+    eigenvalue with up to ~1e-8 relative error.  So it is taken as
+    prod l / prod_{i<N} l_i instead, with the exact log prod l of
+    :func:`_log_prod`: it then has the relative accuracy of the others.
+    """
     a2, b2 = z[0::2].T, z[1::2].T
     dim = a2.shape[-1]
     k = np.arange(dim)
@@ -557,7 +586,9 @@ def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
     w[:, k, k] = a2
     w[:, k[1:], k[1:]] += b2
     w[:, k[1:], k[:-1]] = w[:, k[:-1], k[1:]] = np.sqrt(a2[:, :-1] * b2)
-    return clamp_spectrum(np.linalg.eigvalsh(w)[:, ::-1] / trace[:, None])
+    lam = np.linalg.eigvalsh(w)[:, ::-1] / trace[:, None]
+    lam[:, -1] = np.exp(_log_prod(z, trace) - np.sum(np.log(lam[:, :-1]), axis=-1))
+    return clamp_spectrum(lam)
 
 
 def sample_g_rejection_batch(dim: int, count: int, rng,
@@ -577,9 +608,11 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
 
     The total proposal budget is ``count * max_proposals``, with
     ``DEFAULT_MAX_PROPOSALS`` per sample by default at every N; exhausting it
-    raises :class:`SamplingBudgetError` carrying the partial report.  With
-    ``keep_matrices`` the accepted spectra are rotated by Haar unitaries drawn
-    after the last proposal, so the eigenvalues do not depend on it.
+    raises :class:`SamplingBudgetError` carrying the partial report.
+    Proposal block b of ``_BLOCK`` draws its gammas, then its uniforms, then
+    with ``keep_matrices`` the Haar rotations of the rows it accepts, from
+    ``rng.block(_G_REJECTION_KIND, b)``, so the eigenvalues do not depend
+    on ``keep_matrices``.
 
     Returns ``(matrices_or_None, eigs, report)``.
     """
@@ -591,49 +624,40 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
         max_proposals = DEFAULT_MAX_PROPOSALS
     if max_proposals < 1:
         raise ValueError("max_proposals must be >= 1")
+    budget = count * max_proposals
+    blocks = _blocks(rng, _G_REJECTION_KIND, budget, _BLOCK)
     _audit_gate(dim)
 
-    gen = _as_generator(rng)
     log_bound = _log_envelope_bound(dim)
-    budget = count * max_proposals
-    proposed = 0
-    taken_eigs = [np.empty((0, dim))]  # so that count = 0 yields a (0, dim) array
-    accepted = 0
-
-    while accepted < count:
-        if proposed >= budget:
-            report = RejectionReport(proposed, accepted, exp(log_bound))
-            raise SamplingBudgetError(
-                f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
-                report=report)
-        m = min(_BLOCK, budget - proposed)
-        z = _laguerre_tridiagonal(dim, m, _induced_exponent(dim), gen)
+    eigs = np.empty((count, dim))
+    mats = np.empty((count, dim, dim), dtype=complex) if keep_matrices else None
+    proposed = accepted = 0
+    for start, stop, gen in blocks:
+        z = _laguerre_tridiagonal(dim, stop - start, _induced_exponent(dim), gen)
         trace, log_ratio = _log_ratio_of_tridiagonal(z)
         if not np.all(log_ratio <= log_bound + 1e-9):   # a NaN fails too
             raise EnvelopeAuditError(
                 "proposal density ratio exceeded the envelope bound; aborting")
-        u = gen.random(m)
+        u = gen.random(stop - start)
         with np.errstate(divide="ignore"):
-            acc = np.log(u) <= log_ratio - log_bound
-        take = np.flatnonzero(acc)
-        overshoot = accepted + take.size - count
-        if overshoot >= 0:
-            # the last block: count only proposals up to the last kept accept
-            take = take[: take.size - overshoot]
-            proposed += int(take[-1]) + 1
-        else:
-            proposed += m
-        accepted += take.size
+            take = np.flatnonzero(np.log(u) <= log_ratio - log_bound)[:count - accepted]
         if take.size:
-            taken_eigs.append(_induced_spectra(z[:, take], trace[take]))
+            new = slice(accepted, accepted + take.size)
+            eigs[new] = _induced_spectra(z[:, take], trace[take])
+            if keep_matrices:
+                mats[new] = _haar_rotated(eigs[new], gen)
+            accepted += take.size
+        if accepted == count:
+            # the last block: count only proposals up to the last kept accept
+            proposed = start + int(take[-1]) + 1
+            break
+        proposed = stop
 
     report = RejectionReport(proposed, accepted, exp(log_bound))
-    eigs = np.concatenate(taken_eigs, axis=0)
-    mats = None
-    if keep_matrices:
-        mats = np.empty((count, dim, dim), dtype=complex)
-        for start in range(0, count, _BLOCK):
-            mats[start:start + _BLOCK] = _haar_rotated(eigs[start:start + _BLOCK], gen)
+    if accepted < count:
+        raise SamplingBudgetError(
+            f"budget of {budget} proposals exhausted with {accepted}/{count} accepted",
+            report=report)
     return mats, eigs, report
 
 
@@ -641,7 +665,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
 # unified batch front end
 # ---------------------------------------------------------------------------
 
-def sample_batch(measure: Measure | str, dim: int, count: int, rng,
+def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
                  max_proposals: int | None = None,
                  keep_matrices: bool = False):
     """Sample ``count`` states of ``measure`` at dimension ``dim``.
@@ -649,8 +673,7 @@ def sample_batch(measure: Measure | str, dim: int, count: int, rng,
     Returns ``(matrices_or_None, eigs, report_or_None)``: the (count, N, N)
     states when ``keep_matrices``, their descending, clamped (count, N)
     spectra, and the :class:`RejectionReport` of the rejection sampler, which
-    serves G at N >= 3 and is the only one with a report.  ``rng`` is an
-    :class:`RngStream` or a numpy Generator.
+    serves G at N >= 3 and is the only one with a report.
     """
     measure = Measure(measure)
     if dim < 2:

@@ -10,12 +10,15 @@ at scale 20, where each size is at least its acceptance size.
 the calling thread runs the other three; their heavy numpy calls release the
 GIL, so on two cores ``all`` takes about as long as its three caller-side
 suites.  Every suite draws only from its own streams, so the output does not
-depend on scheduling.  HS purities (the density suite's Monte-Carlo
-constants, the purity suite's moments) are drawn from keyed blocks split
-between the drawing thread and a helper of its own, which does not change
-their values either.  The helper's working sets are bounded by blocks
-(Bures states, simplex cells, CDF intervals), so its allocations peak below
-6 MB at scale 1, which bounds what its own malloc arena adds to the peak RSS.
+depend on scheduling.  Every sampler draws from its stream's keyed blocks,
+so no two draws share a generator: where a check needs several stacks of
+states (pairs, triples), it draws one stack from one stream and splits it.
+HS purities (the density suite's Monte-Carlo constants, the purity suite's
+moments) are drawn from keyed blocks split between the drawing thread and a
+helper of its own, which does not change their values either.  The
+sampler-suite helper's working sets are bounded by blocks (Bures states,
+simplex cells, CDF intervals), so its allocations peak below 6 MB at scale
+1, which bounds what its own malloc arena adds to the peak RSS.
 """
 from __future__ import annotations
 
@@ -48,21 +51,21 @@ def _result(suite, name, passed, detail):
     return CheckResult(suite=suite, name=name, passed=bool(passed), detail=detail)
 
 
-def _mixed_pairs(dim: int, count: int, rng: RngStream):
-    """Two stacks of ``count`` Hilbert-Schmidt states drawn from one stream."""
-    gen = rng.generator()
-    return sm.sample_hs_batch(dim, count, gen), sm.sample_hs_batch(dim, count, gen)
+def _hs_stacks(dim: int, count: int, stacks: int, rng: RngStream):
+    """``stacks`` stacks of ``count`` Hilbert-Schmidt states: one draw from ``rng``, split."""
+    return np.split(sm.sample_hs_batch(dim, stacks * count, rng), stacks)
 
 
 def _tangent_lines(dim: int, count: int, rng: RngStream):
     """``count`` mixed states and unit tangent directions at them, from one stream.
 
     The states are Hilbert-Schmidt draws pulled 20 % toward I/N; the
-    mixedness floor keeps the FD stencil inside its O(h^2) regime.
+    mixedness floor keeps the FD stencil inside its O(h^2) regime.  They come
+    from the stream's keyed blocks and the tangents from its Philox sequence
+    (:func:`random_tangent_batch`), two independent families.
     """
-    gen = rng.generator()
-    rho = 0.8 * sm.sample_hs_batch(dim, count, gen) + 0.2 * np.eye(dim) / dim
-    return rho, random_tangent_batch(dim, count, gen)
+    rho = 0.8 * sm.sample_hs_batch(dim, count, rng) + 0.2 * np.eye(dim) / dim
+    return rho, random_tangent_batch(dim, count, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +76,14 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out = []
     n_pairs = max(50, int(300 * scale))
 
-    a, b = _mixed_pairs(2, n_pairs, RngStream(seed, 1))
+    a, b = _hs_stacks(2, n_pairs, 2, RngStream(seed, 1))
     gap = np.abs(si.fidelity(a, b) - si.superfidelity(a, b))
     out.append(_result("metric", "fidelity-equals-superfidelity-qubits",
                        gap.max() <= 1e-9, f"max |F-G| = {gap.max():.2e} over {n_pairs} pairs"))
 
     worst = -np.inf
     for dim in (3, 4, 5):
-        a, b = _mixed_pairs(dim, n_pairs, RngStream(seed, dim))
+        a, b = _hs_stacks(dim, n_pairs, 2, RngStream(seed, dim))
         worst = max(worst, float(np.max(si.fidelity(a, b) - si.superfidelity(a, b))))
     out.append(_result("metric", "fidelity-below-superfidelity",
                        worst <= 1e-9, f"max F-G = {worst:.2e} for N=3,4,5"))
@@ -88,11 +91,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     worst_slack = -np.inf
     worst_self = 0.0
     for dim in (2, 3, 4):
-        gen = RngStream(seed, 10 + dim).generator()
-        n_tri = max(200, int(3000 * scale))
-        x = sm.sample_hs_batch(dim, n_tri, gen)
-        y = sm.sample_hs_batch(dim, n_tri, gen)
-        z = sm.sample_hs_batch(dim, n_tri, gen)
+        x, y, z = _hs_stacks(dim, max(200, int(3000 * scale)), 3, RngStream(seed, 10 + dim))
         viol = si.dist_g(x, z) - si.dist_g(x, y) - si.dist_g(y, z)
         worst_slack = max(worst_slack, float(viol.max()))
         worst_self = max(worst_self, float(np.max(si.dist_g(x, x))))
@@ -101,7 +100,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out.append(_result("metric", "zero-self-distance",
                        worst_self <= 1e-10, f"max d_G(rho,rho) = {worst_self:.2e}"))
 
-    a, b = _mixed_pairs(4, n_pairs, RngStream(seed, 20))
+    a, b = _hs_stacks(4, n_pairs, 2, RngStream(seed, 20))
     sym_g = np.max(np.abs(np.asarray(si.superfidelity(a, b)) - si.superfidelity(b, a)))
     sym_f = np.max(np.abs(np.asarray(si.fidelity(a, b)) - si.fidelity(b, a)))
     out.append(_result("metric", "symmetry",
@@ -109,7 +108,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        f"max asymmetry G {sym_g:.2e}, F {sym_f:.2e}"))
 
     u = haar_unitary_batch(3, 50, RngStream(seed, 21))
-    a, b = _mixed_pairs(3, 50, RngStream(seed, 22))
+    a, b = _hs_stacks(3, 50, 2, RngStream(seed, 22))
     g0 = si.superfidelity(a, b)
     g1 = si.superfidelity(u @ a @ _dagger(u), u @ b @ _dagger(u))
     worst_u = float(np.max(np.abs(g0 - g1)))

@@ -274,6 +274,14 @@ class TestSeries:
                 hits[est.method] += abs(est.value - exact) <= 3 * est.std_error
         assert hits["series"] >= 18 and hits["monte-carlo"] >= 18, hits
 
+    def test_error_bar_covers_the_noise_of_the_tail(self):
+        # at N = 2 the tail is 0.24 of 1/C and is fitted to the same sampled
+        # terms; a bar on the partial sum alone gave sd(z) ~ 2.5 here
+        z = [(est.value - C2G) / est.std_error
+             for est in (c_g_series(2, 20, RngStream(seed, 60), samples=20_000)
+                         for seed in range(100))]
+        assert 0.75 <= np.std(z, ddof=1) <= 1.3
+
     def test_series_needs_two_samples(self):
         with pytest.raises(ValueError):
             c_g_series(2, 5, RngStream(0), samples=1)

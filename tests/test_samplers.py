@@ -234,19 +234,6 @@ class TestBuresSampler:
         assert eigs.min() >= 0.0
         check_density_matrix(mats)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_blocks_equal_one_whole_batch(self, dim):
-        b = samplers._BLOCK
-        for count in (1, b - 1, b, b + 1, 2 * b + 5):
-            ref_gen = RngStream(count, dim).generator()
-            u = haar_unitary_batch(dim, count, ref_gen)
-            g = ginibre_batch(dim, count, ref_gen)
-            ref = samplers._normalized_gram((np.eye(dim) + u) @ g)
-            gen = RngStream(count, dim).generator()
-            out = sample_bures_batch(dim, count, gen)
-            assert out.tobytes() == ref.tobytes()
-            assert gen.random() == ref_gen.random()   # the stream ends at the same place
-
     def test_memory_is_bounded_by_the_block(self):
         b = samplers._BLOCK
         sample_bures_batch(3, b, RngStream(0))   # first-use allocations outside the trace
@@ -289,7 +276,7 @@ class TestInverseCdf:
         for u, t in zip(us, vec):
             assert invert_cdf_g2(float(u)) == t
 
-    def test_relative_precision_of_small_eigenvalue(self):
+    def test_relative_precision_of_small_eigenvalue(self, monkeypatch):
         # the smaller eigenvalue t = sin^2(psi/4) solves psi + sin psi = 2 pi u
         # to full relative precision, on both sides of u = 1/2
         u = 10.0 ** -np.arange(2, 151)
@@ -301,7 +288,8 @@ class TestInverseCdf:
         assert kepler_rel_err(np.asarray(invert_cdf_g2(u)), u) <= 1e-14
         high = 1.0 - u[u > 1e-16]  # below 1e-16, 1 - u rounds to 1
         for draws, v in ((u, u), (high, 1.0 - high)):
-            _, eigs = sample_g_qubit_batch(draws.size, _FixedDraws(draws), keep_matrices=False)
+            monkeypatch.setattr(RngStream, "block", lambda rng, kind, b: _FixedDraws(draws))
+            _, eigs = sample_g_qubit_batch(draws.size, RngStream(0), keep_matrices=False)
             assert kepler_rel_err(eigs[:, 1], v) <= 1e-14
 
     def test_fails_closed_on_a_bad_residual(self, monkeypatch):
@@ -339,19 +327,6 @@ class TestQubitGSampler:
             mean, se = mc_mean(bloch[:, axis])
             assert abs(mean) <= 3 * se
 
-    def test_blocks_equal_one_whole_batch(self):
-        count = 2 * samplers._BLOCK + 5
-        ref_gen = RngStream(24).generator()
-        u = ref_gen.random(count)
-        small = np.asarray(invert_cdf_g2(np.minimum(u, 1.0 - u)))
-        eigs = np.stack([1.0 - small, small], axis=-1)
-        mats = samplers._haar_rotated(np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1]), ref_gen)
-        got_mats, got_eigs = sample_g_qubit_batch(count, RngStream(24), keep_matrices=False)
-        assert got_mats is None and got_eigs.tobytes() == eigs.tobytes()
-        got_mats, got_eigs = sample_g_qubit_batch(count, RngStream(24), keep_matrices=True)
-        assert got_eigs.tobytes() == eigs.tobytes()
-        assert got_mats.tobytes() == mats.tobytes()
-
     def test_memory_is_bounded_by_the_block(self):
         b = samplers._BLOCK
         sample_g_qubit_batch(b, RngStream(0), False)   # first-use allocations outside the trace
@@ -359,8 +334,8 @@ class TestQubitGSampler:
         large = traced_peak(sample_g_qubit_batch, 16 * b, RngStream(1), False)
         # a whole-batch inverse CDF keeps ~64 B per state of temporaries, ~4 MB here
         assert large < 3 * 2 ** 20
-        # beyond the block's scratch, only the uniforms and spectra grow: 24 B per state
-        assert large - small <= 24 * 12 * b + 4096
+        # beyond the block's scratch, only the spectra grow: 16 B per state
+        assert large - small <= 16 * 12 * b + 4096
 
     def test_memory_with_matrices_is_bounded_by_the_block(self):
         b = samplers._BLOCK
@@ -369,9 +344,9 @@ class TestQubitGSampler:
         large = traced_peak(sample_g_qubit_batch, 16 * b, RngStream(1), True)
         # a whole-batch rotation keeps ~330 B per state of temporaries, ~21 MB here
         assert large < 8 * 2 ** 20
-        # beyond the block's scratch, only the uniforms, spectra and matrices
-        # grow: 24 + 64 B per state
-        assert large - small <= 88 * 12 * b + 4096
+        # beyond the block's scratch, only the spectra and matrices grow:
+        # 16 + 64 B per state
+        assert large - small <= 80 * 12 * b + 4096
 
 
 class TestEnvelope:
@@ -541,13 +516,13 @@ class TestRejectionSampler:
         assert report.empirical_rate == report.accepted / 5
 
     def test_last_block_counts_up_to_the_last_kept_accept(self):
-        # at seed 7 the 1928th accept is proposal 4093, the last of the first
-        # block's accepts, so count=1928 ends the block with no overshoot to trim
-        _, eigs_short, short = sample_g_rejection_batch(3, 1927, RngStream(7))
-        _, eigs_exact, exact = sample_g_rejection_batch(3, 1928, RngStream(7))
-        assert (short.proposed, exact.proposed) == (4090, 4093)
-        assert exact.accepted == len(eigs_exact) == 1928
-        np.testing.assert_array_equal(eigs_exact[:1927], eigs_short)
+        # at seed 8 the 1951st accept is proposal 4091, the last of the first
+        # block's accepts, so count=1951 ends the block with no overshoot to trim
+        _, eigs_short, short = sample_g_rejection_batch(3, 1950, RngStream(8))
+        _, eigs_exact, exact = sample_g_rejection_batch(3, 1951, RngStream(8))
+        assert (short.proposed, exact.proposed) == (4091, 4092)
+        assert exact.accepted == len(eigs_exact) == 1951
+        np.testing.assert_array_equal(eigs_exact[:1950], eigs_short)
 
     def test_zero_count_returns_empty_arrays(self):
         mats, eigs, report = sample_g_rejection_batch(3, 0, RngStream(46), keep_matrices=True)
@@ -583,24 +558,37 @@ class TestRejectionSampler:
         from scipy.stats import binomtest
         assert binomtest(report.accepted, report.proposed, rate).pvalue > 1e-3
 
-    @pytest.mark.parametrize("dim", range(3, 9))
-    def test_invariant_log_ratio_matches_the_spectrum(self, dim):
-        # the sampler's ratio from tr W, det W and e_2(W) against the ratio of
-        # the spectrum.  The spectrum is the squared singular values of the
-        # bidiagonal factor, which keep full relative precision in the small
-        # eigenvalues; eigvalsh(W) loses it there, by up to ~3e-9 in the log
+    @staticmethod
+    def proposals_and_spectra(dim, seed):
+        """20 000 proposal blocks z, their traces, and their spectra as the squared
+        singular values of the bidiagonal factor, which keep full relative
+        precision in the small eigenvalues; eigvalsh(W) loses it there."""
         n = 20_000
         z = samplers._laguerre_tridiagonal(dim, n, samplers._induced_exponent(dim),
-                                           RngStream(58, dim).generator())
-        trace, got = samplers._log_ratio_of_tridiagonal(z)
+                                           RngStream(seed, dim).generator())
+        trace = samplers._trace_and_e2(z)[0]
         k = np.arange(dim)
         factor = np.zeros((n, dim, dim))
         factor[:, k, k] = np.sqrt(z[0::2].T)
         factor[:, k[:-1], k[1:]] = np.sqrt(z[1::2].T)
-        eigs = np.linalg.svd(factor, compute_uv=False) ** 2 / trace[:, None]
+        return z, trace, np.linalg.svd(factor, compute_uv=False) ** 2 / trace[:, None]
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_invariant_log_ratio_matches_the_spectrum(self, dim):
+        # the sampler's ratio from tr W, det W and e_2(W) against the ratio of
+        # the spectrum, which eigvalsh(W) would miss by up to ~3e-9 in the log
+        z, _, eigs = self.proposals_and_spectra(dim, 58)
+        trace, got = samplers._log_ratio_of_tridiagonal(z)
         assert np.max(np.abs(got - samplers._log_ratio_g_over_induced(eigs))) <= 1e-9
-        # the accepted spectra come from eigvalsh of W itself
+        # the accepted spectra, from eigvalsh of W and the exact determinant
         assert np.max(np.abs(samplers._induced_spectra(z, trace) - eigs)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [3, 4, 10])
+    def test_smallest_eigenvalue_has_full_relative_precision(self, dim):
+        # eigvalsh(W) alone leaves lambda_min up to ~3e-8 off in relative terms
+        z, trace, eigs = self.proposals_and_spectra(dim, 59)
+        got = samplers._induced_spectra(z, trace)[:, -1]
+        assert np.max(np.abs(got / eigs[:, -1] - 1.0)) <= 1e-12
 
     def test_rate_stable_across_seeds(self):
         _, _, r1 = sample_g_rejection_batch(3, 20_000, RngStream(44))
@@ -676,14 +664,6 @@ class TestSampleBatchFrontend:
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
             assert got[2] == want[2]
 
-    def test_accepts_a_generator(self):
-        for measure, dim in (("hs", 3), ("bures", 2), ("g", 2), ("g", 3)):
-            got = sample_batch(measure, dim, 20, RngStream(59).generator(), keep_matrices=True)
-            want = sample_batch(measure, dim, 20, RngStream(59), keep_matrices=True)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2] == want[2]
-
     def test_purity_consistent_with_eigenvalues(self):
         # the purity column sum l^2 lies in [1/N, 1] and equals tr rho^2
         mats, eigs, _ = sample_batch("bures", 4, 500, RngStream(53), keep_matrices=True)
@@ -709,3 +689,64 @@ class TestSampleBatchFrontend:
             _, eigs, _ = sample_batch(measure, 2, 50, RngStream(seed))
             assert np.all(eigs[:, 0] >= eigs[:, 1])
             assert np.max(np.abs(eigs.sum(axis=-1) - 1)) <= 1e-12
+
+
+class TestKeyedBlockContract:
+    """Block b of a sampler draws from ``rng.block(kind, b)`` alone, one kind per sampler.
+
+    Each entry: the sampler at N = 3 (N = 2 for the qubit sampler), its kind
+    and its states per block.  The rejection sampler's blocks are 4096
+    proposals; a shorter run keeps a prefix of each block's accepts and of
+    their rotations, so its rows are compared in the same counts.
+    """
+
+    SAMPLERS = {
+        "hs-purity": (lambda n, rng: (hs_purity_batch(3, n, rng),),
+                      samplers._HS_PURITY_KIND, samplers._BLOCK),
+        "hs": (lambda n, rng: (sample_hs_batch(3, n, rng),), samplers._HS_KIND, samplers._BLOCK),
+        "bures": (lambda n, rng: (sample_bures_batch(3, n, rng),),
+                  samplers._BURES_KIND, samplers._BURES_BLOCK),
+        "g-qubit": (lambda n, rng: sample_g_qubit_batch(n, rng, keep_matrices=True),
+                    samplers._G_QUBIT_KIND, samplers._BLOCK),
+        "g-rejection": (lambda n, rng: sample_g_rejection_batch(3, n, rng, keep_matrices=True)[:2],
+                        samplers._G_REJECTION_KIND, samplers._BLOCK),
+    }
+
+    def test_one_kind_per_sampler(self):
+        assert sorted(kind for _, kind, _ in self.SAMPLERS.values()) == list(range(5))
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_whole_blocks_are_a_prefix_of_a_longer_run(self, name):
+        draw, _, b = self.SAMPLERS[name]
+        longer = draw(3 * b + 5, RngStream(27, 3))
+        for count, whole in ((b, b), (2 * b + 3, 2 * b)):
+            for short, long in zip(draw(count, RngStream(27, 3)), longer):
+                assert short[:whole].tobytes() == long[:whole].tobytes()
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_block_b_draws_from_its_own_keyed_generator(self, name, monkeypatch):
+        draw, kind, b = self.SAMPLERS[name]
+        block, calls = RngStream.block, []
+
+        def recorded(rng, k, index):
+            calls.append((k, index))
+            return block(rng, k, index)
+
+        monkeypatch.setattr(RngStream, "block", recorded)
+        draw(2 * b + 5, RngStream(28))
+        # the rejection sampler draws as many proposal blocks as it needs
+        blocks = len(calls) if name == "g-rejection" else 3
+        assert sorted(calls) == [(kind, index) for index in range(blocks)]
+
+    @pytest.mark.parametrize("eigs", [
+        lambda keep: sample_g_qubit_batch(5000, RngStream(29), keep)[1],
+        lambda keep: sample_g_rejection_batch(3, 5000, RngStream(29), keep_matrices=keep)[1],
+    ], ids=["g-qubit", "g-rejection"])
+    def test_eigenvalues_do_not_depend_on_keep_matrices(self, eigs):
+        assert eigs(False).tobytes() == eigs(True).tobytes()
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_a_generator_is_refused(self, name):
+        draw, _, _ = self.SAMPLERS[name]
+        with pytest.raises(TypeError, match="RngStream"):
+            draw(10, RngStream(0).generator())

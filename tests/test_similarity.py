@@ -84,10 +84,7 @@ class TestDistances:
 
     def test_triangle_inequality_statistical(self):
         for dim in (2, 3, 4):
-            gen = RngStream(80 + dim).generator()
-            x = sample_hs_batch(dim, 1000, gen)
-            y = sample_hs_batch(dim, 1000, gen)
-            z = sample_hs_batch(dim, 1000, gen)
+            x, y, z = np.split(sample_hs_batch(dim, 3000, RngStream(80 + dim)), 3)
             viol = dist_g(x, z) - dist_g(x, y) - dist_g(y, z)
             assert np.max(viol) <= 1e-12
 
@@ -231,9 +228,9 @@ class TestFiniteDifference:
 
 def _mixed_lines(dim, count, seed):
     """``count`` states pulled 20 % toward I/N, and unit tangents at them."""
-    gen = RngStream(seed).generator()
-    rho = 0.8 * sample_hs_batch(dim, count, gen) + 0.2 * np.eye(dim) / dim
-    return rho, random_tangent_batch(dim, count, gen)
+    rng = RngStream(seed)
+    rho = 0.8 * sample_hs_batch(dim, count, rng) + 0.2 * np.eye(dim) / dim
+    return rho, random_tangent_batch(dim, count, rng)
 
 
 def _assert_rows_match(stacked, one_by_one):
