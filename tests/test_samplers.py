@@ -234,6 +234,23 @@ class TestBuresSampler:
         assert eigs.min() >= 0.0
         check_density_matrix(mats)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_blocks_equal_one_whole_batch(self, dim):
+        # the blocked run equals one serial pass over the blocks in order, each
+        # block drawing its unitaries, then its Ginibre matrices, from its own
+        # keyed generator
+        b = samplers._BURES_BLOCK
+        for count in (0, 1, b - 1, b, b + 1, 2 * b + 5):
+            ref = [np.empty((0, dim, dim), dtype=complex)]
+            for k, start in enumerate(range(0, count, b)):
+                n = min(b, count - start)
+                gen = RngStream(count, dim).block(samplers._BURES_KIND, k)
+                u = haar_unitary_batch(dim, n, gen)
+                g = ginibre_batch(dim, n, gen)
+                ref.append(samplers._normalized_gram((np.eye(dim) + u) @ g))
+            out = sample_bures_batch(dim, count, RngStream(count, dim))
+            assert out.tobytes() == np.concatenate(ref).tobytes()
+
     def test_memory_is_bounded_by_the_block(self):
         b = samplers._BLOCK
         sample_bures_batch(3, b, RngStream(0))   # first-use allocations outside the trace
