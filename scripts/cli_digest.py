@@ -23,7 +23,10 @@ pin the blocks that a streamed ``sample`` must reproduce,
 ``estimate`` with every method wherever it is supported at N = 2..5,
 ``estimate --method mc`` and ``--method series`` at an odd sample count that
 spans three ``samplers._BLOCK`` blocks of HS purities,
-``grid`` for both measures,
+``grid`` for both measures at resolution 40, each within one
+``eigendensities._GRID_BLOCK`` block of lattice points, and the benchmark's
+``constants`` grid (Bures at resolution 400), which spans 20 such blocks and
+~30 writer chunks,
 ``verify all`` at scale 0.01 (once with ``--dim 3``) and at the benchmark's
 scale 1 (text and JSON), nine usage errors, four of them rejected by the
 argument parser, and one rejection run that exhausts its proposal budget.
@@ -100,6 +103,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("estimate-series-4-10001", _estimate(4, "series", "--samples", "10001")),
     ("grid-g-40", ["grid", "--measure", "g", "--resolution", "40"]),
     ("grid-bures-40", ["grid", "--measure", "bures", "--resolution", "40"]),
+    # the constants workload's grid: 80601 lattice points in 20 blocks
+    ("grid-bures-400", ["grid", "--measure", "bures", "--resolution", "400"]),
     ("verify-all", ["verify", "all", "--seed", "0", "--scale", "0.01"]),
     # the constants workload's verify command, its JSON form and the purity filter
     ("verify-all-scale-1", ["verify", "all", "--seed", "0", "--scale", "1"]),

@@ -11,9 +11,8 @@ from .eigendensities import (DensityGrid, NormalizationEstimate, c_bures,
                              c_g_monte_carlo, c_g_quadrature, c_g_series, c_hs, cdf_g2,
                              density_bures_unnormalized, density_g_unnormalized,
                              density_grid_qutrit, density_hs_unnormalized,
-                             grid_integral, log_density_bures_unnormalized,
-                             log_density_g_unnormalized, log_density_hs_unnormalized,
-                             pdf_g2_marginal, purity_mean_hs, purity_moment_hs, purity_variance_hs)
+                             grid_integral, pdf_g2_marginal, purity_mean_hs,
+                             purity_moment_hs, purity_variance_hs)
 from .errors import (DomainError, EnvelopeAuditError, InstabilityWarning,
                      InvalidDimensionError, InvalidStateError, QuadratureError,
                      SamplingBudgetError, SingularityError, StepSizeError,

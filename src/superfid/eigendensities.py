@@ -30,8 +30,6 @@ from .statlab import mc_mean, simplex_quadrature
 __all__ = [
     "NormalizationEstimate", "DensityGrid",
     "density_g_unnormalized", "density_bures_unnormalized", "density_hs_unnormalized",
-    "log_density_g_unnormalized", "log_density_bures_unnormalized",
-    "log_density_hs_unnormalized",
     "c_hs", "c_g_exact", "c_g_jensen_bound", "c_g_monte_carlo", "c_g_series",
     "c_g_quadrature", "c_bures", "c_bures_quadrature",
     "purity_mean_hs", "purity_variance_hs", "purity_moment_hs",
@@ -46,6 +44,7 @@ DISCARD_WARN_FRACTION = 1e-4      # "instability" threshold on the discard rate
 QUBIT_TAIL_U = 0.999              # N = 2 Monte Carlo: sampled for u <= U, exact tail above
 _ZETA_HALF = 1.4603545088095868   # |zeta(1/2)|; strip-mass constant for u^(-1/2) edges
 _GRID_BLOCK = 4096                # lattice points per density call in density_grid_qutrit
+_LOG_FLOAT_MAX = log(np.finfo(float).max)   # 709.78; exp overflows float64 above it
 
 
 @dataclass(frozen=True)
@@ -126,45 +125,33 @@ def density_bures_unnormalized(eigs: np.ndarray):
     return _maybe_scalar(pair / np.sqrt(np.prod(eigs, axis=-1)))
 
 
-def log_density_hs_unnormalized(eigs: np.ndarray):
-    """log of the Hilbert-Schmidt density; -inf at degeneracies."""
-    eigs = _canonical(eigs)
-    n = eigs.shape[-1]
-    i, j = np.triu_indices(n, k=1)
-    with np.errstate(divide="ignore"):
-        return _maybe_scalar(2.0 * np.sum(np.log(np.abs(eigs[..., i] - eigs[..., j])), axis=-1))
-
-
-def log_density_g_unnormalized(eigs: np.ndarray):
-    eigs = _canonical(eigs)
-    radicand = _g_radicand(eigs)
-    if np.any(radicand <= 0):
-        raise SingularityError("superfidelity density diverges at pure states")
-    return _maybe_scalar(np.asarray(log_density_hs_unnormalized(eigs)) - 0.5 * np.log(radicand))
-
-
-def log_density_bures_unnormalized(eigs: np.ndarray):
-    eigs = _canonical(eigs)
-    if np.any(eigs <= 0):
-        raise SingularityError("Bures density diverges on the simplex boundary (some l_i = 0)")
-    n = eigs.shape[-1]
-    i, j = np.triu_indices(n, k=1)
-    with np.errstate(divide="ignore"):
-        pair = np.sum(2.0 * np.log(np.abs(eigs[..., i] - eigs[..., j]))
-                      - np.log(eigs[..., i] + eigs[..., j]), axis=-1)
-    return _maybe_scalar(pair - 0.5 * np.sum(np.log(eigs), axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # normalization constants
 # ---------------------------------------------------------------------------
 
+def _exact_constant(name: str, dim: int, log_value: float) -> NormalizationEstimate:
+    """The exact constant exp(``log_value``); raises where float64 cannot hold it.
+
+    Raising before ``exp`` keeps numpy's overflow warning out of the output,
+    and lets the estimators that need C_HS fail before they draw anything.
+    """
+    if log_value > _LOG_FLOAT_MAX:
+        raise UnsupportedDimensionError(
+            f"{name} at dim {dim} overflows float64: log C = {log_value:.1f} "
+            f"> {_LOG_FLOAT_MAX:.2f}")
+    return NormalizationEstimate(dim=dim, value=float(np.exp(log_value)), method="exact")
+
+
 def c_hs(dim: int) -> NormalizationEstimate:
-    """Hilbert-Schmidt constant Gamma(N^2) / prod_k Gamma(k) Gamma(k+1)."""
+    """Hilbert-Schmidt constant Gamma(N^2) / prod_k Gamma(k) Gamma(k+1); N <= 15.
+
+    At N = 16 and above, log C exceeds log(float64 max) and
+    :class:`UnsupportedDimensionError` is raised.
+    """
     if dim < 2:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     lg = lgamma(dim * dim) - sum(lgamma(k) + lgamma(k + 1) for k in range(1, dim + 1))
-    return NormalizationEstimate(dim=dim, value=float(np.exp(lg)), method="exact")
+    return _exact_constant("C_HS", dim, lg)
 
 
 def c_g_exact(dim: int) -> NormalizationEstimate:
@@ -181,8 +168,6 @@ def c_g_exact(dim: int) -> NormalizationEstimate:
 
 def c_g_jensen_bound(dim: int) -> NormalizationEstimate:
     """Guaranteed upper bound C_N^HS sqrt(1 - 2N/(N^2+1)) from Jensen's inequality."""
-    if dim < 2:
-        raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     value = c_hs(dim).value * sqrt(1.0 - 2.0 * dim / (dim * dim + 1.0))
     return NormalizationEstimate(dim=dim, value=value, method="jensen-upper-bound")
 
@@ -242,14 +227,13 @@ def c_g_monte_carlo(dim: int, samples: int, rng: RngStream) -> NormalizationEsti
 
     The expectation comes from :func:`_reciprocal_radical_mean`, which adds
     an exact tail at N = 2.  The standard error follows from the delta method
-    on the reciprocal.
+    on the reciprocal.  C_HS is formed first, so a dimension where it
+    overflows fails before any draw.
     """
-    if dim < 2:
-        raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
+    chs = c_hs(dim).value
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     mean, se, kept = _reciprocal_radical_mean(dim, samples, rng)
-    chs = c_hs(dim).value
     return NormalizationEstimate(
         dim=dim, value=chs / mean, method="monte-carlo",
         std_error=chs * se / mean ** 2, terms_or_samples=kept)
@@ -315,16 +299,15 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     by 1 + (its tail part) / (the term).  ``std_error`` carries the standard
     error of that mean through the reciprocal (delta method), so it covers
     the tail's sampling noise as well; the fit's bias stays uncovered.
+    C_HS is formed first, so a dimension where it overflows fails before any draw.
     """
-    if dim < 2:
-        raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
+    inv_chs = 1.0 / c_hs(dim).value
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     p = _hs_purities(dim, samples, rng)
     coeff = series_coefficients(k_max)
-    inv_chs = 1.0 / c_hs(dim).value
 
     terms = np.empty(k_max + 1)
     p_pow = np.ones_like(p)
@@ -362,15 +345,17 @@ def c_g_quadrature(dim: int) -> NormalizationEstimate:
 
 
 def c_bures(dim: int) -> NormalizationEstimate:
-    """Bures constant 2^(N^2-N) Gamma(N^2/2) / (pi^(N/2) prod_{j<=N} Gamma(j+1)).
+    """Bures constant 2^(N^2-N) Gamma(N^2/2) / (pi^(N/2) prod_{j<=N} Gamma(j+1)); N <= 19.
 
-    Sommers and Zyczkowski, J. Phys. A 36, 10083 (2003).
+    Sommers and Zyczkowski, J. Phys. A 36, 10083 (2003).  At N = 20 and
+    above, log C exceeds log(float64 max) and
+    :class:`UnsupportedDimensionError` is raised.
     """
     if dim < 2:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     lg = ((dim * dim - dim) * log(2.0) + lgamma(dim * dim / 2.0) - 0.5 * dim * log(pi)
           - sum(lgamma(j + 1) for j in range(1, dim + 1)))
-    return NormalizationEstimate(dim=dim, value=float(np.exp(lg)), method="exact")
+    return _exact_constant("C_B", dim, lg)
 
 
 # The one caller left is perfbench/worker.py:90; delete this alias with the
@@ -505,6 +490,19 @@ def density_grid_qutrit(resolution: int,
                        lambda2=jj / resolution, density=density, singular=singular)
 
 
+def _lattice(grid: DensityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice indices (i, j) of a grid's points and its (R+1, R+1) array.
+
+    The array holds the density at [i, j] and NaN off the triangle.
+    """
+    res = grid.resolution
+    i = np.rint(grid.lambda1 * res).astype(int)
+    j = np.rint(grid.lambda2 * res).astype(int)
+    full = np.full((res + 1, res + 1), np.nan)
+    full[i, j] = grid.density
+    return i, j, full
+
+
 # Fit f(u) = a u^(-1/2) + b + c u on rows u = h, 2h, 3h; columns are the
 # basis evaluated with a scaled as a*h^(-1/2) and c as c*h.
 _EDGE_BASIS_INV = np.linalg.inv(np.array([
@@ -532,10 +530,7 @@ def grid_integral(grid: DensityGrid) -> float:
     if res < 6:
         raise ValueError("grid_integral needs resolution >= 6")
     h = 1.0 / res
-    full = np.full((res + 1, res + 1), np.nan)
-    i_idx = np.rint(grid.lambda1 * res).astype(int)
-    j_idx = np.rint(grid.lambda2 * res).astype(int)
-    full[i_idx, j_idx] = grid.density
+    _, _, full = _lattice(grid)
 
     ii, jj = np.meshgrid(np.arange(res + 1), np.arange(res + 1), indexing="ij")
     interior = (ii >= 1) & (jj >= 1) & (ii + jj <= res - 1)

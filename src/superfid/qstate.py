@@ -3,8 +3,9 @@
 States, unitaries, and tangent directions are plain complex ``numpy`` arrays;
 the functions here validate the defining invariants instead of wrapping the
 arrays in classes.  All random constructions return (count, N, N) stacks,
-take an :class:`~superfid.rng.RngStream` (or a ``numpy`` Generator derived
-from one) and are pure functions of it.
+take a ``numpy`` Generator (a keyed block or the Philox sequence of an
+:class:`~superfid.rng.RngStream`) and read it from front to back; anything
+else raises ``TypeError``.
 
 Conventions
 -----------
@@ -20,7 +21,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidStateError
-from .rng import RngStream
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -38,14 +38,6 @@ class Measure(str, Enum):
 def _maybe_scalar(x: np.ndarray):
     """A 0-d result as a Python float; arrays pass through."""
     return float(x) if x.ndim == 0 else x
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +101,12 @@ def check_tangent(drho: np.ndarray, name: str = "drho") -> np.ndarray:
 # random-matrix primitives
 # ---------------------------------------------------------------------------
 
-def ginibre_batch(dim: int, count: int, rng) -> np.ndarray:
+def ginibre_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Ginibre matrices, shape (count, dim, dim)."""
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    gen = _as_generator(rng)
+    if not isinstance(gen, np.random.Generator):
+        raise TypeError(f"expected numpy Generator, got {type(gen)!r}")
     z = gen.standard_normal((count, dim, dim, 2))
     # each (re, im) pair of normals read in place as one complex entry
     return z.view(complex)[..., 0] / np.sqrt(2.0)
@@ -128,11 +121,11 @@ def _qr_phase_fixed(g: np.ndarray) -> np.ndarray:
     return q * d[..., None, :]
 
 
-def haar_unitary_batch(dim: int, count: int, rng) -> np.ndarray:
+def haar_unitary_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` Haar unitaries via phase-fixed QR of Ginibre matrices."""
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    return _qr_phase_fixed(ginibre_batch(dim, count, rng))
+    return _qr_phase_fixed(ginibre_batch(dim, count, gen))
 
 
 def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
@@ -151,7 +144,7 @@ def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
     return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
-def random_tangent_batch(dim: int, count: int, rng) -> np.ndarray:
+def random_tangent_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` random Hermitian traceless directions of unit Frobenius norm.
 
     GUE-distributed before projection; used to probe line elements.  The
@@ -160,7 +153,7 @@ def random_tangent_batch(dim: int, count: int, rng) -> np.ndarray:
     """
     if dim < 2:
         raise InvalidDimensionError(f"tangent directions need dim >= 2, got {dim}")
-    g = ginibre_batch(dim, count, rng)
+    g = ginibre_batch(dim, count, gen)
     h = (g + _dagger(g)) / 2.0
     h -= (np.trace(h, axis1=-2, axis2=-1).real / dim)[:, None, None] * np.eye(dim)
     return h / np.linalg.norm(h, axis=(-2, -1))[:, None, None]

@@ -17,9 +17,12 @@ split the blocks between threads, stop early or draw a prefix, and give the
 same values.  The blocks use PCG64 because it fills ``standard_gamma`` rows
 faster than Philox; seeding one costs ~15 us.  :meth:`RngStream.generator`
 is one Philox sequence, independent of every block, which only code outside
-the samplers reads from front to back: the ``qstate`` primitives, the
-envelope audit, ``statlab``'s simplex test and ``verify``'s inverse-CDF
-check.
+the samplers reads from front to back: the envelope audit and ``statlab``'s
+simplex test, which take an :class:`RngStream`, and ``verify``, which hands
+it to the ``qstate`` primitives (Haar unitaries, tangent directions) and to
+its inverse-CDF check.  The ``qstate`` primitives take only a numpy
+Generator (a block or this sequence); every other randomized function takes
+only an :class:`RngStream` (:func:`check_stream`).
 """
 from __future__ import annotations
 
@@ -54,6 +57,12 @@ class RngStream:
     def block(self, kind: int, index: int) -> np.random.Generator:
         """Fresh PCG64 generator of block ``index`` of kind ``kind`` in this stream."""
         return np.random.Generator(np.random.PCG64(self._seed_sequence(kind, index)))
+
+
+def check_stream(rng) -> None:
+    """Raise ``TypeError`` unless ``rng`` is an :class:`RngStream`."""
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
 
 
 def seed_from_env(default: int = DEFAULT_SEED) -> int:

@@ -39,9 +39,9 @@ import numpy as np
 
 from .eigendensities import _g_radicand, cdf_g2
 from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetError
-from .qstate import (Measure, _as_generator, _dagger, _maybe_scalar, clamp_spectrum,
-                     ginibre_batch, haar_unitary_batch)
-from .rng import RngStream
+from .qstate import (Measure, _dagger, _maybe_scalar, clamp_spectrum, ginibre_batch,
+                     haar_unitary_batch)
+from .rng import RngStream, check_stream
 
 __all__ = [
     "RejectionReport", "EnvelopeAudit",
@@ -86,8 +86,7 @@ class RejectionReport:
 # ---------------------------------------------------------------------------
 
 def _check_stream(rng: RngStream, count: int) -> None:
-    if not isinstance(rng, RngStream):
-        raise TypeError(f"expected RngStream, got {type(rng)!r}")
+    check_stream(rng)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
 
@@ -313,7 +312,7 @@ def invert_cdf_g2(u):
     return _maybe_scalar(t)
 
 
-def sample_g_qubit_batch(count: int, rng: RngStream, keep_matrices: bool = True):
+def sample_g_qubit_batch(count: int, rng: RngStream, keep_matrices: bool = False):
     """Qubit states under the superfidelity measure: inverse CDF + Haar rotation.
 
     Returns ``(matrices, eigs)`` where ``eigs`` is (count, 2) descending;
@@ -498,7 +497,7 @@ def _polish_log_ratio(starts: np.ndarray):
     return lam, score
 
 
-def audit_sup_density_ratio(dim: int, rng, probes: int) -> EnvelopeAudit:
+def audit_sup_density_ratio(dim: int, rng: RngStream, probes: int) -> EnvelopeAudit:
     """Probe the rejection ratio over random simplex points, then polish locally.
 
     The ratio is (prod l)^s / sqrt(1 - sum l^2) of the sampler's induced
@@ -508,11 +507,13 @@ def audit_sup_density_ratio(dim: int, rng, probes: int) -> EnvelopeAudit:
     ratio's two factors compete.  :func:`_polish_log_ratio` then ascends from
     the three best probes and from the maximally mixed point at once.  The
     envelope is declared valid when no point beats the bound by more than
-    ``_AUDIT_TOLERANCE``.
+    ``_AUDIT_TOLERANCE``.  The probes are read from the front of
+    ``rng.generator()``.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    gen = _as_generator(rng)
+    check_stream(rng)
+    gen = rng.generator()
     bound = exp(_log_envelope_bound(dim))
 
     lam = np.concatenate([gen.dirichlet(np.ones(dim), size=probes - probes // 2),
@@ -591,8 +592,8 @@ def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
     return clamp_spectrum(lam)
 
 
-def sample_g_rejection_batch(dim: int, count: int, rng,
-                             max_proposals: int | None = None,
+def sample_g_rejection_batch(dim: int, count: int, rng: RngStream,
+                             max_proposals: int = DEFAULT_MAX_PROPOSALS,
                              keep_matrices: bool = False):
     """Vectorized rejection sampling from the superfidelity measure, N >= 3.
 
@@ -620,8 +621,6 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
         raise InvalidDimensionError("rejection sampler is for dim >= 3; qubits use the exact sampler")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if max_proposals is None:
-        max_proposals = DEFAULT_MAX_PROPOSALS
     if max_proposals < 1:
         raise ValueError("max_proposals must be >= 1")
     budget = count * max_proposals
@@ -666,7 +665,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng,
 # ---------------------------------------------------------------------------
 
 def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
-                 max_proposals: int | None = None,
+                 max_proposals: int = DEFAULT_MAX_PROPOSALS,
                  keep_matrices: bool = False):
     """Sample ``count`` states of ``measure`` at dimension ``dim``.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .rng import RngStream
+from .rng import RngStream, check_stream
 
 __all__ = [
     "GofResult", "mc_mean", "mc_variance",
@@ -275,23 +275,25 @@ def chi_square_gof(samples: np.ndarray, density, bins: int,
     return _pearson(counts, expected)
 
 
-def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12,
-                           rng: RngStream | None = None) -> GofResult:
+def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12, *,
+                           rng: RngStream) -> GofResult:
     """Chi-square test of qutrit eigenvalue samples against a symmetric density.
 
     ``eigs`` is an (n, 3) array of simplex points (any order); each row is
-    put into a uniformly random order (seeded, so the test is deterministic)
-    and binned by its first two coordinates on a ``grid`` x ``grid`` partition
-    of the triangle.  Expected masses come from a tensor sin^2 Gauss rule on
-    every cell of ``density`` (a callable on (..., 3) arrays), normalized over
-    the simplex, so the test needs no normalization constant; if the rule's
-    two orders differ by more than 1e-9 of the total mass,
-    :class:`QuadratureError` is raised.
+    put into a uniformly random order, read from the front of
+    ``rng.generator()`` so that the test is deterministic, and binned by its
+    first two coordinates on a ``grid`` x ``grid`` partition of the triangle.
+    Expected masses come from a tensor sin^2 Gauss rule on every cell of
+    ``density`` (a callable on (..., 3) arrays), normalized over the simplex,
+    so the test needs no normalization constant; if the rule's two orders
+    differ by more than 1e-9 of the total mass, :class:`QuadratureError` is
+    raised.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 2 or eigs.shape[1] != 3:
         raise ValueError("eigs must be an (n, 3) array")
-    gen = (rng or RngStream(0)).generator()
+    check_stream(rng)
+    gen = rng.generator()
 
     n = eigs.shape[0]
     # random exchangeable reordering of each row

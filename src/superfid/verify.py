@@ -60,12 +60,12 @@ def _tangent_lines(dim: int, count: int, rng: RngStream):
     """``count`` mixed states and unit tangent directions at them, from one stream.
 
     The states are Hilbert-Schmidt draws pulled 20 % toward I/N; the
-    mixedness floor keeps the FD stencil inside its O(h^2) regime.  They come
-    from the stream's keyed blocks and the tangents from its Philox sequence
-    (:func:`random_tangent_batch`), two independent families.
+    mixedness floor keeps the FD stencil inside its O(h^2) regime.  The
+    states come from the stream's keyed blocks and the tangents from the
+    front of ``rng.generator()``, two independent families.
     """
     rho = 0.8 * sm.sample_hs_batch(dim, count, rng) + 0.2 * np.eye(dim) / dim
-    return rho, random_tangent_batch(dim, count, rng)
+    return rho, random_tangent_batch(dim, count, rng.generator())
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        max(sym_g, sym_f) <= 1e-12,
                        f"max asymmetry G {sym_g:.2e}, F {sym_f:.2e}"))
 
-    u = haar_unitary_batch(3, 50, RngStream(seed, 21))
+    u = haar_unitary_batch(3, 50, RngStream(seed, 21).generator())
     a, b = _hs_stacks(3, 50, 2, RngStream(seed, 22))
     g0 = si.superfidelity(a, b)
     g1 = si.superfidelity(u @ a @ _dagger(u), u @ b @ _dagger(u))
@@ -226,14 +226,10 @@ def _density_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
 
 def _permutation_symmetric(grid: ed.DensityGrid) -> bool:
     """Whether a qutrit grid holds one value (or NaN) at all permutations of each point."""
-    res = grid.resolution
-    i = np.rint(grid.lambda1 * res).astype(int)
-    j = np.rint(grid.lambda2 * res).astype(int)
-    full = np.full((res + 1, res + 1), np.nan)
-    full[i, j] = grid.density
+    i, j, full = ed._lattice(grid)
     # a swap and a 3-cycle of the lattice indices (i, j, k) generate all six permutations
     return all(np.array_equal(grid.density, full[a, b], equal_nan=True)
-               for a, b in ((j, i), (j, res - i - j)))
+               for a, b in ((j, i), (j, grid.resolution - i - j)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +304,7 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
 
     psi = np.zeros(3, dtype=complex)
     psi[0] = 1.0
-    rot = haar_unitary_batch(3, 1, RngStream(seed, 90))[0] @ psi
+    rot = haar_unitary_batch(3, 1, RngStream(seed, 90).generator())[0] @ psi
     m = max(4000, int(10_000 * scale))
     mats, _, _ = sm.sample_batch(Measure.BURES, 3, m, RngStream(seed, 91), keep_matrices=True)
     ev_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superfid
 from superfid import cli, verify
+
+# child processes import the superfid that this process imported, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(superfid.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv):
@@ -181,6 +187,18 @@ class TestEstimateCommand:
     def test_exact_unsupported_dim_is_usage_error(self, capsys):
         assert cli.main(["estimate", "--dim", "4", "--method", "exact"]) == 2
         assert cli.main(["estimate", "--dim", "6", "--method", "quadrature"]) == 2
+
+    @pytest.mark.parametrize("method", ["jensen", "mc", "series"])
+    def test_overflowing_constant_fails_before_drawing(self, method, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("HS purities drawn for a constant that overflows")
+
+        monkeypatch.setattr("superfid.samplers.hs_purity_batch", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # numpy's overflow RuntimeWarning would raise
+            code = cli.main(["estimate", "--dim", "16", "--method", method])
+        assert code == 2
+        assert "C_HS at dim 16 overflows float64: log C = 776.6" in capsys.readouterr().err
 
     def test_bad_parameters_are_usage_errors(self, capsys):
         assert cli.main(["estimate", "--dim", "2", "--method", "series",
@@ -374,7 +392,8 @@ class TestDeterminism:
     def test_console_entry_point(self):
         def run(*argv):
             return subprocess.run([sys.executable, "-m", "superfid.cli", *argv],
-                                  capture_output=True, text=True, check=True).stdout
+                                  capture_output=True, text=True, check=True,
+                                  env=CHILD_ENV).stdout
 
         doc = json.loads(run("estimate", "--dim", "2", "--method", "exact"))
         assert abs(doc["value"] - 0.900316) <= 1e-5
@@ -388,7 +407,7 @@ class TestDeterminism:
     def test_import_leaves_scipy_unloaded(self, module):
         result = subprocess.run(
             [sys.executable, "-c", f"import sys, superfid.cli; print({module!r} in sys.modules)"],
-            capture_output=True, text=True, check=True)
+            capture_output=True, text=True, check=True, env=CHILD_ENV)
         assert result.stdout.strip() == "False"
 
     @pytest.mark.parametrize("dim", [3, 4, 5])
@@ -400,7 +419,7 @@ class TestDeterminism:
                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
                 % argv)
         result = subprocess.run([sys.executable, "-c", code],
-                                capture_output=True, text=True, check=True)
+                                capture_output=True, text=True, check=True, env=CHILD_ENV)
         assert result.stdout.strip() == "0 []"
 
 

@@ -12,10 +12,8 @@ from superfid import (DomainError, InstabilityWarning, RngStream, SingularityErr
                       c_g_jensen_bound, c_g_monte_carlo, c_g_quadrature, c_g_series,
                       c_hs, cdf_g2, density_bures_unnormalized, density_g_unnormalized,
                       density_grid_qutrit, density_hs_unnormalized, grid_integral,
-                      hs_purity_batch, log_density_bures_unnormalized,
-                      log_density_g_unnormalized, log_density_hs_unnormalized, mc_mean,
-                      pdf_g2_marginal, purity_mean_hs, purity_moment_hs, purity_variance_hs,
-                      simplex_quadrature)
+                      hs_purity_batch, mc_mean, pdf_g2_marginal, purity_mean_hs,
+                      purity_moment_hs, purity_variance_hs, simplex_quadrature)
 from superfid.eigendensities import NormalizationEstimate, normalized_density
 from superfid.qstate import Measure
 from superfid.verify import _permutation_symmetric
@@ -83,29 +81,22 @@ class TestUnnormalizedDensities:
                    density_bures_unnormalized):
             assert fn(lam) == fn(lam[perm])
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2 ** 31), dim=st.integers(2, 8))
-    def test_log_forms_match(self, seed, dim):
-        gen = np.random.default_rng(seed)
-        lam = gen.dirichlet(np.ones(dim))
-        if np.any(lam <= 1e-12):
-            return
-        assert np.isclose(np.exp(log_density_hs_unnormalized(lam)),
-                          density_hs_unnormalized(lam), rtol=1e-10)
-        assert np.isclose(np.exp(log_density_g_unnormalized(lam)),
-                          density_g_unnormalized(lam), rtol=1e-10)
-        assert np.isclose(np.exp(log_density_bures_unnormalized(lam)),
-                          density_bures_unnormalized(lam), rtol=1e-10)
-
-    def test_log_form_handles_degeneracy(self):
-        assert log_density_hs_unnormalized(np.array([0.5, 0.5])) == -np.inf
-
 
 class TestNormalizationConstants:
     def test_c_hs_closed_forms(self):
         assert abs(c_hs(2).value - 3.0) <= 1e-12
         assert abs(c_hs(3).value - 1680.0) <= 1e-9
         assert c_hs(2).method == "exact"
+
+    @pytest.mark.parametrize("constant, last, log_c", [(c_hs, 15, "776.6"),
+                                                       (c_bures, 19, "750.4")])
+    def test_exact_constants_fail_before_overflow(self, constant, last, log_c):
+        assert np.isfinite(constant(last).value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RuntimeWarning from exp
+            with pytest.raises(UnsupportedDimensionError,
+                               match=f"dim {last + 1} overflows float64: log C = {log_c}"):
+                constant(last + 1)
 
     def test_c_hs_quadrature_crosscheck(self):
         val = simplex_quadrature(density_hs_unnormalized, 2, 1e-11)

@@ -10,13 +10,13 @@ from superfid.qstate import (check_density_matrix, check_tangent, clamp_spectrum
 
 class TestGinibre:
     def test_deterministic_for_fixed_stream(self):
-        a = ginibre_batch(1, 1, RngStream(42))[0]
-        b = ginibre_batch(1, 1, RngStream(42))[0]
+        a = ginibre_batch(1, 1, RngStream(42).generator())[0]
+        b = ginibre_batch(1, 1, RngStream(42).generator())[0]
         assert a == b
 
     def test_distinct_streams_differ(self):
-        a = ginibre_batch(2, 1, RngStream(42, 0))[0]
-        b = ginibre_batch(2, 1, RngStream(42, 1))[0]
+        a = ginibre_batch(2, 1, RngStream(42, 0).generator())[0]
+        b = ginibre_batch(2, 1, RngStream(42, 1).generator())[0]
         assert not np.allclose(a, b)
 
     def test_entry_second_moment(self):
@@ -29,17 +29,24 @@ class TestGinibre:
 
     def test_zero_dim_rejected(self):
         with pytest.raises(InvalidDimensionError):
-            ginibre_batch(0, 1, RngStream(0))
+            ginibre_batch(0, 1, RngStream(0).generator())
+
+
+@pytest.mark.parametrize("draw", [ginibre_batch, haar_unitary_batch, random_tangent_batch])
+def test_primitives_refuse_a_stream(draw):
+    # the primitives read a Generator; a stream's blocks or generator() make one
+    with pytest.raises(TypeError, match="Generator"):
+        draw(3, 2, RngStream(0))
 
 
 class TestHaarUnitary:
     def test_unitarity(self):
         for dim in (1, 2, 3, 5, 8):
-            u = haar_unitary_batch(dim, 1, RngStream(dim))[0]
+            u = haar_unitary_batch(dim, 1, RngStream(dim).generator())[0]
             assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-10
 
     def test_dim1_uniform_phase(self):
-        u = haar_unitary_batch(1, 10_000, RngStream(3))
+        u = haar_unitary_batch(1, 10_000, RngStream(3).generator())
         angles = np.angle(u[:, 0, 0])
         mean, se = mc_mean(angles)
         assert abs(mean) <= 3 * se
@@ -47,14 +54,14 @@ class TestHaarUnitary:
         assert res.p_value > 0.01
 
     def test_first_entry_moment(self):
-        u = haar_unitary_batch(2, 10_000, RngStream(4))
+        u = haar_unitary_batch(2, 10_000, RngStream(4).generator())
         mean, se = mc_mean(np.abs(u[:, 0, 0]) ** 2)
         assert abs(mean - 0.5) <= 3 * se
 
     def test_left_invariance(self):
         gen = RngStream(5).generator()
         u = haar_unitary_batch(3, 10_000, gen)
-        v = haar_unitary_batch(3, 1, RngStream(6))[0]
+        v = haar_unitary_batch(3, 1, RngStream(6).generator())[0]
         res = ks_test_two_sample(np.abs(u[:, 0, 0]) ** 2,
                                  np.abs((v @ u)[:, 0, 0]) ** 2)
         assert res.p_value > 0.01
@@ -106,7 +113,7 @@ class TestValidators:
 
     def test_random_tangent_is_traceless_hermitian(self):
         for dim in (2, 3, 4):
-            h = random_tangent_batch(dim, 20, RngStream(dim, 3))
+            h = random_tangent_batch(dim, 20, RngStream(dim, 3).generator())
             assert h.shape == (20, dim, dim)
             assert np.max(np.abs(np.trace(h, axis1=-2, axis2=-1))) < 1e-12
             assert np.max(np.abs(h - h.conj().swapaxes(-2, -1))) < 1e-12
@@ -117,7 +124,7 @@ class TestValidators:
         # the tangent space at N = 1 is {0}: no unit direction exists
         for dim in (1, 0):
             with pytest.raises(InvalidDimensionError):
-                random_tangent_batch(dim, 3, RngStream(0))
+                random_tangent_batch(dim, 3, RngStream(0).generator())
 
 
 class TestStacks:
@@ -137,7 +144,7 @@ class TestStacks:
                     check_density_matrix(checked)
 
     def test_one_bad_tangent_in_a_stack_raises(self):
-        stack = random_tangent_batch(3, 30, RngStream(9))
+        stack = random_tangent_batch(3, 30, RngStream(9).generator())
         check_tangent(stack)
         for bad, match in [(np.diag([0.5, 0.0, 0.0]), "traceless"),
                            (np.triu(np.ones((3, 3))) - np.eye(3), "Hermitian")]:
@@ -150,7 +157,7 @@ class TestStacks:
     def test_validators_return_the_stack(self):
         stack = sample_hs_batch(3, 5, RngStream(10))
         assert np.array_equal(check_density_matrix(stack), stack)
-        tangents = random_tangent_batch(3, 5, RngStream(10))
+        tangents = random_tangent_batch(3, 5, RngStream(10).generator())
         assert np.array_equal(check_tangent(tangents), tangents)
         for k in range(5):
             assert np.array_equal(check_density_matrix(stack[k]), stack[k])

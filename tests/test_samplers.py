@@ -322,7 +322,11 @@ class TestInverseCdf:
 
 class TestQubitGSampler:
     def test_single_state_valid(self):
-        check_density_matrix(sample_g_qubit_batch(1, RngStream(20))[0][0])
+        check_density_matrix(sample_g_qubit_batch(1, RngStream(20), keep_matrices=True)[0][0])
+
+    def test_matrices_are_not_kept_by_default(self):
+        # the same default as sample_g_rejection_batch and sample_batch
+        assert sample_g_qubit_batch(5, RngStream(20))[0] is None
 
     def test_mean_purity_exceeds_hs_and_matches_quadrature(self):
         _, eigs = sample_g_qubit_batch(100_000, RngStream(22), keep_matrices=False)
@@ -382,6 +386,10 @@ class TestEnvelope:
                 assert isinstance(audit, EnvelopeAudit)
                 assert audit.passed
                 assert audit.max_ratio <= audit.bound + 1e-9
+
+    def test_audit_refuses_a_generator(self):
+        with pytest.raises(TypeError, match="RngStream"):
+            audit_sup_density_ratio(3, RngStream(33).generator(), probes=100)
 
     def test_audit_maximum_sits_at_barycenter(self):
         audit = audit_sup_density_ratio(3, RngStream(33), probes=20_000)
@@ -694,7 +702,7 @@ class TestSampleBatchFrontend:
         mats, _, _ = sample_batch("hs", 3, 20_000, RngStream(54), keep_matrices=True)
         psi = np.zeros(3, dtype=complex)
         psi[0] = 1.0
-        rot = haar_unitary_batch(3, 1, RngStream(55))[0] @ psi
+        rot = haar_unitary_batch(3, 1, RngStream(55).generator())[0] @ psi
         p_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))
         p_rot = np.real(np.einsum("i,nij,j->n", rot.conj(), mats, rot))
         assert ks_test_two_sample(p_fixed, p_rot).p_value > 0.01

@@ -107,6 +107,13 @@ class TestChiSquare:
                                      grid=10, rng=RngStream(13))
         assert res.p_value > 0.01
 
+    def test_simplex_test_takes_a_stream_only(self):
+        eigs = np.full((10, 3), 1 / 3)
+        with pytest.raises(TypeError, match="RngStream"):
+            chi_square_gof_simplex(eigs, density_hs_unnormalized, rng=RngStream(0).generator())
+        with pytest.raises(TypeError, match="rng"):   # no default stream
+            chi_square_gof_simplex(eigs, density_hs_unnormalized)
+
     def test_single_bin_rejected(self):
         with pytest.raises(ValueError):
             chi_square_gof(np.linspace(0.1, 0.9, 100), lambda x: np.ones_like(x),
