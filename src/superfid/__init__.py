@@ -12,7 +12,7 @@ from .eigendensities import (DensityGrid, NormalizationEstimate, c_bures,
                              density_bures_unnormalized, density_g_unnormalized,
                              density_grid_qutrit, density_hs_unnormalized,
                              grid_integral, pdf_g2_marginal, purity_mean_hs,
-                             purity_moment_hs, purity_variance_hs)
+                             purity_variance_hs)
 from .errors import (DomainError, EnvelopeAuditError, InstabilityWarning,
                      InvalidDimensionError, InvalidStateError, QuadratureError,
                      SamplingBudgetError, SingularityError, StepSizeError,
@@ -27,8 +27,7 @@ from .samplers import (EnvelopeAudit, RejectionReport, audit_sup_density_ratio,
                        sup_density_ratio_unnormalized)
 from .similarity import (dist_g, fd_second_derivative, fidelity, line_element_bprime,
                          line_element_g, superfidelity)
-from .statlab import (GofResult, chi_square_gof, chi_square_gof_simplex, ks_test,
-                      ks_test_two_sample, mc_mean, mc_variance, numeric_cdf,
-                      simplex_quadrature)
+from .statlab import (GofResult, chi_square_gof_simplex, ks_test, ks_test_two_sample,
+                      mc_mean, mc_variance, simplex_quadrature)
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ __all__ = [
     "density_g_unnormalized", "density_bures_unnormalized", "density_hs_unnormalized",
     "c_hs", "c_g_exact", "c_g_jensen_bound", "c_g_monte_carlo", "c_g_series",
     "c_g_quadrature", "c_bures", "c_bures_quadrature",
-    "purity_mean_hs", "purity_variance_hs", "purity_moment_hs",
+    "purity_mean_hs", "purity_variance_hs",
     "cdf_g2", "pdf_g2_marginal",
     "density_grid_qutrit", "grid_integral",
 ]
@@ -396,15 +396,6 @@ def purity_variance_hs(dim: int) -> float:
         raise UnsupportedDimensionError(f"need dim >= 2, got {dim}")
     n2 = dim * dim
     return 2.0 * (n2 - 1.0) ** 2 / ((n2 + 1.0) ** 2 * (n2 + 2.0) * (n2 + 3.0))
-
-
-def purity_moment_hs(dim: int, k: int, rng: RngStream, samples: int = 10 ** 5
-                     ) -> tuple[float, float]:
-    """Monte-Carlo moment E[(tr rho^2)^k] with standard error (oracle for the series)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    p = _hs_purities(dim, samples, rng)
-    return mc_mean(p ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,8 @@ def audit_sup_density_ratio(dim: int, rng: RngStream, probes: int) -> EnvelopeAu
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
     check_stream(rng)
     gen = rng.generator()
     bound = exp(_log_envelope_bound(dim))

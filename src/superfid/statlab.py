@@ -1,11 +1,11 @@
 """Statistical verification toolkit.
 
 Monte-Carlo summaries with standard errors, one- and two-sample
-Kolmogorov-Smirnov tests, Pearson chi-square goodness of fit (on intervals and
-on the qutrit eigenvalue simplex), numeric CDFs, and the fixed Gauss rule over
-the eigenvalue simplex used as the numerical oracle for normalization
-constants.  Every integral here is one Gauss-Legendre rule in phi with
-s = sin^2 phi, at 32 and 48 nodes, and fails closed with
+Kolmogorov-Smirnov tests (a 1-D law is tested against its closed-form CDF),
+Pearson chi-square goodness of fit on the qutrit eigenvalue simplex, and the
+fixed Gauss rule over the eigenvalue simplex used as the numerical oracle for
+normalization constants.  Every integral here is one Gauss-Legendre rule in
+phi with s = sin^2 phi, at 32 and 48 nodes, and fails closed with
 :class:`QuadratureError` when the two orders disagree.
 
 The quadrature convention is the plain Lebesgue integral over unordered
@@ -26,8 +26,7 @@ from .rng import RngStream, check_stream
 
 __all__ = [
     "GofResult", "mc_mean", "mc_variance",
-    "ks_test", "ks_test_two_sample", "chi_square_gof", "chi_square_gof_simplex",
-    "simplex_quadrature", "numeric_cdf",
+    "ks_test", "ks_test_two_sample", "chi_square_gof_simplex", "simplex_quadrature",
 ]
 
 
@@ -117,7 +116,7 @@ def ks_test_two_sample(a: np.ndarray, b: np.ndarray) -> GofResult:
 
 
 # ---------------------------------------------------------------------------
-# checked sin^2 Gauss masses
+# checked sin^2 Gauss cell masses
 # ---------------------------------------------------------------------------
 
 def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,51 +130,9 @@ def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _SIN2_RULES = [_sin2_rule(n) for n in (32, 48)]  # coarse, fine
-# Units per density call, so the fine rule's scratch stays near 1 MB:
-# 2304 nodes per simplex cell and 48 per interval.  An interval's mass is a
-# BLAS dot product, which may round by the row's place in a group of rows;
-# a chunk that is a multiple of 8 keeps every row in its whole-call group.
+# Cells per density call, so the fine rule's 2304 nodes per cell keep the
+# scratch near 1 MB.
 _CELL_CHUNK = 4
-_INTERVAL_CHUNK = 256
-
-
-def _checked_masses(masses_by_rule) -> np.ndarray:
-    """Masses ``masses_by_rule(rule)`` of the fine rule, checked against the coarse one.
-
-    Raises ``ValueError`` if their total is not finite and positive, and
-    :class:`QuadratureError` if any mass moves by more than 1e-9 of the total
-    between the two orders.
-    """
-    coarse, masses = (masses_by_rule(rule) for rule in _SIN2_RULES)
-    total = masses.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError(f"density integral is not finite/positive: {total}")
-    gap = np.max(np.abs(masses - coarse))
-    if not gap <= 1e-9 * total:
-        raise QuadratureError(f"masses of the two quadrature orders differ by {gap:.2e}",
-                              partial_estimate=float(total))
-    return masses
-
-
-def _interval_masses(density, edges: np.ndarray) -> np.ndarray:
-    """Checked masses of a 1-D ``density`` between consecutive ``edges``.
-
-    Each interval gets its own sin^2 substitution, so integrable
-    inverse-square-root singularities at the edges are fine.  ``density`` is
-    called on ``_INTERVAL_CHUNK`` intervals at a time, which bounds the
-    scratch; each mass is the same whatever the chunk.
-    """
-    left, width = edges[:-1, None], np.diff(edges)[:, None]
-
-    def masses_by_rule(rule):
-        masses = np.empty(len(width))
-        for a in range(0, len(width), _INTERVAL_CHUNK):
-            lo, w = left[a:a + _INTERVAL_CHUNK], width[a:a + _INTERVAL_CHUNK]
-            masses[a:a + len(w)] = (np.asarray(density(lo + w * rule[0]), dtype=float)
-                                    * w) @ rule[2]
-        return masses
-
-    return _checked_masses(masses_by_rule)
 
 
 def _simplex_cell_masses(density, grid: int) -> np.ndarray:
@@ -188,12 +145,16 @@ def _simplex_cell_masses(density, grid: int) -> np.ndarray:
     so every node stays inside the open simplex.  ``density`` is called on
     ``_CELL_CHUNK`` cells at a time, which bounds the scratch; each mass is
     the same whatever the chunk.
+
+    Returns the masses of the fine rule.  Raises ``ValueError`` if their total
+    is not finite and positive, and :class:`QuadratureError` if any mass moves
+    by more than 1e-9 of the total between the two orders.
     """
     h = 1.0 / grid
     r = np.arange(grid)
     cell_i, cell_j = np.nonzero(np.add.outer(r, r) < grid)
 
-    def masses_by_rule(rule):
+    def cell_masses(rule):
         s, c, w = rule
         u, cu, v, cv = s[:, None], c[:, None], s[None, :], c[None, :]
         ww = np.outer(w, w)
@@ -210,7 +171,15 @@ def _simplex_cell_masses(density, grid: int) -> np.ndarray:
             cells[i, j] = h * h * np.sum(f * shrink * ww, axis=(1, 2))
         return cells
 
-    return _checked_masses(masses_by_rule)
+    coarse, masses = (cell_masses(rule) for rule in _SIN2_RULES)
+    total = masses.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ValueError(f"density integral is not finite/positive: {total}")
+    gap = np.max(np.abs(masses - coarse))
+    if not gap <= 1e-9 * total:
+        raise QuadratureError(f"masses of the two quadrature orders differ by {gap:.2e}",
+                              partial_estimate=float(total))
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +218,6 @@ def _pearson(counts: np.ndarray, expected: np.ndarray) -> GofResult:
     dof = len(counts) - 1
     p = float(chdtrc(dof, stat))  # the chi-square survival function
     return GofResult(statistic=stat, p_value=p, bins_or_n=len(counts))
-
-
-def chi_square_gof(samples: np.ndarray, density, bins: int,
-                   support: tuple[float, float]) -> GofResult:
-    """Pearson chi-square test of 1-D samples against an unnormalized density.
-
-    Each bin's mass comes from the checked sin^2 Gauss rule (so integrable
-    inverse-square-root endpoint singularities are fine); if its two orders
-    differ by more than 1e-9 of the total mass, :class:`QuadratureError` is
-    raised.  Bins expecting fewer than 5 counts are pooled with their
-    neighbours.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
-    lo, hi = support
-    if samples.min() < lo or samples.max() > hi:
-        raise ValueError("samples fall outside the stated support")
-    edges = np.linspace(lo, hi, bins + 1)
-    masses = _interval_masses(density, edges)
-    expected = samples.size * masses / masses.sum()
-    counts, _ = np.histogram(samples, bins=edges)
-    counts, expected = _merge_small_bins(counts.astype(float), expected)
-    return _pearson(counts, expected)
 
 
 def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12, *,
@@ -362,28 +307,3 @@ def simplex_quadrature(f, dim: int, tolerance: float = 1e-9) -> float:
         raise QuadratureError(f"32- and 48-node rules give {coarse:.17g} and {fine:.17g}, "
                               f"more than {tolerance:.2e} apart", partial_estimate=float(fine))
     return float(fine)
-
-
-def numeric_cdf(density, support: tuple[float, float]):
-    """Normalized CDF of a 1-D density by cumulative quadrature.
-
-    The breakpoints are lo + (hi - lo) sin^2 theta on 2001 uniform theta in
-    [0, pi/2], dense near both endpoints, and the mass between neighbours
-    comes from the checked sin^2 Gauss rule of :func:`chi_square_gof`'s bins
-    (:class:`QuadratureError` if its orders differ by more than 1e-9 of the
-    total).  The returned vectorized callable interpolates linearly in theta,
-    where the CDF stays smooth next to an integrable inverse-sqrt endpoint
-    singularity.
-    """
-    lo, hi = support
-    width = hi - lo
-    theta = np.linspace(0.0, np.pi / 2, 2001)
-    masses = _interval_masses(density, lo + width * np.sin(theta) ** 2)
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum /= cum[-1]
-
-    def cdf(x):
-        t = np.clip((np.asarray(x, dtype=float) - lo) / width, 0.0, 1.0)
-        return np.interp(np.arcsin(np.sqrt(t)), theta, cum)
-
-    return cdf

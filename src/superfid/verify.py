@@ -17,8 +17,8 @@ HS purities (the density suite's Monte-Carlo constants, the purity suite's
 moments) are drawn from keyed blocks split between the drawing thread and a
 helper of its own, which does not change their values either.  The
 sampler-suite helper's working sets are bounded by blocks (Bures states,
-simplex cells, CDF intervals), so its allocations peak below 6 MB at scale
-1, which bounds what its own malloc arena adds to the peak RSS.
+simplex cells), so its allocations peak below 6 MB at scale 1, which bounds
+what its own malloc arena adds to the peak RSS.
 """
 from __future__ import annotations
 
@@ -168,8 +168,8 @@ def _density_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
 
     lam = np.linspace(0.01, 0.99, 99)
     pts = np.stack([lam, 1 - lam], axis=-1)
-    g_norm = ed.c_g_exact(2).value * np.asarray(ed.density_g_unnormalized(pts))
-    b_norm = ed.c_bures(2).value * np.asarray(ed.density_bures_unnormalized(pts))
+    g_norm = ed.normalized_density(Measure.SUPERFIDELITY, 2)(pts)
+    b_norm = ed.normalized_density(Measure.BURES, 2)(pts)
     gap = np.max(np.abs(g_norm - b_norm))
     out.append(_result("density", "qubit-g-measure-equals-bures",
                        gap <= 1e-10, f"max pointwise gap = {gap:.2e}"))
@@ -240,17 +240,18 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out = []
     n = max(5000, int(20_000 * scale))
 
+    def lambda_max_cdf(x):
+        # lambda_max on [1/2, 1] under the qubit density (2t - 1)^2 / sqrt(t (1 - t))
+        # of both G and Bures (density/qubit-g-measure-equals-bures)
+        return 2 * np.asarray(ed.cdf_g2(x)) - 1
+
     _, eigs, _ = sm.sample_batch(Measure.HILBERT_SCHMIDT, 2, n, RngStream(seed, 70))
-    res = st.chi_square_gof(eigs[:, 0], lambda x: (2 * x - 1) ** 2,
-                            bins=40, support=(0.5, 1.0))
+    res = st.ks_test(eigs[:, 0], lambda x: (2 * np.asarray(x) - 1) ** 3)
     out.append(_result("sampler", "hs-qubit-eigenvalue-law",
-                       res.p_value > 0.01, f"chi2 p = {res.p_value:.4f}"))
+                       res.p_value > 0.01, f"KS p = {res.p_value:.4f}"))
 
     _, eigs, _ = sm.sample_batch(Measure.BURES, 2, n, RngStream(seed, 71))
-    bures_cdf = st.numeric_cdf(
-        lambda x: np.asarray(ed.density_bures_unnormalized(np.stack([x, 1 - x], axis=-1))),
-        support=(0.5, 1.0))
-    res = st.ks_test(eigs[:, 0], bures_cdf)
+    res = st.ks_test(eigs[:, 0], lambda_max_cdf)
     out.append(_result("sampler", "bures-qubit-eigenvalue-law",
                        res.p_value > 0.01, f"KS p = {res.p_value:.4f}"))
 
@@ -267,8 +268,7 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out.append(_result("sampler", "g-qubit-matches-bures",
                        res.p_value > 0.01, f"two-sample KS p = {res.p_value:.4f}"))
     median = ed.cdf_g2(0.5)
-    res = st.ks_test(eg[:, 0], lambda x: np.asarray(ed.cdf_g2(np.clip(x, 0.5, 1.0)))
-                     - np.asarray(ed.cdf_g2(np.clip(1.0 - x, 0.0, 0.5))))
+    res = st.ks_test(eg[:, 0], lambda_max_cdf)
     out.append(_result("sampler", "g-qubit-lambda-max-law", median == 0.5 and res.p_value > 0.01,
                        f"F_G,2(1/2) = {median!r}, KS p = {res.p_value:.4f} vs reflected F_G,2"))
 
@@ -343,9 +343,8 @@ def _purity_checks(seed: int, scale: float = 1.0,
     _, eg = sm.sample_g_qubit_batch(n, RngStream(seed, 111), keep_matrices=False)
     pg = np.sum(eg ** 2, axis=-1)
     mean, se = st.mc_mean(pg)
-    quad = st.simplex_quadrature(
-        lambda lam: np.sum(lam ** 2, axis=-1) * ed.c_g_exact(2).value
-        * ed.density_g_unnormalized(lam), 2, 1e-9)
+    g2 = ed.normalized_density(Measure.SUPERFIDELITY, 2)
+    quad = st.simplex_quadrature(lambda lam: np.sum(lam ** 2, axis=-1) * g2(lam), 2, 1e-9)
     ok = abs(mean - quad) <= 3 * se and mean > ed.purity_mean_hs(2)
     out.append(_result("purity", "g-qubit-mean-purity", ok,
                        f"mean {mean:.5f}, quadrature {quad:.5f}, HS mean 0.8"))
@@ -358,7 +357,7 @@ def _purity_checks(seed: int, scale: float = 1.0,
     out.append(_result("purity", "g-qutrit-purity-exceeds-hs",
                        z > 5.0, f"mean {mean:.5f} vs HS 0.6, z = {z:.1f}"))
 
-    moment, se = ed.purity_moment_hs(2, 2, RngStream(seed, 113), samples=n)
+    moment, se = st.mc_mean(sm.hs_purity_batch(2, n, RngStream(seed, 113)) ** 2)
     target = ed.purity_mean_hs(2) ** 2 + ed.purity_variance_hs(2)
     out.append(_result("purity", "hs-second-purity-moment",
                        abs(moment - target) <= 3 * se,

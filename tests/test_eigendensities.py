@@ -13,7 +13,7 @@ from superfid import (DomainError, InstabilityWarning, RngStream, SingularityErr
                       c_hs, cdf_g2, density_bures_unnormalized, density_g_unnormalized,
                       density_grid_qutrit, density_hs_unnormalized, grid_integral,
                       hs_purity_batch, mc_mean, pdf_g2_marginal, purity_mean_hs,
-                      purity_moment_hs, purity_variance_hs, simplex_quadrature)
+                      purity_variance_hs, simplex_quadrature)
 from superfid.eigendensities import NormalizationEstimate, normalized_density
 from superfid.qstate import Measure
 from superfid.verify import _permutation_symmetric
@@ -295,13 +295,13 @@ class TestPurityStatistics:
         assert all(b < a for a, b in zip(means, means[1:]))
 
     def test_mc_moment_matches_mean(self):
-        val, se = purity_moment_hs(2, 1, RngStream(14), samples=200_000)
+        val, se = mc_mean(hs_purity_batch(2, 200_000, RngStream(14)))
         assert abs(val - 0.8) <= 3 * se
-        val, se = purity_moment_hs(3, 1, RngStream(15), samples=200_000)
+        val, se = mc_mean(hs_purity_batch(3, 200_000, RngStream(15)))
         assert abs(val - 0.6) <= 3 * se
 
     def test_mc_second_moment(self):
-        val, se = purity_moment_hs(2, 2, RngStream(16), samples=200_000)
+        val, se = mc_mean(hs_purity_batch(2, 200_000, RngStream(16)) ** 2)
         assert abs(val - 0.657143) <= max(3 * se, 1e-5)
 
 

@@ -13,10 +13,10 @@ from conftest import traced_peak
 from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, Measure,
                       RejectionReport, RngStream, SamplingBudgetError,
                       audit_sup_density_ratio, cdf_g2,
-                      chi_square_gof, chi_square_gof_simplex, check_density_matrix,
-                      density_bures_unnormalized, ginibre_batch, haar_unitary_batch,
+                      chi_square_gof_simplex, check_density_matrix,
+                      ginibre_batch, haar_unitary_batch,
                       hs_purity_batch, invert_cdf_g2, ks_test,
-                      ks_test_two_sample, log_rejection_constant_c, mc_mean, numeric_cdf,
+                      ks_test_two_sample, log_rejection_constant_c, mc_mean,
                       purity_mean_hs, purity_variance_hs, rejection_constant_c,
                       sample_batch, sample_bures_batch, sample_g_qubit_batch,
                       sample_g_rejection_batch, sample_hs_batch,
@@ -69,8 +69,8 @@ class TestHilbertSchmidtSampler:
 
     def test_eigenvalue_law_chi_square(self):
         _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 2, 50_000, RngStream(2))
-        res = chi_square_gof(eigs[:, 0], lambda x: (2 * x - 1) ** 2,
-                             bins=40, support=(0.5, 1.0))
+        # lambda_max on [1/2, 1] has density 3 (2x - 1)^2 and CDF (2x - 1)^3
+        res = ks_test(eigs[:, 0], lambda x: (2 * np.asarray(x) - 1) ** 3)
         assert res.p_value > 0.01
 
     def test_dim_validation(self):
@@ -215,10 +215,8 @@ class TestBuresSampler:
 
     def test_qubit_eigenvalue_law(self):
         _, eigs, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(11))
-        cdf = numeric_cdf(
-            lambda x: np.asarray(density_bures_unnormalized(np.stack([x, 1 - x], axis=-1))),
-            support=(0.5, 1.0))
-        res = ks_test(eigs[:, 0], cdf)
+        # the qubit Bures density is the G one, so lambda_max has CDF 2 F_G,2 - 1
+        res = ks_test(eigs[:, 0], lambda x: 2 * np.asarray(cdf_g2(x)) - 1)
         assert res.p_value > 0.01
 
     def test_qubit_matches_g_measure(self):
@@ -386,6 +384,11 @@ class TestEnvelope:
                 assert isinstance(audit, EnvelopeAudit)
                 assert audit.passed
                 assert audit.max_ratio <= audit.bound + 1e-9
+
+    @pytest.mark.parametrize("probes", [0, -4])
+    def test_audit_needs_a_probe(self, probes):
+        with pytest.raises(ValueError, match="probes"):
+            audit_sup_density_ratio(3, RngStream(33), probes=probes)
 
     def test_audit_refuses_a_generator(self):
         with pytest.raises(TypeError, match="RngStream"):

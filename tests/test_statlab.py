@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from superfid import (GofResult, Measure, QuadratureError, RngStream, c_hs,
-                      chi_square_gof, chi_square_gof_simplex, cdf_g2,
-                      density_bures_unnormalized, density_g_unnormalized,
-                      density_hs_unnormalized, invert_cdf_g2, ks_test,
-                      ks_test_two_sample, mc_mean, mc_variance, numeric_cdf,
-                      pdf_g2_marginal, sample_batch, simplex_quadrature)
+                      chi_square_gof_simplex, density_bures_unnormalized,
+                      density_g_unnormalized, density_hs_unnormalized, ks_test,
+                      ks_test_two_sample, mc_mean, mc_variance, sample_batch,
+                      simplex_quadrature)
 from superfid import statlab
 from superfid.eigendensities import normalized_density
 
@@ -84,16 +83,6 @@ class TestKsTest:
 
 
 class TestChiSquare:
-    def test_calibration_against_own_density(self):
-        gen = RngStream(9).generator()
-        good = 0
-        for rep in range(100):
-            lam = np.asarray(invert_cdf_g2(gen.random(2000)))
-            res = chi_square_gof(lam, lambda x: np.asarray(pdf_g2_marginal(x)),
-                                 bins=30, support=(0.0, 1.0))
-            good += res.p_value > 0.01
-        assert good >= 95
-
     def test_power_against_wrong_density(self):
         _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 10_000, RngStream(10))
         res = chi_square_gof_simplex(eigs,
@@ -114,31 +103,18 @@ class TestChiSquare:
         with pytest.raises(TypeError, match="rng"):   # no default stream
             chi_square_gof_simplex(eigs, density_hs_unnormalized)
 
-    def test_single_bin_rejected(self):
-        with pytest.raises(ValueError):
-            chi_square_gof(np.linspace(0.1, 0.9, 100), lambda x: np.ones_like(x),
-                           bins=1, support=(0.0, 1.0))
-
     def test_non_finite_density_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            chi_square_gof(np.linspace(0.1, 0.9, 100),
-                           lambda x: np.full_like(x, np.inf),
-                           bins=10, support=(0.0, 1.0))
-
-    def test_bins_fail_closed_on_a_divergent_density(self):
-        # 1/|x - 1/2| is not integrable at the bin edge 1/2: the two orders
-        # of the bin rule disagree there
-        with pytest.raises(QuadratureError):
-            chi_square_gof(np.linspace(0.05, 0.95, 100), lambda x: 1.0 / np.abs(x - 0.5),
-                           bins=10, support=(0.0, 1.0))
+            chi_square_gof_simplex(np.full((100, 3), 1 / 3),
+                                   lambda lam: np.full(lam.shape[:-1], np.inf),
+                                   grid=10, rng=RngStream(0))
 
     def test_p_values_equal_scipy_chi2_sf(self):
         from scipy.stats import chi2
-        gen = RngStream(15).generator()
-        lam = np.asarray(invert_cdf_g2(gen.random(2000)))
-        for bins in (5, 30, 50):
-            res = chi_square_gof(lam, lambda x: np.asarray(pdf_g2_marginal(x)),
-                                 bins=bins, support=(0.0, 1.0))
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 2000, RngStream(15))
+        for grid in (3, 8, 12):
+            res = chi_square_gof_simplex(eigs, density_hs_unnormalized,
+                                         grid=grid, rng=RngStream(15, grid))
             assert res.p_value == chi2.sf(res.statistic, res.bins_or_n - 1)
 
     @pytest.mark.parametrize("grid", [10, 12])
@@ -158,25 +134,10 @@ class TestChiSquare:
             monkeypatch.setattr(statlab, "_CELL_CHUNK", chunk)
             assert statlab._simplex_cell_masses(density, grid).tobytes() == chunked.tobytes()
 
-    def test_interval_chunks_equal_one_whole_evaluation(self, monkeypatch):
-        theta = np.linspace(0.0, np.pi / 2, 2001)
-        edges = 0.5 + 0.5 * np.sin(theta) ** 2
-        bures = lambda x: np.asarray(density_bures_unnormalized(np.stack([x, 1 - x], axis=-1)))
-        chunked = statlab._interval_masses(bures, edges)
-        # chunks of 8 intervals, and every interval in one call; the BLAS dot
-        # kernel may round a row by its place in a group of up to 8 rows
-        for chunk in (8, 10 ** 9):
-            monkeypatch.setattr(statlab, "_INTERVAL_CHUNK", chunk)
-            assert statlab._interval_masses(bures, edges).tobytes() == chunked.tobytes()
-
     def test_cell_and_interval_memory_is_bounded_by_the_chunk(self):
         density = normalized_density(Measure.SUPERFIDELITY, 3)
         # one whole evaluation of the 820 cells at grid 40 peaks near 260 MB
         assert traced_peak(statlab._simplex_cell_masses, density, 40) < 4 * 2 ** 20
-        # and of 20000 intervals near 15 MB; the two results take 320 kB
-        edges = np.linspace(0.5, 1.0, 20_001)
-        peak = traced_peak(statlab._interval_masses, lambda x: (2 * x - 1) ** 2, edges)
-        assert peak < 2 * 2 ** 20
 
     def test_simplex_cells_fail_closed_on_a_divergent_density(self):
         # 1/|lambda_1 - 1/2| is not integrable along the cell edge lambda_1 = 1/2
@@ -186,11 +147,11 @@ class TestChiSquare:
                                    grid=10, rng=RngStream(17))
 
     def test_small_bins_are_merged(self):
-        gen = RngStream(14).generator()
-        lam = np.asarray(invert_cdf_g2(gen.random(300)))
-        res = chi_square_gof(lam, lambda x: np.asarray(pdf_g2_marginal(x)),
-                             bins=50, support=(0.0, 1.0))
-        assert res.bins_or_n < 50
+        # 300 states over the 78 cells of grid 12: ~4 expected counts per cell
+        _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 300, RngStream(14))
+        res = chi_square_gof_simplex(eigs, density_hs_unnormalized,
+                                     grid=12, rng=RngStream(14, 1))
+        assert res.bins_or_n < 78
         assert res.p_value > 1e-6
 
 
@@ -229,18 +190,6 @@ class TestSimplexQuadrature:
 
     def test_memory_is_bounded_at_dim5(self):
         assert traced_peak(simplex_quadrature, density_g_unnormalized, 5, 1e-9) < 64 * 2 ** 20
-
-    def test_numeric_cdf_matches_closed_form(self):
-        cdf = numeric_cdf(lambda x: np.asarray(pdf_g2_marginal(x)), (0.0, 1.0))
-        t = np.linspace(0.001, 0.999, 997)
-        assert np.max(np.abs(cdf(t) - np.asarray(cdf_g2(t)))) <= 5e-6
-        inner = np.linspace(0.01, 0.99, 99)
-        assert np.max(np.abs(cdf(inner) - np.asarray(cdf_g2(inner)))) <= 1e-6
-
-    def test_numeric_cdf_fails_closed_on_a_divergent_density(self):
-        # 1/|x - 3/4| is not integrable at the breakpoint 3/4 (theta = pi/4)
-        with pytest.raises(QuadratureError):
-            numeric_cdf(lambda x: 1.0 / np.abs(x - 0.75), (0.5, 1.0))
 
 
 class TestRecordTypes:
