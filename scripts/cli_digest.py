@@ -19,7 +19,9 @@ without matrices, and one rejection run of ~10^4 proposals, which spans
 several proposal blocks and trims the overshoot of its last one), three runs
 with matrices over two whole keyed blocks and a partial third (HS in 4096-
 and Bures in 1024-state blocks at N = 3, G over ~2.5 proposal blocks), which
-pin the blocks that a streamed ``sample`` must reproduce,
+pin the blocks that the streamed ``sample`` reproduces, and three JSON runs
+with matrices whose ``,\n`` record separators cross block boundaries (three
+qubit blocks, three Bures blocks at N = 3, several proposal blocks at N = 4),
 ``estimate`` with every method wherever it is supported at N = 2..5,
 ``estimate --method mc`` and ``--method series`` at an odd sample count that
 spans three ``samplers._BLOCK`` blocks of HS purities,
@@ -89,6 +91,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("sample-hs-3-csv-full-8197", _sample("hs", 3, 2 * 4096 + 5, "--full-matrix")),
     ("sample-bures-3-csv-full-2053", _sample("bures", 3, 2 * 1024 + 5, "--full-matrix")),
     ("sample-g-3-csv-full-5000", _sample("g", 3, 5000, "--full-matrix")),
+    # the same seams in JSON, where the ",\n" between records crosses block boundaries
+    ("sample-g-2-json-full-8197", _sample("g", 2, 2 * 4096 + 5, "--format", "json",
+                                          "--full-matrix")),
+    ("sample-bures-3-json-full-2053", _sample("bures", 3, 2 * 1024 + 5, "--format", "json",
+                                              "--full-matrix")),
+    ("sample-g-4-json-full-5000", _sample("g", 4, 5000, "--format", "json", "--full-matrix")),
     ("estimate-exact-2", _estimate(2, "exact")),
     ("estimate-exact-3", _estimate(3, "exact")),
     *[(f"estimate-jensen-{d}", _estimate(d, "jensen")) for d in (2, 3, 4, 5)],

@@ -24,7 +24,11 @@ between this thread and one helper thread, which does not change a byte.
 ``sample`` and ``grid`` write their rows chunk by chunk (at most 8192 floats
 per chunk), each chunk through one row template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that
-of ``json.dumps(indent=1)``.  Floats still print as their ``repr``, but
+of ``json.dumps(indent=1)``.  ``sample`` streams: each block of states goes
+from its sampler to the writer before the next one is drawn, so its memory
+does not grow with ``--count``, except for G at N >= 3, whose rejection
+totals head the output and whose spectra (and matrices) are therefore held
+until every state is drawn.  Floats still print as their ``repr``, but
 numpy finds those digits: a float in 1e-4 <= |v| < 1 goes out as a fixed
 prefix such as ``"0.00"`` and an int, which Python formats several times
 faster than a float, and only the other floats go through ``repr``.
@@ -33,15 +37,23 @@ three suites; its output is the same bytes as a serial run, whatever the
 scheduling, and the helper's allocations stay below 6 MB at scale 1.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a rejected
 value, or an ``--out`` that cannot be opened for writing), 3 sampling budget
-exhausted.  ``--out`` is opened for appending before any work, so a bad path
-costs nothing and a failed run leaves an existing file unchanged (one it
-created stays empty); only a finished run rewrites the file.
+exhausted, 4 a numerical self-check failed closed (the envelope audit, a
+quadrature rule's two orders, a finite-difference step or the inverse CDF's
+residual).  ``--out`` is opened for appending before any work, so a bad path
+costs nothing.  The output is written to a temporary file in the same
+directory, which replaces ``--out`` only when the run finishes and is
+removed when it fails, so a failed run leaves an existing file unchanged
+(one it created stays empty).  ``--out`` naming something other than a
+regular file, such as a device, is written in place.  Without ``--out``, a
+run that fails while streaming may leave part of its output on stdout.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
@@ -50,7 +62,8 @@ import numpy as np
 from . import eigendensities as ed
 from . import samplers as sm
 from . import verify as vf
-from .errors import SamplingBudgetError
+from .errors import (EnvelopeAuditError, InverseCDFError, QuadratureError,
+                     SamplingBudgetError, StepSizeError)
 from .qstate import Measure
 from .rng import RngStream, seed_from_env
 
@@ -60,6 +73,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_FAIL_CLOSED = 4
+# the numerical self-checks whose failure stops a run (exit 4)
+FAIL_CLOSED_ERRORS = (EnvelopeAuditError, InverseCDFError, QuadratureError, StepSizeError)
 
 # --method value -> estimator; each looks its function up in ``ed`` at call time
 ESTIMATORS = {
@@ -77,12 +93,31 @@ def _fmt(x: float) -> str:
 
 
 def _emit(chunks: Iterable[str], out: str | None):
-    """Write ``chunks`` in order to the file ``out``, or to stdout when it is None."""
+    """Write ``chunks`` in order to the file ``out``, or to stdout when it is None.
+
+    A regular file is replaced only once every chunk is written: the chunks
+    go to a temporary file beside it, with its permissions, which is renamed
+    over it at the end and removed if anything fails first.  Anything else,
+    such as a device, is written in place.
+    """
     if out is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    target = os.path.realpath(out)   # a symlink keeps pointing at the new file
+    if not os.path.isfile(target):
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".superfid-",
+                               suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, os.stat(target).st_mode & 0o777)
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # _repr_pairs: the text before the digits of a v with 10^e <= |v| < 10^(e + 1),
@@ -179,34 +214,65 @@ def _repr_pairs(x: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _rows(table: np.ndarray, template: str, sep: str) -> Iterator[str]:
-    """The rows of a 2-D float table as text, in chunks of whole rows.
+def _rows(blocks: Iterable[list[np.ndarray]], template: str, sep: str) -> Iterator[str]:
+    """The rows of a stream of blocks of a float table as text, in chunks of whole rows.
 
-    A chunk holds as many rows as fit in ``_REPR_CHUNK`` floats, and at
-    least one.  Each row fills ``template``, which holds one ``%r`` per column, and rows
-    are joined by ``sep``, also across chunks.  Every float prints as its
+    Each block is a list of 2-D arrays with as many rows each, whose columns
+    lie side by side in the table.  A chunk holds as many rows as fit in
+    ``_REPR_CHUNK`` floats, and at least one, wherever the blocks end: the
+    rows of a block that do not fill a chunk wait for the next block.  Each
+    row fills ``template``, which holds one ``%r`` per column, and rows are
+    joined by ``sep``, also across chunks.  Every float prints as its
     ``repr``, as ``json.dumps`` prints it too, but ``%r`` is not what prints
     it: each ``%r`` becomes ``%s%s``, filled by the (prefix, digits) pair of
     ``_repr_pairs``, so Python formats an int where it would have formatted
     a float.  A chunk costs one ``_repr_pairs`` and one ``%`` call.
     """
     template = template.replace("%r", "%s%s")
-    step = max(1, _REPR_CHUNK // table.shape[1])
-    for start in range(0, len(table), step):
-        chunk = table[start:start + step]
-        # a leading "" puts sep before every chunk but the first
-        rows = [""] * (start > 0) + [template] * len(chunk)
-        yield sep.join(rows) % tuple(_repr_pairs(chunk.ravel()).ravel())
+    lead = []   # a leading "" puts sep before every chunk but the first
+    waiting, held = [], 0   # rows of the table not yet in a chunk, fewer than a chunk's
+
+    def chunk():
+        table = waiting[0] if len(waiting) == 1 else np.concatenate(waiting)
+        return sep.join(lead + [template] * len(table)) % tuple(
+            _repr_pairs(table.ravel()).ravel())
+
+    for block in blocks:
+        step = max(1, _REPR_CHUNK // sum(part.shape[1] for part in block))
+        start, rows = 0, len(block[0])
+        while start < rows:
+            stop = min(rows, start + step - held)
+            waiting.append(np.hstack([part[start:stop] for part in block]))
+            held += stop - start
+            start = stop
+            if held == step:
+                yield chunk()
+                lead, waiting, held = [""], [], 0
+    if waiting:
+        yield chunk()
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    mats, eigs, report = sm.sample_batch(args.measure, args.dim, args.count,
-                                         RngStream(args.seed),
-                                         max_proposals=args.max_proposals,
-                                         keep_matrices=args.full_matrix)
+    report, blocks = sm.sample_blocks(args.measure, args.dim, args.count,
+                                      RngStream(args.seed),
+                                      max_proposals=args.max_proposals,
+                                      keep_matrices=args.full_matrix)
     write = _sample_csv if args.format == "csv" else _sample_json
-    _emit(write(args, eigs, np.sum(eigs ** 2, axis=-1), mats, report), args.out)
+    _emit(write(args, blocks, report), args.out)
     return EXIT_OK
+
+
+def _record_columns(blocks, purity_last: bool) -> Iterator[list[np.ndarray]]:
+    """Each ``(matrices_or_None, eigs)`` block as the column groups of its records.
+
+    The groups are the eigenvalues, the purity and, when there are matrices,
+    their row-major (re, im) entries; the purity comes second, or last when
+    ``purity_last``.
+    """
+    for mats, eigs in blocks:
+        purity = np.sum(eigs ** 2, axis=-1)[:, None]
+        entries = [] if mats is None else [mats.reshape(len(eigs), -1).view(float)]
+        yield [eigs, *entries, purity] if purity_last else [eigs, purity, *entries]
 
 
 def _report_dict(report):
@@ -218,7 +284,7 @@ def _report_dict(report):
     }
 
 
-def _sample_csv(args, eigs, purity, mats, report) -> Iterator[str]:
+def _sample_csv(args, blocks, report) -> Iterator[str]:
     lines = [
         f"# superfid sample schema_version={SCHEMA_VERSION}",
         f"# measure={args.measure} dim={args.dim} count={args.count} "
@@ -229,15 +295,14 @@ def _sample_csv(args, eigs, purity, mats, report) -> Iterator[str]:
                      f"bound_constant={_fmt(report.bound_constant)} "
                      f"empirical_rate={_fmt(report.empirical_rate)}")
     header = [f"lambda_{k + 1}" for k in range(args.dim)] + ["purity"]
-    columns = [eigs, purity[:, None]]
-    if mats is not None:
+    if args.full_matrix:
         for i in range(args.dim):
             for j in range(args.dim):
                 header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
-        columns.append(mats.reshape(len(purity), -1).view(float))
     lines.append(",".join(header))
     yield "\n".join(lines) + "\n"
-    yield from _rows(np.hstack(columns), ",".join(["%r"] * len(header)) + "\n", "")
+    yield from _rows(_record_columns(blocks, purity_last=False),
+                     ",".join(["%r"] * len(header)) + "\n", "")
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -246,7 +311,7 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
 
 
-def _sample_json(args, eigs, purity, mats, report) -> Iterator[str]:
+def _sample_json(args, blocks, report) -> Iterator[str]:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "sample",
@@ -261,16 +326,13 @@ def _sample_json(args, eigs, purity, mats, report) -> Iterator[str]:
                   + "\n").split('"records": []')
     # one record as json.dumps(indent=1) lays it out at depth 2, keys sorted
     fields = ['"eigenvalues": ' + _json_list(["%r"] * args.dim, 4)]
-    columns = [eigs]
-    if mats is not None:
+    if args.full_matrix:
         fields.append('"matrix_re_im": '
                       + _json_list([_json_list(["%r", "%r"], 5)] * args.dim ** 2, 4))
-        columns.append(mats.reshape(len(purity), -1).view(float))
     fields.append('"purity": %r')
-    columns.append(purity[:, None])
     record = "  {\n   " + ",\n   ".join(fields) + "\n  }"
     yield head + '"records": [\n'
-    yield from _rows(np.hstack(columns), record, ",\n")
+    yield from _rows(_record_columns(blocks, purity_last=True), record, ",\n")
     yield "\n ]" + tail
 
 
@@ -302,8 +364,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
             f"# measure={args.measure} dim=3 resolution={args.resolution}\n"
             "lambda_1,lambda_2,density\n")
     # non-finite densities are NaN, which %r prints as nan
-    table = np.column_stack([grid.lambda1, grid.lambda2, grid.density])
-    _emit(chain([head], _rows(table, "%r,%r,%r\n", "")), args.out)
+    columns = [grid.lambda1[:, None], grid.lambda2[:, None], grid.density[:, None]]
+    _emit(chain([head], _rows([columns], "%r,%r,%r\n", "")), args.out)
     return EXIT_OK
 
 
@@ -402,6 +464,9 @@ def main(argv=None) -> int:
     except SamplingBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
+    except FAIL_CLOSED_ERRORS as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAIL_CLOSED
     except (ValueError, OSError) as exc:   # a rejected value, or an --out that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -48,5 +48,9 @@ class EnvelopeAuditError(RuntimeError):
     """Numerical audit found a density ratio above the claimed envelope bound."""
 
 
+class InverseCDFError(RuntimeError):
+    """A solution of the inverse CDF does not reproduce its probability within tolerance."""
+
+
 class InstabilityWarning(UserWarning):
     """Monte-Carlo estimate discarded more near-singular samples than expected."""

@@ -25,9 +25,20 @@ everything it needs from ``rng.block(kind, b)`` alone, in a fixed order, so
 a value depends only on (seed, stream, kind, b, block size).  A shorter run
 gives the whole blocks of a longer one as a prefix, and the HS purities'
 blocks can be split between the calling thread and one helper thread
-without changing a value.  :func:`sample_batch` routes a measure and a
-dimension to one of the samplers and returns plain arrays,
-``(matrices_or_None, eigs, report_or_None)``.
+without changing a value.
+
+Each sampler of HS, Bures and qubit G states has one per-block body, which
+draws one block and yields it; the whole-array functions fill their result
+from those bodies.  :func:`sample_blocks` routes a measure and a dimension
+to one of them and returns ``(report_or_None, blocks)``: a stream of
+``(matrices_or_None, eigs)`` blocks in row order, each drawn and
+diagonalized only when it is reached, so a consumer that writes each block
+before it takes the next holds O(block) states whatever the count.  The
+rejection sampler (G at N >= 3) is the exception: its report holds totals
+that a writer prints before the rows, so it draws every state first and
+its held arrays are handed out in blocks.  :func:`sample_batch` returns
+the same states as plain arrays, ``(matrices_or_None, eigs,
+report_or_None)``.
 """
 from __future__ import annotations
 
@@ -38,7 +49,8 @@ from math import exp, lgamma, log, log1p, pi
 import numpy as np
 
 from .eigendensities import _g_radicand, cdf_g2
-from .errors import EnvelopeAuditError, InvalidDimensionError, SamplingBudgetError
+from .errors import (EnvelopeAuditError, InvalidDimensionError, InverseCDFError,
+                     SamplingBudgetError)
 from .qstate import (Measure, _dagger, _maybe_scalar, clamp_spectrum, ginibre_batch,
                      haar_unitary_batch)
 from .rng import RngStream, check_stream
@@ -50,7 +62,7 @@ __all__ = [
     "sup_density_ratio_unnormalized", "audit_sup_density_ratio",
     "rejection_constant_c", "log_rejection_constant_c",
     "sample_g_rejection_batch",
-    "sample_batch",
+    "sample_blocks", "sample_batch",
 ]
 
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
@@ -184,19 +196,52 @@ def _normalized_gram(a: np.ndarray) -> np.ndarray:
     return w
 
 
+def _stacked(blocks, out: np.ndarray) -> np.ndarray:
+    """``out`` filled in order with the rows of a stream of blocks."""
+    start = 0
+    for block in blocks:
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
+
+
+def _gathered(blocks, count: int, dim: int, keep_matrices: bool):
+    """``(matrices_or_None, eigs)``: a stream of such blocks copied into whole arrays."""
+    eigs = np.empty((count, dim))
+    mats = np.empty((count, dim, dim), dtype=complex) if keep_matrices else None
+    start = 0
+    for block_mats, block_eigs in blocks:
+        stop = start + len(block_eigs)
+        eigs[start:stop] = block_eigs
+        if keep_matrices:
+            mats[start:stop] = block_mats
+        start = stop
+    return mats, eigs
+
+
+def _with_spectra(blocks, keep_matrices: bool):
+    """``(matrices_or_None, eigs)`` for each block of states: descending, clamped spectra."""
+    for mats in blocks:
+        eigs = clamp_spectrum(np.linalg.eigvalsh(mats)[..., ::-1].copy())
+        yield (mats if keep_matrices else None), eigs
+
+
+def _hs_blocks(dim: int, count: int, rng: RngStream):
+    """The states of :func:`sample_hs_batch`, one ``_BLOCK`` block at a time."""
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    return (_normalized_gram(ginibre_batch(dim, stop - start, gen))
+            for start, stop, gen in _blocks(rng, _HS_KIND, count, _BLOCK))
+
+
 def sample_hs_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """``count`` Hilbert-Schmidt states G G^dag / tr(G G^dag), G Ginibre.
 
     Block b of ``_BLOCK`` states draws its Ginibre matrices from
     ``rng.block(_HS_KIND, b)``.
     """
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    blocks = _blocks(rng, _HS_KIND, count, _BLOCK)
-    out = np.empty((count, dim, dim), dtype=complex)
-    for start, stop, gen in blocks:
-        out[start:stop] = _normalized_gram(ginibre_batch(dim, stop - start, gen))
-    return out
+    blocks = _hs_blocks(dim, count, rng)
+    return _stacked(blocks, np.empty((count, dim, dim), dtype=complex))
 
 
 def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
@@ -259,6 +304,20 @@ def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     return out
 
 
+def _bures_block(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    a = haar_unitary_batch(dim, count, gen)
+    a += np.eye(dim)
+    return _normalized_gram(a @ ginibre_batch(dim, count, gen))
+
+
+def _bures_blocks(dim: int, count: int, rng: RngStream):
+    """The states of :func:`sample_bures_batch`, one ``_BURES_BLOCK`` block at a time."""
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    return (_bures_block(dim, stop - start, gen)
+            for start, stop, gen in _blocks(rng, _BURES_KIND, count, _BURES_BLOCK))
+
+
 def sample_bures_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     """``count`` Bures states A A^dag / tr(A A^dag), A = (I + U) G, U Haar, G Ginibre.
 
@@ -266,16 +325,8 @@ def sample_bures_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     matrices, from ``rng.block(_BURES_KIND, b)``, so the scratch is O(block)
     beyond the result's 16 N^2 B per state.
     """
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    blocks = _blocks(rng, _BURES_KIND, count, _BURES_BLOCK)
-    out = np.empty((count, dim, dim), dtype=complex)
-    eye = np.eye(dim)
-    for start, stop, gen in blocks:
-        a = haar_unitary_batch(dim, stop - start, gen)
-        a += eye
-        out[start:stop] = _normalized_gram(a @ ginibre_batch(dim, stop - start, gen))
-    return out
+    blocks = _bures_blocks(dim, count, rng)
+    return _stacked(blocks, np.empty((count, dim, dim), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +345,7 @@ def invert_cdf_g2(u):
     or below the root, and a fixed step count converges for each element
     alone.  u = 1/2, where the derivative vanishes, is snapped; u = 0 and 1
     come out exact because psi underflows to 0.  Any |cdf_g2(t) - u| > 3e-8
-    raises (fail closed).
+    raises :class:`InverseCDFError` (fail closed).
     """
     u_arr = np.asarray(u, dtype=float)
     if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
@@ -308,8 +359,26 @@ def invert_cdf_g2(u):
     t = np.where(u_arr > 0.5, np.square(np.cos(0.25 * psi)), np.square(np.sin(0.25 * psi)))
     t = np.where(u_arr == 0.5, 0.5, t)
     if np.any(np.abs(cdf_g2(t) - u_arr) > 3e-8):
-        raise RuntimeError("inverse CDF residual exceeds 3e-8; qubit sampling aborted")
+        raise InverseCDFError("inverse CDF residual exceeds 3e-8; qubit sampling aborted")
     return _maybe_scalar(t)
+
+
+def _g_qubit_block(count: int, gen: np.random.Generator, keep_matrices: bool):
+    u = gen.random(count)
+    small = invert_cdf_g2(np.minimum(u, 1.0 - u))
+    eigs = np.empty((count, 2))
+    eigs[:, 0] = 1.0 - small
+    eigs[:, 1] = small
+    if not keep_matrices:
+        return None, eigs
+    # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
+    return _haar_rotated(np.where((u > 0.5)[:, None], eigs, eigs[:, ::-1]), gen), eigs
+
+
+def _g_qubit_blocks(count: int, rng: RngStream, keep_matrices: bool):
+    """The states of :func:`sample_g_qubit_batch`, one ``_BLOCK`` block at a time."""
+    return (_g_qubit_block(stop - start, gen, keep_matrices)
+            for start, stop, gen in _blocks(rng, _G_QUBIT_KIND, count, _BLOCK))
 
 
 def sample_g_qubit_batch(count: int, rng: RngStream, keep_matrices: bool = False):
@@ -322,20 +391,7 @@ def sample_g_qubit_batch(count: int, rng: RngStream, keep_matrices: bool = False
     ``keep_matrices`` and the scratch stays O(block) beyond the 16 B per
     state of the spectra and the 64 B per state of the matrices.
     """
-    blocks = _blocks(rng, _G_QUBIT_KIND, count, _BLOCK)
-    eigs = np.empty((count, 2))
-    matrices = np.empty((count, 2, 2), dtype=complex) if keep_matrices else None
-    for start, stop, gen in blocks:
-        u = gen.random(stop - start)
-        small = invert_cdf_g2(np.minimum(u, 1.0 - u))
-        block = eigs[start:stop]
-        block[:, 0] = 1.0 - small
-        block[:, 1] = small
-        if keep_matrices:
-            # diagonal (F^-1(u), 1 - F^-1(u)), as the inverse CDF orders it
-            matrices[start:stop] = _haar_rotated(
-                np.where((u > 0.5)[:, None], block, block[:, ::-1]), gen)
-    return matrices, eigs
+    return _gathered(_g_qubit_blocks(count, rng, keep_matrices), count, 2, keep_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +722,47 @@ def sample_g_rejection_batch(dim: int, count: int, rng: RngStream,
 # unified batch front end
 # ---------------------------------------------------------------------------
 
+def _checked_request(measure: Measure | str, dim: int, count: int) -> Measure:
+    measure = Measure(measure)
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return measure
+
+
+def _unreported_blocks(measure: Measure, dim: int, count: int, rng: RngStream,
+                       keep_matrices: bool):
+    """The ``(matrices_or_None, eigs)`` blocks of every sampler but the rejection sampler."""
+    if measure is Measure.SUPERFIDELITY:
+        return _g_qubit_blocks(count, rng, keep_matrices)
+    states = _hs_blocks if measure is Measure.HILBERT_SCHMIDT else _bures_blocks
+    return _with_spectra(states(dim, count, rng), keep_matrices)
+
+
+def sample_blocks(measure: Measure | str, dim: int, count: int, rng: RngStream,
+                  max_proposals: int = DEFAULT_MAX_PROPOSALS,
+                  keep_matrices: bool = False):
+    """The states of :func:`sample_batch` as ``(report_or_None, blocks)``.
+
+    ``blocks`` yields ``(matrices_or_None, eigs)`` in row order, one
+    sampler block at a time; concatenated, they are :func:`sample_batch`'s
+    arrays bit for bit.  The arguments are checked here, and for HS, Bures
+    and qubit G each block is drawn (and diagonalized) only when it is
+    reached.  G at N >= 3 has a report whose totals a writer needs before
+    the rows, so :func:`sample_g_rejection_batch` runs here, and ``blocks``
+    hands out ``_BLOCK``-row views of the arrays it returned.
+    """
+    measure = _checked_request(measure, dim, count)
+    if measure is Measure.SUPERFIDELITY and dim > 2:
+        mats, eigs, report = sample_g_rejection_batch(dim, count, rng,
+                                                      max_proposals=max_proposals,
+                                                      keep_matrices=keep_matrices)
+        return report, ((None if mats is None else mats[start:start + _BLOCK],
+                         eigs[start:start + _BLOCK]) for start in range(0, count, _BLOCK))
+    return None, _unreported_blocks(measure, dim, count, rng, keep_matrices)
+
+
 def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
                  max_proposals: int = DEFAULT_MAX_PROPOSALS,
                  keep_matrices: bool = False):
@@ -674,20 +771,13 @@ def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
     Returns ``(matrices_or_None, eigs, report_or_None)``: the (count, N, N)
     states when ``keep_matrices``, their descending, clamped (count, N)
     spectra, and the :class:`RejectionReport` of the rejection sampler, which
-    serves G at N >= 3 and is the only one with a report.
+    serves G at N >= 3 and is the only one with a report.  The other
+    samplers' arrays are filled block by block from the blocks of
+    :func:`sample_blocks`.
     """
-    measure = Measure(measure)
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-
-    if measure is Measure.SUPERFIDELITY:
-        if dim == 2:
-            return (*sample_g_qubit_batch(count, rng, keep_matrices=keep_matrices), None)
+    measure = _checked_request(measure, dim, count)
+    if measure is Measure.SUPERFIDELITY and dim > 2:
         return sample_g_rejection_batch(dim, count, rng, max_proposals=max_proposals,
                                         keep_matrices=keep_matrices)
-    draw = sample_hs_batch if measure is Measure.HILBERT_SCHMIDT else sample_bures_batch
-    mats = draw(dim, count, rng)
-    eigs = clamp_spectrum(np.linalg.eigvalsh(mats)[..., ::-1].copy())
-    return (mats if keep_matrices else None), eigs, None
+    blocks = _unreported_blocks(measure, dim, count, rng, keep_matrices)
+    return (*_gathered(blocks, count, dim, keep_matrices), None)

@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superfid
-from superfid import cli, verify
+from conftest import traced_peak
+from superfid import RngStream, cli, verify
+from superfid.errors import (EnvelopeAuditError, InverseCDFError, QuadratureError,
+                             StepSizeError)
 
 # child processes import the superfid that this process imported, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -103,7 +106,7 @@ class TestUnwritableOut:
     # the command's work function is called
     COMMANDS = {
         "sample": (["sample", "--measure", "g", "--dim", "3", "--count", "5"],
-                   cli.sm, "sample_batch"),
+                   cli.sm, "sample_blocks"),
         "estimate": (["estimate", "--dim", "2", "--method", "exact"], cli.ed, "c_g_exact"),
         "grid": (["grid", "--measure", "g", "--resolution", "4"],
                  cli.ed, "density_grid_qutrit"),
@@ -126,16 +129,94 @@ class TestUnwritableOut:
         assert captured.err.startswith("error: ") and str(path) in captured.err
         assert not path.exists()
 
-    @pytest.mark.parametrize("argv,code", [
-        (["sample", "--measure", "hs", "--dim", "2", "--count", "0"], 2),
+    @pytest.mark.parametrize("argv,code,failing_block", [
+        (["sample", "--measure", "hs", "--dim", "2", "--count", "0"], 2, None),
         (["sample", "--measure", "g", "--dim", "3", "--count", "500", "--seed", "4",
-          "--max-proposals", "1"], 3),
-    ], ids=["usage", "budget"])
-    def test_failed_run_keeps_existing_file(self, argv, code, tmp_path, capsys):
+          "--max-proposals", "1"], 3, None),
+        # block 2 of 3 raises after block 1's first chunk went to the temporary file
+        (["sample", "--measure", "hs", "--dim", "2", "--count", "9000"], 2, 2),
+    ], ids=["usage", "budget", "hs-block-2"])
+    def test_failed_run_keeps_existing_file(self, argv, code, failing_block, tmp_path,
+                                            capsys, monkeypatch):
         path = tmp_path / "out.csv"
         path.write_bytes(b"earlier output\n")
+        written = []   # the other files' sizes when the block fails
+        ginibre, calls = cli.sm.ginibre_batch, []
+
+        def ginibre_batch(*args):
+            calls.append(args)
+            if len(calls) == failing_block:
+                written.extend(f.stat().st_size for f in tmp_path.iterdir() if f != path)
+                raise ValueError(f"block {failing_block} failed")
+            return ginibre(*args)
+
+        monkeypatch.setattr(cli.sm, "ginibre_batch", ginibre_batch)
         assert cli.main(argv + ["--out", str(path)]) == code
         assert path.read_bytes() == b"earlier output\n"
+        assert list(tmp_path.iterdir()) == [path]   # no temporary file is left
+        if failing_block:
+            assert len(written) == 1 and written[0] > 0
+            assert capsys.readouterr().err == f"error: block {failing_block} failed\n"
+
+    def test_out_keeps_its_permissions_and_symlink(self, tmp_path):
+        path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        path.write_bytes(b"earlier output\n")
+        path.chmod(0o640)
+        link.symlink_to(path)
+        argv = ["sample", "--measure", "hs", "--dim", "2", "--count", "3", "--out", str(link)]
+        assert cli.main(argv) == 0
+        assert path.read_text().startswith("# superfid sample")
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, path]
+
+
+def _inverse_cdf_off_by_one(monkeypatch):
+    # every qubit state then fails the inverse CDF's residual check
+    monkeypatch.setattr(cli.sm, "cdf_g2", lambda t: np.asarray(t) + 1.0)
+
+
+def _envelope_bound_too_low(monkeypatch):
+    # the audit measures against the lowered bound; its cache starts empty
+    monkeypatch.setattr(cli.sm, "_audit_gate_cache", {})
+    monkeypatch.setattr(cli.sm, "_log_envelope_bound", lambda dim: -50.0)
+
+
+def _raising(module, name, error):
+    """A patch that makes ``module.name`` raise ``error``."""
+    def patch(monkeypatch):
+        def fail(*args, **kwargs):
+            raise error(f"{name} failed closed")
+        monkeypatch.setattr(module, name, fail)
+    return patch
+
+
+class TestFailClosedExit:
+    """A numerical self-check that fails closed exits 4 with one line on stderr."""
+
+    CASES = {
+        "inverse-cdf": (["sample", "--measure", "g", "--dim", "2", "--count", "10"],
+                        _inverse_cdf_off_by_one, InverseCDFError),
+        "envelope": (["sample", "--measure", "g", "--dim", "3", "--count", "10"],
+                     _envelope_bound_too_low, EnvelopeAuditError),
+        "quadrature": (["estimate", "--dim", "4", "--method", "quadrature"],
+                       _raising(cli.ed, "c_g_quadrature", QuadratureError), QuadratureError),
+        "step-size": (["verify", "metric", "--scale", "0.05"],
+                      _raising(cli.vf, "run_suite", StepSizeError), StepSizeError),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_4_and_keeps_out(self, case, tmp_path, capsys, monkeypatch):
+        argv, patch, error = self.CASES[case]
+        assert error in cli.FAIL_CLOSED_ERRORS
+        patch(monkeypatch)
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"earlier output\n")
+        assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_FAIL_CLOSED == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert path.read_bytes() == b"earlier output\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestEstimateCommand:
@@ -423,6 +504,33 @@ class TestDeterminism:
         assert result.stdout.strip() == "0 []"
 
 
+class TestBoundedMemory:
+    """``sample --out`` holds O(block) states, whatever ``--count`` is."""
+
+    # (measure, dim, options, states per sampler block, growth allowed per state in B)
+    CASES = [
+        ("hs", 2, ["--format", "json", "--full-matrix"], cli.sm._BLOCK, 4),
+        ("bures", 3, ["--full-matrix"], cli.sm._BURES_BLOCK, 4),
+        ("g", 2, ["--full-matrix"], cli.sm._BLOCK, 4),
+        # the rejection sampler holds its 8 N B spectra for its header's totals
+        ("g", 3, [], cli.sm._BLOCK, 8 * 3 + 8),
+    ]
+
+    @pytest.mark.parametrize("measure,dim,options,block,per_state", CASES,
+                             ids=["hs-2-json", "bures-3", "g-2", "g-3-rejection"])
+    def test_peak_does_not_grow_with_count(self, measure, dim, options, block, per_state,
+                                           tmp_path):
+        def run(count):
+            argv = ["sample", "--measure", measure, "--dim", str(dim), "--count", str(count),
+                    "--seed", "1", "--out", str(tmp_path / "out"), *options]
+            assert cli.main(argv) == 0
+
+        run(1)   # one-time costs, such as the envelope audit, are paid before measuring
+        small = traced_peak(run, 2 * block)
+        large = traced_peak(run, 16 * block)
+        assert large - small <= per_state * 14 * block
+
+
 def _reference_csv(cfg, eigs, purity, mats, report):
     """The row-by-row CSV writer that the block writer replaced."""
     lines = [
@@ -488,38 +596,44 @@ class TestBlockWriter:
 
     @pytest.mark.parametrize("measure,dim,count,fmt,full,seed", CASES,
                              ids=lambda v: str(v))
-    def test_sample_bytes_match_reference_writers(self, monkeypatch, measure, dim, count,
-                                                  fmt, full, seed):
-        seen = []   # the arguments each writer call received
-
-        def spy(writer):
-            def spied(*args):
-                seen.append(args)
-                return writer(*args)
-            return spied
-
-        for name in ("_sample_csv", "_sample_json"):
-            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    def test_sample_bytes_match_reference_writers(self, measure, dim, count, fmt, full,
+                                                  seed):
         argv = ["sample", "--measure", measure, "--dim", str(dim), "--count", str(count),
                 "--seed", str(seed), "--format", fmt]
         code, out = run_cli(argv + (["--full-matrix"] if full else []))
-        assert code == 0 and len(seen) == 1
+        assert code == 0
+        # the reference writers print the whole arrays of sample_batch
+        mats, eigs, report = cli.sm.sample_batch(measure, dim, count, RngStream(seed),
+                                                 keep_matrices=full)
+        cfg = cli.build_parser().parse_args(argv)
         reference = _reference_csv if fmt == "csv" else _reference_json
         _assert_same_pieces(out.splitlines(keepends=True),
-                            reference(*seen[0]).splitlines(keepends=True))
-        report = seen[0][-1]
+                            reference(cfg, eigs, np.sum(eigs ** 2, axis=-1), mats,
+                                      report).splitlines(keepends=True))
         assert (report is not None) == (measure == "g" and dim >= 3)
 
     def test_rows_print_repr_across_blocks(self):
         values = [-0.0, 5e-324, 1e-05, 1e16, 0.1]
         table = np.array([np.roll(values, k) for k in range(2 * 4096 + 1)])
-        csv = "".join(cli._rows(table, ",".join(["%r"] * 5) + "\n", ""))
+        csv = "".join(cli._rows([[table]], ",".join(["%r"] * 5) + "\n", ""))
         _assert_same_pieces(csv.splitlines(keepends=True),
                             [",".join(map(repr, row)) + "\n" for row in table.tolist()])
-        lists = "[" + "".join(cli._rows(table, "[%r,%r,%r,%r,%r]", ",")) + "]"
+        lists = "[" + "".join(cli._rows([[table]], "[%r,%r,%r,%r,%r]", ",")) + "]"
         _assert_same_pieces(lists.split("],["),
                             json.dumps(table.tolist(), separators=(",", ":")).split("],["))
         assert csv.startswith("-0.0,5e-324,1e-05,1e+16,0.1\n")
+
+    @pytest.mark.parametrize("sizes", [[1] * 7, [5, 1, 1, 3], [2730, 1366, 2730], [6000, 3],
+                                       [0, 4, 0, 2730, 1]], ids=str)
+    def test_chunks_are_cut_across_blocks(self, sizes):
+        # blocks of any size, split into column groups, give the chunks of one table
+        table = np.random.default_rng(len(sizes)).random((sum(sizes), 3))
+        bounds = np.cumsum([0] + sizes)
+        blocks = [[table[a:b, :2], table[a:b, 2:]] for a, b in zip(bounds, bounds[1:])]
+        for template, sep in (("%r,%r,%r\n", ""), ("[%r,%r,%r]", ",\n")):
+            whole = list(cli._rows([[table]], template, sep))
+            assert list(cli._rows(blocks, template, sep)) == whole
+            assert len(whole) == -(-len(table) // (cli._REPR_CHUNK // 3))
 
 
 def _assert_same_pieces(got, want):
@@ -545,7 +659,7 @@ def _assert_rows_match_reference(values, ncol=1):
                               ("[" + ",".join(["%r"] * ncol) + "]", ",\n")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = "".join(cli._rows(table, template, sep)).splitlines()
+                got = "".join(cli._rows([[table]], template, sep)).splitlines()
             _assert_same_pieces(got, _reference_rows(table, template, sep).splitlines())
 
 

@@ -18,7 +18,7 @@ from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, 
                       hs_purity_batch, invert_cdf_g2, ks_test,
                       ks_test_two_sample, log_rejection_constant_c, mc_mean,
                       purity_mean_hs, purity_variance_hs, rejection_constant_c,
-                      sample_batch, sample_bures_batch, sample_g_qubit_batch,
+                      sample_batch, sample_blocks, sample_bures_batch, sample_g_qubit_batch,
                       sample_g_rejection_batch, sample_hs_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
@@ -717,6 +717,52 @@ class TestSampleBatchFrontend:
             _, eigs, _ = sample_batch(measure, 2, 50, RngStream(seed))
             assert np.all(eigs[:, 0] >= eigs[:, 1])
             assert np.max(np.abs(eigs.sum(axis=-1) - 1)) <= 1e-12
+
+
+class TestSampleBlocks:
+    """``sample_blocks`` streams the states of ``sample_batch`` one sampler block at a time."""
+
+    @pytest.mark.parametrize("measure,dim,block", [
+        ("hs", 3, samplers._BLOCK), ("bures", 3, samplers._BURES_BLOCK),
+        ("g", 2, samplers._BLOCK), ("g", 3, samplers._BLOCK)], ids=str)
+    def test_batch_is_the_concatenated_blocks(self, measure, dim, block):
+        for count in (1, block - 1, block, block + 1, 2 * block + 5):
+            for keep in (False, True):
+                mats, eigs, report = sample_batch(measure, dim, count, RngStream(31),
+                                                  keep_matrices=keep)
+                streamed_report, blocks = sample_blocks(measure, dim, count, RngStream(31),
+                                                        keep_matrices=keep)
+                blocks = list(blocks)
+                assert [len(e) for _, e in blocks] == [
+                    min(block, count - start) for start in range(0, count, block)]
+                assert np.concatenate([e for _, e in blocks]).tobytes() == eigs.tobytes()
+                if keep:
+                    assert np.concatenate([m for m, _ in blocks]).tobytes() == mats.tobytes()
+                else:
+                    assert mats is None and all(m is None for m, _ in blocks)
+                assert streamed_report == report
+                assert (report is not None) == (measure == "g" and dim >= 3)
+
+    @pytest.mark.parametrize("measure,dim", [("hs", 3), ("bures", 3), ("g", 2)])
+    def test_checks_at_the_call_and_draws_each_block_when_reached(self, measure, dim,
+                                                                   monkeypatch):
+        with pytest.raises(ValueError, match="count"):
+            sample_blocks(measure, dim, 0, RngStream(32))
+        with pytest.raises(InvalidDimensionError):
+            sample_blocks(measure, 1, 10, RngStream(32))
+        with pytest.raises(TypeError, match="RngStream"):
+            sample_blocks(measure, dim, 10, RngStream(32).generator())
+        block, drawn = RngStream.block, []
+
+        def recorded(rng, kind, index):
+            drawn.append(index)
+            return block(rng, kind, index)
+
+        monkeypatch.setattr(RngStream, "block", recorded)
+        _, blocks = sample_blocks(measure, dim, 3 * samplers._BLOCK, RngStream(32))
+        assert drawn == []
+        for b, _ in enumerate(blocks):
+            assert drawn == list(range(b + 1))
 
 
 class TestKeyedBlockContract:
