@@ -23,8 +23,8 @@ from .rng import RngStream, seed_from_env
 from .samplers import (EnvelopeAudit, RejectionReport, audit_sup_density_ratio,
                        hs_purity_batch, invert_cdf_g2, log_rejection_constant_c,
                        rejection_constant_c, sample_batch, sample_blocks,
-                       sample_bures_batch, sample_g_qubit_batch, sample_g_rejection_batch,
-                       sample_hs_batch, sup_density_ratio_unnormalized)
+                       sample_g_rejection_batch, sample_hs_batch,
+                       sup_density_ratio_unnormalized)
 from .similarity import (dist_g, fd_second_derivative, fidelity, line_element_bprime,
                          line_element_g, superfidelity)
 from .statlab import (GofResult, chi_square_gof_simplex, ks_test, ks_test_two_sample,

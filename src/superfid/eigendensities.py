@@ -317,13 +317,15 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
         terms[k] = coeff[k] * float(p_pow.mean()) * inv_chs
     partial = np.cumsum(terms)
     tail, tail_parts = _series_tail(terms, (dim - 1) ** 2 + 0.5)
-    f_coeff = coeff * inv_chs
+    # F(p) / (1/C_HS), so that its variance cannot underflow where 1/C_HS is tiny
+    f_coeff = coeff.copy()
     f_coeff[-2:] *= 1.0 + np.asarray(tail_parts) / terms[-2:]
-    _, se_f = mc_mean(np.polynomial.polynomial.polyval(p, f_coeff))
+    _, se_ratio = mc_mean(np.polynomial.polynomial.polyval(p, f_coeff))
 
     inv_c = float(partial[k_max] + tail)
     estimate = NormalizationEstimate(
-        dim=dim, value=1.0 / inv_c, method="series", std_error=se_f / inv_c ** 2,
+        dim=dim, value=1.0 / inv_c, method="series",
+        std_error=se_ratio / (inv_c / inv_chs) / inv_c,
         terms_or_samples=k_max, truncation_last_term=float(terms[k_max]),
         truncation_tail=tail)
     if return_partial_sums:

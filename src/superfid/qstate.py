@@ -3,7 +3,7 @@
 States, unitaries, and tangent directions are plain complex ``numpy`` arrays;
 the functions here validate the defining invariants instead of wrapping the
 arrays in classes.  All random constructions return (count, N, N) stacks,
-take a ``numpy`` Generator (a keyed block or the Philox sequence of an
+take a ``numpy`` Generator (in the package, always a keyed block of an
 :class:`~superfid.rng.RngStream`) and read it from front to back; anything
 else raises ``TypeError``.
 

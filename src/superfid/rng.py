@@ -7,22 +7,22 @@ statistically independent streams, so separate draws (the checks of one
 ``verify`` suite, say) need not share a sequence.  ``superfid sample`` draws
 from stream 0 of its seed.
 
-A stream has two families of generators.  :meth:`RngStream.block` is keyed
-by a block kind and a block index as well: block ``b`` of kind ``k`` is a
-PCG64 generator seeded from ``SeedSequence(seed, spawn_key=(stream, k, b))``,
-so its values depend only on (seed, stream, kind, block), not on which
-blocks were drawn before it or on which thread draws it.  Every sampler
-fills its output block by block from these, one kind per sampler, so it can
-split the blocks between threads, stop early or draw a prefix, and give the
-same values.  The blocks use PCG64 because it fills ``standard_gamma`` rows
-faster than Philox; seeding one costs ~15 us.  :meth:`RngStream.generator`
-is one Philox sequence, independent of every block, which only code outside
-the samplers reads from front to back: the envelope audit and ``statlab``'s
-simplex test, which take an :class:`RngStream`, and ``verify``, which hands
-it to the ``qstate`` primitives (Haar unitaries, tangent directions) and to
-its inverse-CDF check.  The ``qstate`` primitives take only a numpy
-Generator (a block or this sequence); every other randomized function takes
-only an :class:`RngStream` (:func:`check_stream`).
+A stream has one family of generators, its keyed blocks:
+:meth:`RngStream.block` is keyed by a block kind and a block index as well,
+and block ``b`` of kind ``k`` is a PCG64 generator seeded from
+``SeedSequence(seed, spawn_key=(stream, k, b))``.  Its values depend only on
+(seed, stream, kind, block), not on which blocks were drawn before it or on
+which thread draws it.  Every kind is declared here, once.  Kinds 0-4 are
+the samplers', one per sampler: each fills its output block by block, so it
+can split the blocks between threads, stop early or draw a prefix, and give
+the same values.  Kinds 5-7 belong to the readers outside the samplers, and
+each reads block 0 of its kind from the front: the envelope audit's probes,
+``statlab``'s simplex-test shuffle, and ``verify``'s own draws (Haar
+unitaries, tangent directions, inverse-CDF uniforms).  The blocks use PCG64
+because it fills ``standard_gamma`` rows faster than Philox; seeding one
+costs ~15 us.  The ``qstate`` primitives take only a numpy Generator, a
+block; every other randomized function takes only an :class:`RngStream`
+(:func:`check_stream`).
 """
 from __future__ import annotations
 
@@ -34,10 +34,16 @@ import numpy as np
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SUPERFID_SEED"
 
+# RngStream.block kinds: one per sampler, then one per reader outside the samplers
+HS_PURITY_KIND, HS_KIND, BURES_KIND, G_QUBIT_KIND, G_REJECTION_KIND = range(5)
+AUDIT_KIND = 5          # audit_sup_density_ratio's probes
+GOF_SHUFFLE_KIND = 6    # chi_square_gof_simplex's row shuffle
+VERIFY_KIND = 7         # verify's own draws
+
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream keyed by (master seed, stream index)."""
+    """Random stream keyed by (master seed, stream index), drawn from in keyed blocks."""
 
     seed: int
     stream: int = 0
@@ -46,17 +52,11 @@ class RngStream:
         if self.stream < 0:
             raise ValueError("stream index must be non-negative")
 
-    def _seed_sequence(self, *key: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=self.seed & 0xFFFFFFFFFFFFFFFF,
-                                      spawn_key=(self.stream, *key))
-
-    def generator(self) -> np.random.Generator:
-        """Fresh Philox generator; repeated calls replay the same sequence."""
-        return np.random.Generator(np.random.Philox(self._seed_sequence()))
-
     def block(self, kind: int, index: int) -> np.random.Generator:
         """Fresh PCG64 generator of block ``index`` of kind ``kind`` in this stream."""
-        return np.random.Generator(np.random.PCG64(self._seed_sequence(kind, index)))
+        seq = np.random.SeedSequence(entropy=self.seed & 0xFFFFFFFFFFFFFFFF,
+                                     spawn_key=(self.stream, kind, index))
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 def check_stream(rng) -> None:

@@ -20,25 +20,25 @@
 
 Every sampler draws a stack of ``count`` states and vectorizes over the
 sample index; one state is a batch of one.  Every sampler takes only an
-:class:`RngStream` and has one block kind: block b of its output draws
-everything it needs from ``rng.block(kind, b)`` alone, in a fixed order, so
-a value depends only on (seed, stream, kind, b, block size).  A shorter run
-gives the whole blocks of a longer one as a prefix, and the HS purities'
-blocks can be split between the calling thread and one helper thread
-without changing a value.
+:class:`RngStream` and has one block kind (declared in :mod:`superfid.rng`):
+block b of its output draws everything it needs from ``rng.block(kind, b)``
+alone, in a fixed order, so a value depends only on (seed, stream, kind, b,
+block size).  A shorter run gives the whole blocks of a longer one as a
+prefix, and the HS purities' blocks can be split between the calling thread
+and one helper thread without changing a value.
 
-Each sampler of HS, Bures and qubit G states has one per-block body, which
-draws one block and yields it; the whole-array functions fill their result
-from those bodies.  :func:`sample_blocks` routes a measure and a dimension
-to one of them and returns ``(report_or_None, blocks)``: a stream of
-``(matrices_or_None, eigs)`` blocks in row order, each drawn and
-diagonalized only when it is reached, so a consumer that writes each block
-before it takes the next holds O(block) states whatever the count.  The
-rejection sampler (G at N >= 3) is the exception: its report holds totals
-that a writer prints before the rows, so it draws every state first and
-its held arrays are handed out in blocks.  :func:`sample_batch` returns
-the same states as plain arrays, ``(matrices_or_None, eigs,
-report_or_None)``.
+:func:`sample_blocks` is the one state front end: it routes a measure and a
+dimension to a sampler and returns ``(report_or_None, blocks)``, a stream of
+``(matrices_or_None, eigs)`` blocks in row order.  HS, Bures and qubit G
+blocks are each drawn and diagonalized only when they are reached, so a
+consumer that writes each block before it takes the next holds O(block)
+states whatever the count.  The rejection sampler (G at N >= 3) is the
+exception: its report holds totals that a writer prints before the rows, so
+it draws every state first and its held arrays are handed out in blocks.
+:func:`sample_batch` gathers those blocks into plain arrays,
+``(matrices_or_None, eigs, report_or_None)``.  HS matrices without spectra
+(:func:`sample_hs_batch`) and HS purities (:func:`hs_purity_batch`) have
+functions of their own.
 """
 from __future__ import annotations
 
@@ -53,12 +53,17 @@ from .errors import (EnvelopeAuditError, InvalidDimensionError, InverseCDFError,
                      SamplingBudgetError)
 from .qstate import (Measure, _dagger, _maybe_scalar, clamp_spectrum, ginibre_batch,
                      haar_unitary_batch)
+from .rng import AUDIT_KIND as _AUDIT_KIND
+from .rng import BURES_KIND as _BURES_KIND
+from .rng import G_QUBIT_KIND as _G_QUBIT_KIND
+from .rng import G_REJECTION_KIND as _G_REJECTION_KIND
+from .rng import HS_KIND as _HS_KIND
+from .rng import HS_PURITY_KIND as _HS_PURITY_KIND
 from .rng import RngStream, check_stream
 
 __all__ = [
     "RejectionReport", "EnvelopeAudit",
-    "sample_hs_batch", "hs_purity_batch", "sample_bures_batch",
-    "invert_cdf_g2", "sample_g_qubit_batch",
+    "sample_hs_batch", "hs_purity_batch", "invert_cdf_g2",
     "sup_density_ratio_unnormalized", "audit_sup_density_ratio",
     "rejection_constant_c", "log_rejection_constant_c",
     "sample_g_rejection_batch",
@@ -68,8 +73,6 @@ __all__ = [
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
 _BLOCK = 4096                         # states per block: HS, rejection proposals, qubit G
 _BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
-# RngStream.block kinds 0..4, one per sampler; with the block sizes they fix every value
-_HS_PURITY_KIND, _HS_KIND, _BURES_KIND, _G_QUBIT_KIND, _G_REJECTION_KIND = range(5)
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_GATE_PROBES = 20_000
 _AUDIT_GATE_SEED = 1597463007
@@ -196,29 +199,6 @@ def _normalized_gram(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def _stacked(blocks, out: np.ndarray) -> np.ndarray:
-    """``out`` filled in order with the rows of a stream of blocks."""
-    start = 0
-    for block in blocks:
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
-
-
-def _gathered(blocks, count: int, dim: int, keep_matrices: bool):
-    """``(matrices_or_None, eigs)``: a stream of such blocks copied into whole arrays."""
-    eigs = np.empty((count, dim))
-    mats = np.empty((count, dim, dim), dtype=complex) if keep_matrices else None
-    start = 0
-    for block_mats, block_eigs in blocks:
-        stop = start + len(block_eigs)
-        eigs[start:stop] = block_eigs
-        if keep_matrices:
-            mats[start:stop] = block_mats
-        start = stop
-    return mats, eigs
-
-
 def _with_spectra(blocks, keep_matrices: bool):
     """``(matrices_or_None, eigs)`` for each block of states: descending, clamped spectra."""
     for mats in blocks:
@@ -227,7 +207,10 @@ def _with_spectra(blocks, keep_matrices: bool):
 
 
 def _hs_blocks(dim: int, count: int, rng: RngStream):
-    """The states of :func:`sample_hs_batch`, one ``_BLOCK`` block at a time."""
+    """``count`` HS states, one ``_BLOCK`` block at a time.
+
+    Block b draws its Ginibre matrices from ``rng.block(_HS_KIND, b)``.
+    """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     return (_normalized_gram(ginibre_batch(dim, stop - start, gen))
@@ -235,13 +218,17 @@ def _hs_blocks(dim: int, count: int, rng: RngStream):
 
 
 def sample_hs_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
-    """``count`` Hilbert-Schmidt states G G^dag / tr(G G^dag), G Ginibre.
+    """``count`` Hilbert-Schmidt states G G^dag / tr(G G^dag), G Ginibre, without spectra.
 
-    Block b of ``_BLOCK`` states draws its Ginibre matrices from
-    ``rng.block(_HS_KIND, b)``.
+    The matrices of :func:`sample_batch`'s HS states, bit for bit, filled in
+    block by block, so the scratch is O(block) beyond the result.
     """
-    blocks = _hs_blocks(dim, count, rng)
-    return _stacked(blocks, np.empty((count, dim, dim), dtype=complex))
+    out = np.empty((count, dim, dim), dtype=complex)
+    start = 0
+    for block in _hs_blocks(dim, count, rng):
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
@@ -311,22 +298,15 @@ def _bures_block(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def _bures_blocks(dim: int, count: int, rng: RngStream):
-    """The states of :func:`sample_bures_batch`, one ``_BURES_BLOCK`` block at a time."""
+    """``count`` Bures states A A^dag / tr(A A^dag), A = (I + U) G, U Haar, G Ginibre.
+
+    One ``_BURES_BLOCK`` block at a time: block b draws its unitaries, then
+    its Ginibre matrices, from ``rng.block(_BURES_KIND, b)``.
+    """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     return (_bures_block(dim, stop - start, gen)
             for start, stop, gen in _blocks(rng, _BURES_KIND, count, _BURES_BLOCK))
-
-
-def sample_bures_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
-    """``count`` Bures states A A^dag / tr(A A^dag), A = (I + U) G, U Haar, G Ginibre.
-
-    Block b of ``_BURES_BLOCK`` states draws its unitaries, then its Ginibre
-    matrices, from ``rng.block(_BURES_KIND, b)``, so the scratch is O(block)
-    beyond the result's 16 N^2 B per state.
-    """
-    blocks = _bures_blocks(dim, count, rng)
-    return _stacked(blocks, np.empty((count, dim, dim), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +356,15 @@ def _g_qubit_block(count: int, gen: np.random.Generator, keep_matrices: bool):
 
 
 def _g_qubit_blocks(count: int, rng: RngStream, keep_matrices: bool):
-    """The states of :func:`sample_g_qubit_batch`, one ``_BLOCK`` block at a time."""
-    return (_g_qubit_block(stop - start, gen, keep_matrices)
-            for start, stop, gen in _blocks(rng, _G_QUBIT_KIND, count, _BLOCK))
-
-
-def sample_g_qubit_batch(count: int, rng: RngStream, keep_matrices: bool = False):
     """Qubit states under the superfidelity measure: inverse CDF + Haar rotation.
 
-    Returns ``(matrices, eigs)`` where ``eigs`` is (count, 2) descending;
-    ``matrices`` is None when not requested.  Block b of ``_BLOCK`` states
-    draws its uniforms, then its rotations (:func:`_haar_rotated`), from
-    ``rng.block(_G_QUBIT_KIND, b)``, so the spectra do not depend on
-    ``keep_matrices`` and the scratch stays O(block) beyond the 16 B per
-    state of the spectra and the 64 B per state of the matrices.
+    ``(matrices_or_None, eigs)`` one ``_BLOCK`` block at a time, ``eigs``
+    descending.  Block b draws its uniforms, then its rotations
+    (:func:`_haar_rotated`), from ``rng.block(_G_QUBIT_KIND, b)``, so the
+    spectra do not depend on ``keep_matrices``.
     """
-    return _gathered(_g_qubit_blocks(count, rng, keep_matrices), count, 2, keep_matrices)
+    return (_g_qubit_block(stop - start, gen, keep_matrices)
+            for start, stop, gen in _blocks(rng, _G_QUBIT_KIND, count, _BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +537,14 @@ def audit_sup_density_ratio(dim: int, rng: RngStream, probes: int) -> EnvelopeAu
     the three best probes and from the maximally mixed point at once.  The
     envelope is declared valid when no point beats the bound by more than
     ``_AUDIT_TOLERANCE``.  The probes are read from the front of
-    ``rng.generator()``.
+    ``rng.block(_AUDIT_KIND, 0)``.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     if probes < 1:
         raise ValueError(f"probes must be >= 1, got {probes}")
     check_stream(rng)
-    gen = rng.generator()
+    gen = rng.block(_AUDIT_KIND, 0)
     bound = exp(_log_envelope_bound(dim))
 
     lam = np.concatenate([gen.dirichlet(np.ones(dim), size=probes - probes // 2),
@@ -722,62 +695,53 @@ def sample_g_rejection_batch(dim: int, count: int, rng: RngStream,
 # unified batch front end
 # ---------------------------------------------------------------------------
 
-def _checked_request(measure: Measure | str, dim: int, count: int) -> Measure:
+def sample_blocks(measure: Measure | str, dim: int, count: int, rng: RngStream,
+                  max_proposals: int = DEFAULT_MAX_PROPOSALS,
+                  keep_matrices: bool = False):
+    """``count`` states of ``measure`` at dimension ``dim``: ``(report_or_None, blocks)``.
+
+    ``blocks`` yields ``(matrices_or_None, eigs)`` in row order, one
+    sampler block at a time: the (n, N, N) states when ``keep_matrices``
+    and their descending, clamped (n, N) spectra.  The arguments are
+    checked here, and for HS, Bures and qubit G each block is drawn (and
+    diagonalized) only when it is reached.  G at N >= 3 has a
+    :class:`RejectionReport` whose totals a writer needs before the rows,
+    so :func:`sample_g_rejection_batch` runs here, and ``blocks`` hands out
+    ``_BLOCK``-row views of the arrays it returned; the other samplers have
+    no report.
+    """
     measure = Measure(measure)
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return measure
-
-
-def _unreported_blocks(measure: Measure, dim: int, count: int, rng: RngStream,
-                       keep_matrices: bool):
-    """The ``(matrices_or_None, eigs)`` blocks of every sampler but the rejection sampler."""
-    if measure is Measure.SUPERFIDELITY:
-        return _g_qubit_blocks(count, rng, keep_matrices)
-    states = _hs_blocks if measure is Measure.HILBERT_SCHMIDT else _bures_blocks
-    return _with_spectra(states(dim, count, rng), keep_matrices)
-
-
-def sample_blocks(measure: Measure | str, dim: int, count: int, rng: RngStream,
-                  max_proposals: int = DEFAULT_MAX_PROPOSALS,
-                  keep_matrices: bool = False):
-    """The states of :func:`sample_batch` as ``(report_or_None, blocks)``.
-
-    ``blocks`` yields ``(matrices_or_None, eigs)`` in row order, one
-    sampler block at a time; concatenated, they are :func:`sample_batch`'s
-    arrays bit for bit.  The arguments are checked here, and for HS, Bures
-    and qubit G each block is drawn (and diagonalized) only when it is
-    reached.  G at N >= 3 has a report whose totals a writer needs before
-    the rows, so :func:`sample_g_rejection_batch` runs here, and ``blocks``
-    hands out ``_BLOCK``-row views of the arrays it returned.
-    """
-    measure = _checked_request(measure, dim, count)
     if measure is Measure.SUPERFIDELITY and dim > 2:
         mats, eigs, report = sample_g_rejection_batch(dim, count, rng,
                                                       max_proposals=max_proposals,
                                                       keep_matrices=keep_matrices)
         return report, ((None if mats is None else mats[start:start + _BLOCK],
                          eigs[start:start + _BLOCK]) for start in range(0, count, _BLOCK))
-    return None, _unreported_blocks(measure, dim, count, rng, keep_matrices)
+    if measure is Measure.SUPERFIDELITY:
+        return None, _g_qubit_blocks(count, rng, keep_matrices)
+    states = _hs_blocks if measure is Measure.HILBERT_SCHMIDT else _bures_blocks
+    return None, _with_spectra(states(dim, count, rng), keep_matrices)
 
 
 def sample_batch(measure: Measure | str, dim: int, count: int, rng: RngStream,
                  max_proposals: int = DEFAULT_MAX_PROPOSALS,
                  keep_matrices: bool = False):
-    """Sample ``count`` states of ``measure`` at dimension ``dim``.
+    """The states of :func:`sample_blocks` as ``(matrices_or_None, eigs, report_or_None)``.
 
-    Returns ``(matrices_or_None, eigs, report_or_None)``: the (count, N, N)
-    states when ``keep_matrices``, their descending, clamped (count, N)
-    spectra, and the :class:`RejectionReport` of the rejection sampler, which
-    serves G at N >= 3 and is the only one with a report.  The other
-    samplers' arrays are filled block by block from the blocks of
-    :func:`sample_blocks`.
+    The blocks are gathered into (count, N, N) and (count, N) arrays.
     """
-    measure = _checked_request(measure, dim, count)
-    if measure is Measure.SUPERFIDELITY and dim > 2:
-        return sample_g_rejection_batch(dim, count, rng, max_proposals=max_proposals,
-                                        keep_matrices=keep_matrices)
-    blocks = _unreported_blocks(measure, dim, count, rng, keep_matrices)
-    return (*_gathered(blocks, count, dim, keep_matrices), None)
+    report, blocks = sample_blocks(measure, dim, count, rng, max_proposals, keep_matrices)
+    eigs = np.empty((count, dim))
+    mats = np.empty((count, dim, dim), dtype=complex) if keep_matrices else None
+    start = 0
+    for block_mats, block_eigs in blocks:
+        stop = start + len(block_eigs)
+        eigs[start:stop] = block_eigs
+        if keep_matrices:
+            mats[start:stop] = block_mats
+        start = stop
+    return mats, eigs, report

@@ -6,7 +6,9 @@ Pearson chi-square goodness of fit on the qutrit eigenvalue simplex, and the
 fixed Gauss rule over the eigenvalue simplex used as the numerical oracle for
 normalization constants.  Every integral here is one Gauss-Legendre rule in
 phi with s = sin^2 phi, at 32 and 48 nodes, and fails closed with
-:class:`QuadratureError` when the two orders disagree.
+:class:`QuadratureError` when the two orders disagree.  The only random draw
+here is the chi-square test's row shuffle, read from block 0 of its own
+kind of the :class:`RngStream` it is given (``GOF_SHUFFLE_KIND``).
 
 The quadrature convention is the plain Lebesgue integral over unordered
 simplex coordinates: for N=2, integral over lambda in (0,1) with
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .rng import RngStream, check_stream
+from .rng import GOF_SHUFFLE_KIND, RngStream, check_stream
 
 __all__ = [
     "GofResult", "mc_mean", "mc_variance",
@@ -226,8 +228,9 @@ def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12, *,
 
     ``eigs`` is an (n, 3) array of simplex points (any order); each row is
     put into a uniformly random order, read from the front of
-    ``rng.generator()`` so that the test is deterministic, and binned by its
-    first two coordinates on a ``grid`` x ``grid`` partition of the triangle.
+    ``rng.block(GOF_SHUFFLE_KIND, 0)`` so that the test is deterministic,
+    and binned by its first two coordinates on a ``grid`` x ``grid``
+    partition of the triangle.
     Expected masses come from a tensor sin^2 Gauss rule on every cell of
     ``density`` (a callable on (..., 3) arrays), normalized over the simplex,
     so the test needs no normalization constant; if the rule's two orders
@@ -238,7 +241,7 @@ def chi_square_gof_simplex(eigs: np.ndarray, density, grid: int = 12, *,
     if eigs.ndim != 2 or eigs.shape[1] != 3:
         raise ValueError("eigs must be an (n, 3) array")
     check_stream(rng)
-    gen = rng.generator()
+    gen = rng.block(GOF_SHUFFLE_KIND, 0)
 
     n = eigs.shape[0]
     # random exchangeable reordering of each row

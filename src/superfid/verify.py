@@ -10,15 +10,19 @@ at scale 20, where each size is at least its acceptance size.
 the calling thread runs the other three; their heavy numpy calls release the
 GIL, so on two cores ``all`` takes about as long as its three caller-side
 suites.  Every suite draws only from its own streams, so the output does not
-depend on scheduling.  Every sampler draws from its stream's keyed blocks,
-so no two draws share a generator: where a check needs several stacks of
+depend on scheduling.  Every draw comes from its stream's keyed blocks, so
+no two draws share a generator: where a check needs several stacks of
 states (pairs, triples), it draws one stack from one stream and splits it.
-HS purities (the density suite's Monte-Carlo constants, the purity suite's
-moments) are drawn from keyed blocks split between the drawing thread and a
-helper of its own, which does not change their values either.  The
-sampler-suite helper's working sets are bounded by blocks (Bures states,
-simplex cells), so its allocations peak below 6 MB at scale 1, which bounds
-what its own malloc arena adds to the peak RSS.
+States come from :func:`~superfid.samplers.sample_batch`, except HS matrices
+without spectra and HS purities, and this module's own draws (Haar
+unitaries, tangent directions, inverse-CDF uniforms) read block 0 of
+``VERIFY_KIND`` of their stream.  HS purities (the density suite's
+Monte-Carlo constants, the purity suite's moments) are drawn from keyed
+blocks split between the drawing thread and a helper of its own, which does
+not change their values either.  The sampler-suite helper's working sets
+are bounded by blocks (Bures states, simplex cells), so its allocations
+peak below 6 MB at scale 1, which bounds what its own malloc arena adds to
+the peak RSS.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from . import similarity as si
 from . import statlab as st
 from .qstate import (Measure, _dagger, check_density_matrix, haar_unitary_batch,
                      random_tangent_batch)
-from .rng import RngStream
+from .rng import VERIFY_KIND, RngStream
 
 SUITE_NAMES = ("metric", "density", "sampler", "purity", "all")
 
@@ -61,11 +65,11 @@ def _tangent_lines(dim: int, count: int, rng: RngStream):
 
     The states are Hilbert-Schmidt draws pulled 20 % toward I/N; the
     mixedness floor keeps the FD stencil inside its O(h^2) regime.  The
-    states come from the stream's keyed blocks and the tangents from the
-    front of ``rng.generator()``, two independent families.
+    states come from the HS sampler's blocks and the tangents from
+    ``rng.block(VERIFY_KIND, 0)``, a block of another kind.
     """
     rho = 0.8 * sm.sample_hs_batch(dim, count, rng) + 0.2 * np.eye(dim) / dim
-    return rho, random_tangent_batch(dim, count, rng.generator())
+    return rho, random_tangent_batch(dim, count, rng.block(VERIFY_KIND, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +111,7 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        max(sym_g, sym_f) <= 1e-12,
                        f"max asymmetry G {sym_g:.2e}, F {sym_f:.2e}"))
 
-    u = haar_unitary_batch(3, 50, RngStream(seed, 21).generator())
+    u = haar_unitary_batch(3, 50, RngStream(seed, 21).block(VERIFY_KIND, 0))
     a, b = _hs_stacks(3, 50, 2, RngStream(seed, 22))
     g0 = si.superfidelity(a, b)
     g1 = si.superfidelity(u @ a @ _dagger(u), u @ b @ _dagger(u))
@@ -255,14 +259,13 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out.append(_result("sampler", "bures-qubit-eigenvalue-law",
                        res.p_value > 0.01, f"KS p = {res.p_value:.4f}"))
 
-    gen = RngStream(seed, 72).generator()
-    u = gen.random(n)
+    u = RngStream(seed, 72).block(VERIFY_KIND, 0).random(n)
     lam = np.asarray(sm.invert_cdf_g2(u))
     res = st.ks_test(lam, ed.cdf_g2)
     out.append(_result("sampler", "g-qubit-inverse-cdf-law",
                        res.p_value > 0.01, f"KS p = {res.p_value:.4f}"))
 
-    _, eg = sm.sample_g_qubit_batch(n, RngStream(seed, 73), keep_matrices=False)
+    _, eg, _ = sm.sample_batch(Measure.SUPERFIDELITY, 2, n, RngStream(seed, 73))
     _, eb, _ = sm.sample_batch(Measure.BURES, 2, n, RngStream(seed, 74))
     res = st.ks_test_two_sample(eg[:, 0], eb[:, 0])
     out.append(_result("sampler", "g-qubit-matches-bures",
@@ -277,7 +280,7 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        f"max ratio {audit.max_ratio:.12f} vs bound {audit.bound:.12f}"))
 
     count = max(2000, int(5000 * scale))
-    _, eigs, rep = sm.sample_g_rejection_batch(3, count, RngStream(seed, 76))
+    _, eigs, rep = sm.sample_batch(Measure.SUPERFIDELITY, 3, count, RngStream(seed, 76))
     target = ed.normalized_density(Measure.SUPERFIDELITY, 3)
     res = st.chi_square_gof_simplex(eigs, target, grid=12, rng=RngStream(seed, 77))
     out.append(_result("sampler", "rejection-gof-qutrit",
@@ -304,7 +307,7 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
 
     psi = np.zeros(3, dtype=complex)
     psi[0] = 1.0
-    rot = haar_unitary_batch(3, 1, RngStream(seed, 90).generator())[0] @ psi
+    rot = haar_unitary_batch(3, 1, RngStream(seed, 90).block(VERIFY_KIND, 0))[0] @ psi
     m = max(4000, int(10_000 * scale))
     mats, _, _ = sm.sample_batch(Measure.BURES, 3, m, RngStream(seed, 91), keep_matrices=True)
     ev_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))
@@ -340,7 +343,7 @@ def _purity_checks(seed: int, scale: float = 1.0,
                        abs(mean - target) <= 3 * se,
                        f"E[1/sqrt(1-purity)] = {mean:.5f}, expect {target:.5f} +- {3 * se:.1e}"))
 
-    _, eg = sm.sample_g_qubit_batch(n, RngStream(seed, 111), keep_matrices=False)
+    _, eg, _ = sm.sample_batch(Measure.SUPERFIDELITY, 2, n, RngStream(seed, 111))
     pg = np.sum(eg ** 2, axis=-1)
     mean, se = st.mc_mean(pg)
     g2 = ed.normalized_density(Measure.SUPERFIDELITY, 2)
@@ -350,7 +353,7 @@ def _purity_checks(seed: int, scale: float = 1.0,
                        f"mean {mean:.5f}, quadrature {quad:.5f}, HS mean 0.8"))
 
     count = max(10_000, int(30_000 * scale))
-    _, eigs, _ = sm.sample_g_rejection_batch(3, count, RngStream(seed, 112))
+    _, eigs, _ = sm.sample_batch(Measure.SUPERFIDELITY, 3, count, RngStream(seed, 112))
     pg3 = np.sum(eigs ** 2, axis=-1)
     mean, se = st.mc_mean(pg3)
     z = (mean - ed.purity_mean_hs(3)) / se

@@ -265,6 +265,13 @@ class TestEstimateCommand:
         assert doc["truncation_last_term"] > 0
         assert doc["truncation_tail"] > 0
 
+    def test_series_at_dim_12(self):
+        # (1/C)^2 underflows to 0 here, so the bar must not divide by it
+        code, out = run_cli(["estimate", "--dim", "12", "--method", "series"])
+        assert code == 0
+        doc = json.loads(out)
+        assert np.isfinite(doc["value"]) and doc["std_error"] > 0
+
     def test_exact_unsupported_dim_is_usage_error(self, capsys):
         assert cli.main(["estimate", "--dim", "4", "--method", "exact"]) == 2
         assert cli.main(["estimate", "--dim", "6", "--method", "quadrature"]) == 2

@@ -273,6 +273,16 @@ class TestSeries:
                          for seed in range(100))]
         assert 0.75 <= np.std(z, ddof=1) <= 1.3
 
+    @pytest.mark.parametrize("dim", [12, 13, 14, 15])
+    def test_error_bar_where_the_squared_reciprocal_underflows(self, dim):
+        # from N = 12, (1/C)^2 is below the smallest float64; the bar is formed
+        # in units of 1/C_HS, and on the same purities it is the MC bar
+        series = c_g_series(dim, 20, RngStream(19, dim), samples=20_000)
+        mc = c_g_monte_carlo(dim, 20_000, RngStream(19, dim))
+        assert np.isfinite(series.std_error) and series.std_error > 0
+        assert abs(series.std_error / mc.std_error - 1.0) <= 1e-9
+        assert abs(series.value / mc.value - 1.0) <= 1e-9
+
     def test_series_needs_two_samples(self):
         with pytest.raises(ValueError):
             c_g_series(2, 5, RngStream(0), samples=1)

@@ -6,22 +6,23 @@ from superfid import (InvalidDimensionError, InvalidStateError, RngStream, ginib
                       sample_hs_batch)
 from superfid.qstate import (check_density_matrix, check_tangent, clamp_spectrum,
                              random_tangent_batch)
+from superfid.rng import VERIFY_KIND
 
 
 class TestGinibre:
     def test_deterministic_for_fixed_stream(self):
-        a = ginibre_batch(1, 1, RngStream(42).generator())[0]
-        b = ginibre_batch(1, 1, RngStream(42).generator())[0]
+        a = ginibre_batch(1, 1, RngStream(42).block(VERIFY_KIND, 0))[0]
+        b = ginibre_batch(1, 1, RngStream(42).block(VERIFY_KIND, 0))[0]
         assert a == b
 
     def test_distinct_streams_differ(self):
-        a = ginibre_batch(2, 1, RngStream(42, 0).generator())[0]
-        b = ginibre_batch(2, 1, RngStream(42, 1).generator())[0]
+        a = ginibre_batch(2, 1, RngStream(42, 0).block(VERIFY_KIND, 0))[0]
+        b = ginibre_batch(2, 1, RngStream(42, 1).block(VERIFY_KIND, 0))[0]
         assert not np.allclose(a, b)
 
     def test_entry_second_moment(self):
-        g = ginibre_batch(3, 1, RngStream(7).generator())[0]
-        draws = np.concatenate([ginibre_batch(3, 1, RngStream(7, k).generator()).ravel()
+        g = ginibre_batch(3, 1, RngStream(7).block(VERIFY_KIND, 0))[0]
+        draws = np.concatenate([ginibre_batch(3, 1, RngStream(7, k).block(VERIFY_KIND, 0)).ravel()
                                 for k in range(11_112)])  # ~1e5 entries
         m = np.mean(np.abs(draws) ** 2)
         assert abs(m - 1.0) < 0.02
@@ -29,12 +30,12 @@ class TestGinibre:
 
     def test_zero_dim_rejected(self):
         with pytest.raises(InvalidDimensionError):
-            ginibre_batch(0, 1, RngStream(0).generator())
+            ginibre_batch(0, 1, RngStream(0).block(VERIFY_KIND, 0))
 
 
 @pytest.mark.parametrize("draw", [ginibre_batch, haar_unitary_batch, random_tangent_batch])
 def test_primitives_refuse_a_stream(draw):
-    # the primitives read a Generator; a stream's blocks or generator() make one
+    # the primitives read a Generator, which in the package is always a stream's block
     with pytest.raises(TypeError, match="Generator"):
         draw(3, 2, RngStream(0))
 
@@ -42,11 +43,11 @@ def test_primitives_refuse_a_stream(draw):
 class TestHaarUnitary:
     def test_unitarity(self):
         for dim in (1, 2, 3, 5, 8):
-            u = haar_unitary_batch(dim, 1, RngStream(dim).generator())[0]
+            u = haar_unitary_batch(dim, 1, RngStream(dim).block(VERIFY_KIND, 0))[0]
             assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-10
 
     def test_dim1_uniform_phase(self):
-        u = haar_unitary_batch(1, 10_000, RngStream(3).generator())
+        u = haar_unitary_batch(1, 10_000, RngStream(3).block(VERIFY_KIND, 0))
         angles = np.angle(u[:, 0, 0])
         mean, se = mc_mean(angles)
         assert abs(mean) <= 3 * se
@@ -54,14 +55,14 @@ class TestHaarUnitary:
         assert res.p_value > 0.01
 
     def test_first_entry_moment(self):
-        u = haar_unitary_batch(2, 10_000, RngStream(4).generator())
+        u = haar_unitary_batch(2, 10_000, RngStream(4).block(VERIFY_KIND, 0))
         mean, se = mc_mean(np.abs(u[:, 0, 0]) ** 2)
         assert abs(mean - 0.5) <= 3 * se
 
     def test_left_invariance(self):
-        gen = RngStream(5).generator()
+        gen = RngStream(5).block(VERIFY_KIND, 0)
         u = haar_unitary_batch(3, 10_000, gen)
-        v = haar_unitary_batch(3, 1, RngStream(6).generator())[0]
+        v = haar_unitary_batch(3, 1, RngStream(6).block(VERIFY_KIND, 0))[0]
         res = ks_test_two_sample(np.abs(u[:, 0, 0]) ** 2,
                                  np.abs((v @ u)[:, 0, 0]) ** 2)
         assert res.p_value > 0.01
@@ -103,7 +104,7 @@ class TestValidators:
             check_density_matrix(bad)
 
     def test_clamp_spectrum_on_a_stack_matches_rows(self):
-        gen = RngStream(14).generator()
+        gen = RngStream(14).block(VERIFY_KIND, 0)
         stack = -np.sort(-gen.dirichlet(np.ones(4), size=50), axis=-1)
         stack[::5, -1] = -5e-11  # noise within the floor: clamped, then renormalized
         rows = np.array([clamp_spectrum(row) for row in stack])
@@ -113,7 +114,7 @@ class TestValidators:
 
     def test_random_tangent_is_traceless_hermitian(self):
         for dim in (2, 3, 4):
-            h = random_tangent_batch(dim, 20, RngStream(dim, 3).generator())
+            h = random_tangent_batch(dim, 20, RngStream(dim, 3).block(VERIFY_KIND, 0))
             assert h.shape == (20, dim, dim)
             assert np.max(np.abs(np.trace(h, axis1=-2, axis2=-1))) < 1e-12
             assert np.max(np.abs(h - h.conj().swapaxes(-2, -1))) < 1e-12
@@ -124,7 +125,7 @@ class TestValidators:
         # the tangent space at N = 1 is {0}: no unit direction exists
         for dim in (1, 0):
             with pytest.raises(InvalidDimensionError):
-                random_tangent_batch(dim, 3, RngStream(0).generator())
+                random_tangent_batch(dim, 3, RngStream(0).block(VERIFY_KIND, 0))
 
 
 class TestStacks:
@@ -144,7 +145,7 @@ class TestStacks:
                     check_density_matrix(checked)
 
     def test_one_bad_tangent_in_a_stack_raises(self):
-        stack = random_tangent_batch(3, 30, RngStream(9).generator())
+        stack = random_tangent_batch(3, 30, RngStream(9).block(VERIFY_KIND, 0))
         check_tangent(stack)
         for bad, match in [(np.diag([0.5, 0.0, 0.0]), "traceless"),
                            (np.triu(np.ones((3, 3))) - np.eye(3), "Hermitian")]:
@@ -157,7 +158,7 @@ class TestStacks:
     def test_validators_return_the_stack(self):
         stack = sample_hs_batch(3, 5, RngStream(10))
         assert np.array_equal(check_density_matrix(stack), stack)
-        tangents = random_tangent_batch(3, 5, RngStream(10).generator())
+        tangents = random_tangent_batch(3, 5, RngStream(10).block(VERIFY_KIND, 0))
         assert np.array_equal(check_tangent(tangents), tangents)
         for k in range(5):
             assert np.array_equal(check_density_matrix(stack[k]), stack[k])

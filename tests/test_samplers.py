@@ -18,11 +18,11 @@ from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, 
                       hs_purity_batch, invert_cdf_g2, ks_test,
                       ks_test_two_sample, log_rejection_constant_c, mc_mean,
                       purity_mean_hs, purity_variance_hs, rejection_constant_c,
-                      sample_batch, sample_blocks, sample_bures_batch, sample_g_qubit_batch,
-                      sample_g_rejection_batch, sample_hs_batch,
+                      sample_batch, sample_blocks, sample_g_rejection_batch, sample_hs_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
 from superfid.eigendensities import c_g_exact, c_hs, normalized_density
+from superfid.rng import AUDIT_KIND, GOF_SHUFFLE_KIND, VERIFY_KIND
 
 
 def _log_c_induced(dim, s):
@@ -41,6 +41,11 @@ def _induced_acceptance_rate(dim):
     s = 0.75 / (dim - 1)
     log_m = -s * dim * np.log(dim) - 0.5 * np.log1p(-1.0 / dim)
     return np.exp(_log_c_induced(dim, s) - log_m) / c_g_exact(dim).value
+
+
+def sample_bures_batch(dim, count, rng):
+    """The Bures matrices of ``sample_batch``."""
+    return sample_batch(Measure.BURES, dim, count, rng, keep_matrices=True)[0]
 
 
 class _FixedDraws(np.random.Generator):
@@ -135,7 +140,7 @@ class TestHsPurityBatch:
 
     def test_takes_only_a_stream(self):
         with pytest.raises(TypeError, match="RngStream"):
-            hs_purity_batch(3, 10, RngStream(0).generator())
+            hs_purity_batch(3, 10, RngStream(0).block(VERIFY_KIND, 0))
 
     def test_helper_error_is_raised_after_the_join(self, monkeypatch):
         block = RngStream.block
@@ -159,7 +164,7 @@ class TestHsPurityBatch:
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_law_matches_ginibre_purities(self, dim):
         n, chunk = 200_000, 20_000
-        gen = RngStream(22, dim).generator()
+        gen = RngStream(22, dim).block(VERIFY_KIND, 0)
         ref = np.empty(n)
         for start in range(0, n, chunk):
             g = ginibre_batch(dim, chunk, gen)
@@ -222,7 +227,7 @@ class TestBuresSampler:
     def test_qubit_matches_g_measure(self):
         # on qubits the superfidelity measure coincides with Bures
         _, bures, _ = sample_batch(Measure.BURES, 2, 50_000, RngStream(12))
-        _, eg = sample_g_qubit_batch(50_000, RngStream(13), keep_matrices=False)
+        _, eg, _ = sample_batch(Measure.SUPERFIDELITY, 2, 50_000, RngStream(13))
         res = ks_test_two_sample(bures[:, 0], eg[:, 0])
         assert res.p_value > 0.01
 
@@ -238,7 +243,7 @@ class TestBuresSampler:
         # block drawing its unitaries, then its Ginibre matrices, from its own
         # keyed generator
         b = samplers._BURES_BLOCK
-        for count in (0, 1, b - 1, b, b + 1, 2 * b + 5):
+        for count in (1, b - 1, b, b + 1, 2 * b + 5):
             ref = [np.empty((0, dim, dim), dtype=complex)]
             for k, start in enumerate(range(0, count, b)):
                 n = min(b, count - start)
@@ -248,16 +253,6 @@ class TestBuresSampler:
                 ref.append(samplers._normalized_gram((np.eye(dim) + u) @ g))
             out = sample_bures_batch(dim, count, RngStream(count, dim))
             assert out.tobytes() == np.concatenate(ref).tobytes()
-
-    def test_memory_is_bounded_by_the_block(self):
-        b = samplers._BLOCK
-        sample_bures_batch(3, b, RngStream(0))   # first-use allocations outside the trace
-        small = traced_peak(sample_bures_batch, 3, 4 * b, RngStream(1))
-        large = traced_peak(sample_bures_batch, 3, 16 * b, RngStream(1))
-        # a whole-batch build needs ~5 stacks of 144 B per state, ~45 MB here
-        assert large < 16 * 2 ** 20
-        # beyond the block's scratch, only the 144 B per state of the result grows
-        assert large - small <= 144 * 12 * b + 4096
 
 
 class TestInverseCdf:
@@ -304,7 +299,7 @@ class TestInverseCdf:
         high = 1.0 - u[u > 1e-16]  # below 1e-16, 1 - u rounds to 1
         for draws, v in ((u, u), (high, 1.0 - high)):
             monkeypatch.setattr(RngStream, "block", lambda rng, kind, b: _FixedDraws(draws))
-            _, eigs = sample_g_qubit_batch(draws.size, RngStream(0), keep_matrices=False)
+            _, eigs, _ = sample_batch(Measure.SUPERFIDELITY, 2, draws.size, RngStream(0))
             assert kepler_rel_err(eigs[:, 1], v) <= 1e-14
 
     def test_fails_closed_on_a_bad_residual(self, monkeypatch):
@@ -319,15 +314,19 @@ class TestInverseCdf:
 
 
 class TestQubitGSampler:
+    @staticmethod
+    def draw(count, rng, keep_matrices):
+        return sample_batch(Measure.SUPERFIDELITY, 2, count, rng, keep_matrices=keep_matrices)
+
     def test_single_state_valid(self):
-        check_density_matrix(sample_g_qubit_batch(1, RngStream(20), keep_matrices=True)[0][0])
+        check_density_matrix(self.draw(1, RngStream(20), True)[0][0])
 
     def test_matrices_are_not_kept_by_default(self):
-        # the same default as sample_g_rejection_batch and sample_batch
-        assert sample_g_qubit_batch(5, RngStream(20))[0] is None
+        # the same default as sample_g_rejection_batch
+        assert sample_batch(Measure.SUPERFIDELITY, 2, 5, RngStream(20))[0] is None
 
     def test_mean_purity_exceeds_hs_and_matches_quadrature(self):
-        _, eigs = sample_g_qubit_batch(100_000, RngStream(22), keep_matrices=False)
+        _, eigs, _ = self.draw(100_000, RngStream(22), False)
         purity = np.sum(eigs ** 2, axis=-1)
         mean, se = mc_mean(purity)
         quad = simplex_quadrature(
@@ -338,7 +337,7 @@ class TestQubitGSampler:
         assert mean > purity_mean_hs(2)
 
     def test_bloch_direction_isotropic(self):
-        mats, _ = sample_g_qubit_batch(20_000, RngStream(23), keep_matrices=True)
+        mats, _, _ = self.draw(20_000, RngStream(23), True)
         bloch = np.stack([2 * mats[:, 0, 1].real,
                           -2 * mats[:, 0, 1].imag,
                           (mats[:, 0, 0] - mats[:, 1, 1]).real], axis=-1)
@@ -348,9 +347,9 @@ class TestQubitGSampler:
 
     def test_memory_is_bounded_by_the_block(self):
         b = samplers._BLOCK
-        sample_g_qubit_batch(b, RngStream(0), False)   # first-use allocations outside the trace
-        small = traced_peak(sample_g_qubit_batch, 4 * b, RngStream(1), False)
-        large = traced_peak(sample_g_qubit_batch, 16 * b, RngStream(1), False)
+        self.draw(b, RngStream(0), False)   # first-use allocations outside the trace
+        small = traced_peak(self.draw, 4 * b, RngStream(1), False)
+        large = traced_peak(self.draw, 16 * b, RngStream(1), False)
         # a whole-batch inverse CDF keeps ~64 B per state of temporaries, ~4 MB here
         assert large < 3 * 2 ** 20
         # beyond the block's scratch, only the spectra grow: 16 B per state
@@ -358,9 +357,9 @@ class TestQubitGSampler:
 
     def test_memory_with_matrices_is_bounded_by_the_block(self):
         b = samplers._BLOCK
-        sample_g_qubit_batch(b, RngStream(0), True)   # first-use allocations outside the trace
-        small = traced_peak(sample_g_qubit_batch, 4 * b, RngStream(1), True)
-        large = traced_peak(sample_g_qubit_batch, 16 * b, RngStream(1), True)
+        self.draw(b, RngStream(0), True)   # first-use allocations outside the trace
+        small = traced_peak(self.draw, 4 * b, RngStream(1), True)
+        large = traced_peak(self.draw, 16 * b, RngStream(1), True)
         # a whole-batch rotation keeps ~330 B per state of temporaries, ~21 MB here
         assert large < 8 * 2 ** 20
         # beyond the block's scratch, only the spectra and matrices grow:
@@ -392,7 +391,7 @@ class TestEnvelope:
 
     def test_audit_refuses_a_generator(self):
         with pytest.raises(TypeError, match="RngStream"):
-            audit_sup_density_ratio(3, RngStream(33).generator(), probes=100)
+            audit_sup_density_ratio(3, RngStream(33).block(VERIFY_KIND, 0), probes=100)
 
     def test_audit_maximum_sits_at_barycenter(self):
         audit = audit_sup_density_ratio(3, RngStream(33), probes=20_000)
@@ -401,7 +400,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("dim", range(3, 9))
     def test_polish_finds_the_barycenter_from_random_starts(self, dim):
         # no maximally mixed start: the ascent alone must reach the sup
-        starts = RngStream(40, dim).generator().dirichlet(np.ones(dim), size=16)
+        starts = RngStream(40, dim).block(VERIFY_KIND, 0).dirichlet(np.ones(dim), size=16)
         polished, log_ratio = samplers._polish_log_ratio(starts)
         best = int(np.argmax(log_ratio))
         assert np.max(np.abs(polished[best] - 1 / dim)) <= 1e-8
@@ -593,7 +592,7 @@ class TestRejectionSampler:
         precision in the small eigenvalues; eigvalsh(W) loses it there."""
         n = 20_000
         z = samplers._laguerre_tridiagonal(dim, n, samplers._induced_exponent(dim),
-                                           RngStream(seed, dim).generator())
+                                           RngStream(seed, dim).block(VERIFY_KIND, 0))
         trace = samplers._trace_and_e2(z)[0]
         k = np.arange(dim)
         factor = np.zeros((n, dim, dim))
@@ -692,6 +691,19 @@ class TestSampleBatchFrontend:
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
             assert got[2] == want[2]
 
+    def test_reaches_the_rejection_sampler_by_its_module_name(self, monkeypatch):
+        # a wrapper installed on the module (a tracer's, say) sees every rejection run
+        calls, rejection = [], samplers.sample_g_rejection_batch
+
+        def recorded(*args, **kwargs):
+            calls.append(args[:2])
+            return rejection(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "sample_g_rejection_batch", recorded)
+        sample_batch("g", 3, 10, RngStream(58))
+        sample_blocks("g", 4, 20, RngStream(58))
+        assert calls == [(3, 10), (4, 20)]
+
     def test_purity_consistent_with_eigenvalues(self):
         # the purity column sum l^2 lies in [1/N, 1] and equals tr rho^2
         mats, eigs, _ = sample_batch("bures", 4, 500, RngStream(53), keep_matrices=True)
@@ -705,7 +717,7 @@ class TestSampleBatchFrontend:
         mats, _, _ = sample_batch("hs", 3, 20_000, RngStream(54), keep_matrices=True)
         psi = np.zeros(3, dtype=complex)
         psi[0] = 1.0
-        rot = haar_unitary_batch(3, 1, RngStream(55).generator())[0] @ psi
+        rot = haar_unitary_batch(3, 1, RngStream(55).block(VERIFY_KIND, 0))[0] @ psi
         p_fixed = np.real(np.einsum("i,nij,j->n", psi.conj(), mats, psi))
         p_rot = np.real(np.einsum("i,nij,j->n", rot.conj(), mats, rot))
         assert ks_test_two_sample(p_fixed, p_rot).p_value > 0.01
@@ -751,7 +763,7 @@ class TestSampleBlocks:
         with pytest.raises(InvalidDimensionError):
             sample_blocks(measure, 1, 10, RngStream(32))
         with pytest.raises(TypeError, match="RngStream"):
-            sample_blocks(measure, dim, 10, RngStream(32).generator())
+            sample_blocks(measure, dim, 10, RngStream(32).block(VERIFY_KIND, 0))
         block, drawn = RngStream.block, []
 
         def recorded(rng, kind, index):
@@ -780,7 +792,7 @@ class TestKeyedBlockContract:
         "hs": (lambda n, rng: (sample_hs_batch(3, n, rng),), samplers._HS_KIND, samplers._BLOCK),
         "bures": (lambda n, rng: (sample_bures_batch(3, n, rng),),
                   samplers._BURES_KIND, samplers._BURES_BLOCK),
-        "g-qubit": (lambda n, rng: sample_g_qubit_batch(n, rng, keep_matrices=True),
+        "g-qubit": (lambda n, rng: sample_batch("g", 2, n, rng, keep_matrices=True)[:2],
                     samplers._G_QUBIT_KIND, samplers._BLOCK),
         "g-rejection": (lambda n, rng: sample_g_rejection_batch(3, n, rng, keep_matrices=True)[:2],
                         samplers._G_REJECTION_KIND, samplers._BLOCK),
@@ -788,6 +800,34 @@ class TestKeyedBlockContract:
 
     def test_one_kind_per_sampler(self):
         assert sorted(kind for _, kind, _ in self.SAMPLERS.values()) == list(range(5))
+        # then one kind per reader outside the samplers: all eight kinds are distinct
+        assert (AUDIT_KIND, GOF_SHUFFLE_KIND, VERIFY_KIND) == (5, 6, 7)
+        kinds = [kind for _, kind, _ in self.SAMPLERS.values()]
+        assert sorted(kinds + [AUDIT_KIND, GOF_SHUFFLE_KIND, VERIFY_KIND]) == list(range(8))
+
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        """The (kind, index) of every ``RngStream.block`` call from now on."""
+        block, calls = RngStream.block, []
+
+        def recorded(rng, k, index):
+            calls.append((k, index))
+            return block(rng, k, index)
+
+        monkeypatch.setattr(RngStream, "block", recorded)
+        return calls
+
+    def test_the_audit_reads_block_0_of_its_kind(self, monkeypatch):
+        calls = self.recorded_calls(monkeypatch)
+        audit_sup_density_ratio(3, RngStream(34), probes=100)
+        assert calls == [(AUDIT_KIND, 0)]
+
+    def test_the_simplex_test_reads_block_0_of_its_kind(self, monkeypatch):
+        eigs = RngStream(35).block(VERIFY_KIND, 0).dirichlet(np.ones(3), size=500)
+        calls = self.recorded_calls(monkeypatch)
+        chi_square_gof_simplex(eigs, normalized_density(Measure.SUPERFIDELITY, 3),
+                               grid=6, rng=RngStream(35))
+        assert calls == [(GOF_SHUFFLE_KIND, 0)]
 
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_whole_blocks_are_a_prefix_of_a_longer_run(self, name):
@@ -800,20 +840,15 @@ class TestKeyedBlockContract:
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_block_b_draws_from_its_own_keyed_generator(self, name, monkeypatch):
         draw, kind, b = self.SAMPLERS[name]
-        block, calls = RngStream.block, []
-
-        def recorded(rng, k, index):
-            calls.append((k, index))
-            return block(rng, k, index)
-
-        monkeypatch.setattr(RngStream, "block", recorded)
+        samplers._audit_gate(3)   # the gate's audit reads a block of its own kind
+        calls = self.recorded_calls(monkeypatch)
         draw(2 * b + 5, RngStream(28))
         # the rejection sampler draws as many proposal blocks as it needs
         blocks = len(calls) if name == "g-rejection" else 3
         assert sorted(calls) == [(kind, index) for index in range(blocks)]
 
     @pytest.mark.parametrize("eigs", [
-        lambda keep: sample_g_qubit_batch(5000, RngStream(29), keep)[1],
+        lambda keep: sample_batch("g", 2, 5000, RngStream(29), keep_matrices=keep)[1],
         lambda keep: sample_g_rejection_batch(3, 5000, RngStream(29), keep_matrices=keep)[1],
     ], ids=["g-qubit", "g-rejection"])
     def test_eigenvalues_do_not_depend_on_keep_matrices(self, eigs):
@@ -823,4 +858,4 @@ class TestKeyedBlockContract:
     def test_a_generator_is_refused(self, name):
         draw, _, _ = self.SAMPLERS[name]
         with pytest.raises(TypeError, match="RngStream"):
-            draw(10, RngStream(0).generator())
+            draw(10, RngStream(0).block(VERIFY_KIND, 0))

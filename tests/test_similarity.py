@@ -7,6 +7,7 @@ from superfid import (InvalidDimensionError, InvalidStateError, RngStream, Singu
                       StepSizeError, dist_g, fd_second_derivative, fidelity,
                       line_element_bprime, line_element_g, random_tangent_batch,
                       sample_hs_batch, superfidelity)
+from superfid.rng import VERIFY_KIND
 
 from conftest import basis_state, random_state
 
@@ -129,7 +130,7 @@ class TestLineElements:
 
     def test_scaling_is_quadratic(self):
         rho = random_state(3, 10, mixedness=0.2)
-        drho = random_tangent_batch(3, 1, RngStream(10, 5).generator())[0]
+        drho = random_tangent_batch(3, 1, RngStream(10, 5).block(VERIFY_KIND, 0))[0]
         base = line_element_g(rho, drho)
         assert abs(line_element_g(rho, 3.0 * drho) - 9.0 * base) <= 1e-10 * max(1, base)
 
@@ -149,7 +150,7 @@ class TestLineElements:
         worst = 0.0
         for seed in range(40):
             rho = random_state(2, 100 + seed, mixedness=0.2)
-            drho = random_tangent_batch(2, 1, RngStream(100 + seed, 1).generator())[0]
+            drho = random_tangent_batch(2, 1, RngStream(100 + seed, 1).block(VERIFY_KIND, 0))[0]
             worst = max(worst, abs(line_element_g(rho, drho)
                                    - line_element_bprime(rho, drho)))
         assert worst <= 1e-8
@@ -158,7 +159,7 @@ class TestLineElements:
         gaps = []
         for seed in range(10):
             rho = random_state(3, 200 + seed, mixedness=0.2)
-            drho = random_tangent_batch(3, 1, RngStream(200 + seed, 1).generator())[0]
+            drho = random_tangent_batch(3, 1, RngStream(200 + seed, 1).block(VERIFY_KIND, 0))[0]
             gaps.append(abs(line_element_g(rho, drho) - line_element_bprime(rho, drho)))
         assert max(gaps) > 1e-3
 
@@ -171,7 +172,7 @@ class TestFiniteDifference:
         # normalization is the one under which FD(d_G^2) reproduces
         # line_element_g (see the acceptance suite).
         rho = random_state(3, 11, mixedness=0.3)
-        drho = random_tangent_batch(3, 1, RngStream(11, 2).generator())[0]
+        drho = random_tangent_batch(3, 1, RngStream(11, 2).block(VERIFY_KIND, 0))[0]
 
         def frob_sq(a, b):
             return float(np.linalg.norm(b - a) ** 2)
@@ -183,14 +184,15 @@ class TestFiniteDifference:
         for dim in (2, 3):
             for seed in range(25):
                 rho = random_state(dim, 300 + seed, mixedness=0.2)
-                drho = random_tangent_batch(dim, 1, RngStream(300 + seed, 1).generator())[0]
+                gen = RngStream(300 + seed, 1).block(VERIFY_KIND, 0)
+                drho = random_tangent_batch(dim, 1, gen)[0]
                 fd = fd_second_derivative(_dg_squared, rho, drho, 1e-3)
                 assert abs(fd - line_element_g(rho, drho)) <= 1e-4
 
     def test_matches_analytic_bprime_line_element(self):
         for seed in range(10):
             rho = random_state(3, 400 + seed, mixedness=0.2)
-            drho = random_tangent_batch(3, 1, RngStream(400 + seed, 1).generator())[0]
+            drho = random_tangent_batch(3, 1, RngStream(400 + seed, 1).block(VERIFY_KIND, 0))[0]
             fd = fd_second_derivative(_dbprime_squared, rho, drho, 1e-3)
             assert abs(fd - line_element_bprime(rho, drho)) <= 1e-4
 
@@ -198,7 +200,7 @@ class TestFiniteDifference:
         ratios = []
         for seed in range(20):
             rho = random_state(3, 500 + seed, mixedness=0.2)
-            drho = random_tangent_batch(3, 1, RngStream(500 + seed, 1).generator())[0]
+            drho = random_tangent_batch(3, 1, RngStream(500 + seed, 1).block(VERIFY_KIND, 0))[0]
             analytic = line_element_g(rho, drho)
             e1 = abs(fd_second_derivative(_dg_squared, rho, drho, 1e-2) - analytic)
             e2 = abs(fd_second_derivative(_dg_squared, rho, drho, 5e-3) - analytic)
@@ -230,7 +232,7 @@ def _mixed_lines(dim, count, seed):
     """``count`` states pulled 20 % toward I/N, and unit tangents at them."""
     rng = RngStream(seed)
     rho = 0.8 * sample_hs_batch(dim, count, rng) + 0.2 * np.eye(dim) / dim
-    return rho, random_tangent_batch(dim, count, rng.generator())
+    return rho, random_tangent_batch(dim, count, rng.block(VERIFY_KIND, 0))
 
 
 def _assert_rows_match(stacked, one_by_one):

@@ -11,6 +11,7 @@ from superfid import (GofResult, Measure, QuadratureError, RngStream, c_hs,
                       simplex_quadrature)
 from superfid import statlab
 from superfid.eigendensities import normalized_density
+from superfid.rng import VERIFY_KIND
 
 PI_OVER_2SQRT2 = 1.1107207345395915
 
@@ -33,14 +34,14 @@ class TestMcSummaries:
             mc_mean(np.array([1.0]))
 
     def test_se_halves_when_samples_quadruple(self):
-        gen = RngStream(3).generator()
+        gen = RngStream(3).block(VERIFY_KIND, 0)
         x = gen.normal(size=40_000)
         _, se_small = mc_mean(x[:10_000])
         _, se_big = mc_mean(x)
         assert abs(se_small / se_big - 2.0) <= 0.4
 
     def test_variance_estimator(self):
-        gen = RngStream(4).generator()
+        gen = RngStream(4).block(VERIFY_KIND, 0)
         x = gen.normal(scale=2.0, size=200_000)
         var, se = mc_variance(x)
         assert abs(var - 4.0) <= 3 * se
@@ -48,7 +49,7 @@ class TestMcSummaries:
 
 class TestKsTest:
     def test_calibration(self):
-        gen = RngStream(5).generator()
+        gen = RngStream(5).block(VERIFY_KIND, 0)
         low = 0
         for rep in range(100):
             u = gen.random(500)
@@ -57,7 +58,7 @@ class TestKsTest:
         assert low / 100 <= 0.10  # nominal 0.05 +- 0.05
 
     def test_power_against_shift(self):
-        gen = RngStream(6).generator()
+        gen = RngStream(6).block(VERIFY_KIND, 0)
         u = np.clip(gen.random(10_000) * 0.9 + 0.05, 0, 1)
         res = ks_test(u, lambda x: np.clip(x, 0.0, 1.0))
         assert res.p_value < 1e-6
@@ -67,7 +68,7 @@ class TestKsTest:
         assert res.p_value < 1e-10
 
     def test_non_monotone_cdf_rejected(self):
-        gen = RngStream(7).generator()
+        gen = RngStream(7).block(VERIFY_KIND, 0)
         with pytest.raises(ValueError, match="monotone"):
             ks_test(gen.random(100), lambda x: np.sin(6 * x))
 
@@ -76,7 +77,7 @@ class TestKsTest:
             ks_test(np.linspace(0, 1, 20), lambda x: x)
 
     def test_two_sample_null_and_power(self):
-        gen = RngStream(8).generator()
+        gen = RngStream(8).block(VERIFY_KIND, 0)
         a, b = gen.random(5000), gen.random(5000)
         assert ks_test_two_sample(a, b).p_value > 0.01
         assert ks_test_two_sample(a, b + 0.05).p_value < 1e-6
@@ -99,7 +100,8 @@ class TestChiSquare:
     def test_simplex_test_takes_a_stream_only(self):
         eigs = np.full((10, 3), 1 / 3)
         with pytest.raises(TypeError, match="RngStream"):
-            chi_square_gof_simplex(eigs, density_hs_unnormalized, rng=RngStream(0).generator())
+            chi_square_gof_simplex(eigs, density_hs_unnormalized,
+                                   rng=RngStream(0).block(VERIFY_KIND, 0))
         with pytest.raises(TypeError, match="rng"):   # no default stream
             chi_square_gof_simplex(eigs, density_hs_unnormalized)
 
