@@ -34,7 +34,9 @@ prefix such as ``"0.00"`` and an int, which Python formats several times
 faster than a float, and only the other floats go through ``repr``.
 ``verify all`` runs the sampler suite on one helper thread beside the other
 three suites; its output is the same bytes as a serial run, whatever the
-scheduling, and the helper's allocations stay below 6 MB at scale 1.
+scheduling, and once the first-use imports are made (the first
+``import scipy.special`` alone traces ~13.6 MB), the helper's allocations
+stay below 6 MB at scale 1.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a rejected
 value, or an ``--out`` that cannot be opened for writing), 3 sampling budget
 exhausted, 4 a numerical self-check failed closed (the envelope audit, a

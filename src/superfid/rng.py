@@ -15,10 +15,12 @@ and block ``b`` of kind ``k`` is a PCG64 generator seeded from
 which thread draws it.  Every kind is declared here, once.  Kinds 0-4 are
 the samplers', one per sampler: each fills its output block by block, so it
 can split the blocks between threads, stop early or draw a prefix, and give
-the same values.  Kinds 5-7 belong to the readers outside the samplers, and
-each reads block 0 of its kind from the front: the envelope audit's probes,
-``statlab``'s simplex-test shuffle, and ``verify``'s own draws (Haar
-unitaries, tangent directions, inverse-CDF uniforms).  The blocks use PCG64
+the same values.  Kinds 6 and 7 belong to the readers outside the samplers,
+and each reads block 0 of its kind from the front: ``statlab``'s
+simplex-test shuffle, and ``verify``'s own draws (Haar unitaries, tangent
+directions, inverse-CDF uniforms).  Kind 5 is retired: it keyed the envelope
+audit's probes, and the audit now draws nothing.  Kinds 6 and 7 keep their
+numbers, since the kind keys every byte they give.  The blocks use PCG64
 because it fills ``standard_gamma`` rows faster than Philox; seeding one
 costs ~15 us.  The ``qstate`` primitives take only a numpy Generator, a
 block; every other randomized function takes only an :class:`RngStream`
@@ -34,9 +36,8 @@ import numpy as np
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SUPERFID_SEED"
 
-# RngStream.block kinds: one per sampler, then one per reader outside the samplers
+# RngStream.block kinds: one per sampler, then one per reader outside the samplers (5 is retired)
 HS_PURITY_KIND, HS_KIND, BURES_KIND, G_QUBIT_KIND, G_REJECTION_KIND = range(5)
-AUDIT_KIND = 5          # audit_sup_density_ratio's probes
 GOF_SHUFFLE_KIND = 6    # chi_square_gof_simplex's row shuffle
 VERIFY_KIND = 7         # verify's own draws
 

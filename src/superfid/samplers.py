@@ -12,11 +12,19 @@
 
       (l_1 ... l_N)^s / sqrt(1 - sum l_i^2)
 
-  is attained at the maximally mixed point; that claim is audited numerically
-  (random probes plus a vectorized gradient-ascent polish, numpy only) before
-  any rejection run, failing closed.  Each proposal's ratio comes from the
-  trace, determinant and e_2 of its tridiagonal matrix, and only accepted
-  proposals are diagonalized.
+  is attained at the maximally mixed point.  Before any rejection run,
+  :func:`audit_sup_density_ratio` checks that claim, failing closed, by a
+  deterministic scan of every curve that can hold the supremum:
+
+  - near the boundary the ratio tends to 0: prod l -> 0 there, and within
+    eps of a vertex the ratio is O(eps^(s (N - 1) - 1/2)) = O(eps^(1/4));
+  - at an interior critical point s / l_i + l_i / R = mu, R = 1 - sum l^2,
+    a quadratic in l_i, so the point has at most two distinct coordinates.
+
+  So the supremum lies on a two-value family, k coordinates t / k and
+  N - k coordinates (1 - t) / (N - k) for some k <= N / 2 and t in (0, 1).
+  Each proposal's ratio comes from the trace, determinant and e_2 of its
+  tridiagonal matrix, and only accepted proposals are diagonalized.
 
 Every sampler draws a stack of ``count`` states and vectorizes over the
 sample index; one state is a batch of one.  Every sampler takes only an
@@ -48,12 +56,11 @@ from math import exp, lgamma, log, log1p, pi
 
 import numpy as np
 
-from .eigendensities import _g_radicand, cdf_g2
+from .eigendensities import cdf_g2
 from .errors import (EnvelopeAuditError, InvalidDimensionError, InverseCDFError,
                      SamplingBudgetError)
 from .qstate import (Measure, _dagger, _maybe_scalar, clamp_spectrum, ginibre_batch,
                      haar_unitary_batch)
-from .rng import AUDIT_KIND as _AUDIT_KIND
 from .rng import BURES_KIND as _BURES_KIND
 from .rng import G_QUBIT_KIND as _G_QUBIT_KIND
 from .rng import G_REJECTION_KIND as _G_REJECTION_KIND
@@ -74,11 +81,10 @@ DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at 
 _BLOCK = 4096                         # states per block: HS, rejection proposals, qubit G
 _BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
-_AUDIT_GATE_PROBES = 20_000
-_AUDIT_GATE_SEED = 1597463007
-_AUDIT_POLISH_STEPS = 100             # near-face starts reach round-off in <= 22 up to N = 32
-_AUDIT_TIE = 1e-13                    # log-ratio differences below this count as round-off
-_AUDIT_TOLERANCE = 1e-9               # an audit passes when no ratio beats the bound by more
+_AUDIT_LOGITS = np.linspace(-37.0, 37.0, 2049)   # t = 1 / (1 + e^-x) within 8.5e-17 of 0 and 1
+_AUDIT_GOLDEN_STEPS = 50              # shrink a 2-step bracket by 0.618^50 = 3.6e-11
+_GOLDEN = 0.5 * (5.0 ** 0.5 - 1.0)
+_ENVELOPE_TOLERANCE = 1e-9            # log-ratio excess over the bound that counts as round-off
 _audit_gate_cache: dict[int, "EnvelopeAudit"] = {}
 _audit_gate_lock = threading.Lock()
 
@@ -387,8 +393,9 @@ def _log_ratio_from_invariants(dim: int, log_prod: np.ndarray,
     """log of the rejection ratio (prod l)^s / sqrt(1 - sum l^2); -inf on the boundary.
 
     Takes log prod l and the radicand 1 - sum l^2.  The audit feeds it from
-    eigenvalues (:func:`_log_ratio_g_over_induced`), the sampler from the
-    invariants of the proposal's tridiagonal matrix, without eigenvalues.
+    the closed-form invariants of its two-value families
+    (:func:`_family_invariants`), the sampler from the invariants of the
+    proposal's tridiagonal matrix, without eigenvalues.
     The numerator vanishes on the boundary, so the ratio is 0 at a vertex,
     where the radicand is 0.  The radicand is replaced by 1 there before its
     log is taken, which keeps -inf + inf (a NaN and a RuntimeWarning) out of
@@ -397,14 +404,6 @@ def _log_ratio_from_invariants(dim: int, log_prod: np.ndarray,
     interior = radicand > 0.0
     val = _induced_exponent(dim) * log_prod - 0.5 * np.log(np.where(interior, radicand, 1.0))
     return np.where(interior, val, -np.inf)
-
-
-def _log_ratio_g_over_induced(eigs: np.ndarray) -> np.ndarray:
-    """log of the rejection ratio at a (..., N) stack of simplex points."""
-    eigs = np.asarray(eigs, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_prod = np.sum(np.log(eigs), axis=-1)
-    return _log_ratio_from_invariants(eigs.shape[-1], log_prod, _g_radicand(eigs))
 
 
 def _log_prod(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -461,107 +460,73 @@ class EnvelopeAudit:
 
     @property
     def passed(self) -> bool:
-        return self.max_ratio <= self.bound + _AUDIT_TOLERANCE
+        with np.errstate(divide="ignore"):
+            return bool(np.log(self.max_ratio) <= np.log(self.bound) + _ENVELOPE_TOLERANCE)
 
 
-def _log_ratio_gradient(lam: np.ndarray) -> np.ndarray:
-    """Gradient of the log rejection ratio in softmax coordinates, lam = softmax(x).
+def _family_values(dim: int, k, x):
+    """The values a = t / k and b = (1 - t) / (N - k) of a two-value family, t = 1 / (1 + e^-x).
 
-    With s the induced exponent and R = 1 - sum l^2,
-    d/dx_j = s + l_j^2 / R - l_j (N s + sum l^2 / R); its entries sum to 0.
-    Not finite at a vertex, where R = 0.
+    t and 1 - t are each formed from the logit x without cancellation, so a
+    grid in x reaches as close to either end of t in (0, 1) as round-off allows.
     """
-    dim = lam.shape[-1]
-    s = _induced_exponent(dim)
-    r = _g_radicand(lam)[..., None]
-    q = np.sum(lam * lam, axis=-1, keepdims=True)
-    return s + lam * lam / r - lam * (dim * s + q / r)
+    return 1.0 / (k * (1.0 + np.exp(-x))), 1.0 / ((dim - k) * (1.0 + np.exp(x)))
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    w = np.exp(x - x.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+def _family_invariants(dim: int, k, a, b):
+    """log prod l and 1 - sum l^2 at the point with k coordinates a and N - k coordinates b.
 
-
-def _polish_log_ratio(starts: np.ndarray):
-    """Ascend the log rejection ratio from each row of a (k, N) stack of simplex points.
-
-    All k starts move at once by gradient steps x += eta g in softmax
-    coordinates, each with its own step eta: doubled after an accepted step
-    and halved after a rejected one, but never above 1 / c when the secant
-    curvature c = (g - g') . g / (eta |g|^2) along the step just tried is
-    positive.
-    Every point is scored by :func:`_log_ratio_g_over_induced`, the
-    sampler's own ratio.  A step is accepted when its score rises by more
-    than ``_AUDIT_TIE``, or when the scores tie within it and the gradient
-    shrinks, so round-off in the score cannot stall the ascent short of the
-    stationary point.  Points on the boundary score -inf and are never
-    accepted; the non-finite gradients there raise no warning.
-
-    Returns the final points, shape (k, N), and their log ratios, shape (k,).
+    1 - sum l^2 = sum_{i != j} l_i l_j when the coordinates sum to 1, and
+    each of its three terms here is >= 0, so it has no cancellation.
     """
-    x = np.log(np.clip(starts, 1e-12, None))
-    eta = np.ones(len(x))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lam = _softmax(x)
-        score = _log_ratio_g_over_induced(lam)
-        grad = _log_ratio_gradient(lam)
-        gg = np.sum(grad * grad, axis=-1)
-        for _ in range(_AUDIT_POLISH_STEPS):
-            x_new = x + eta[:, None] * grad
-            lam_new = _softmax(x_new)
-            score_new = _log_ratio_g_over_induced(lam_new)
-            grad_new = _log_ratio_gradient(lam_new)
-            gg_new = np.sum(grad_new * grad_new, axis=-1)
-            ok = ((score_new > score + _AUDIT_TIE)
-                  | ((score_new >= score - _AUDIT_TIE) & (gg_new < gg)))
-            secant = eta * gg / np.sum((grad - grad_new) * grad, axis=-1)
-            eta = np.fmin(np.where(ok, 2.0 * eta, 0.5 * eta),
-                          np.where(secant > 0.0, secant, np.nan))
-            x = np.where(ok[:, None], x_new, x)
-            lam = np.where(ok[:, None], lam_new, lam)
-            score = np.where(ok, score_new, score)
-            grad = np.where(ok[:, None], grad_new, grad)
-            gg = np.where(ok, gg_new, gg)
-    return lam, score
+    j = dim - k
+    return (k * np.log(a) + j * np.log(b),
+            k * (k - 1) * a * a + 2 * k * j * a * b + j * (j - 1) * b * b)
 
 
-def audit_sup_density_ratio(dim: int, rng: RngStream, probes: int) -> EnvelopeAudit:
-    """Probe the rejection ratio over random simplex points, then polish locally.
+def _family_log_ratio(dim: int, k, x):
+    """The log rejection ratio on family k at the logits x."""
+    return _log_ratio_from_invariants(dim, *_family_invariants(dim, k, *_family_values(dim, k, x)))
+
+
+def audit_sup_density_ratio(dim: int) -> EnvelopeAudit:
+    """Scan the rejection ratio over every curve that can hold its supremum.
 
     The ratio is (prod l)^s / sqrt(1 - sum l^2) of the sampler's induced
     proposals, and the bound its closed-form value at the maximally mixed
-    point.  Half of the ``probes`` are uniform simplex points and half are
-    Dirichlet(0.1) points, which crowd the faces and vertices where the
-    ratio's two factors compete.  :func:`_polish_log_ratio` then ascends from
-    the three best probes and from the maximally mixed point at once.  The
-    envelope is declared valid when no point beats the bound by more than
-    ``_AUDIT_TOLERANCE``.  The probes are read from the front of
-    ``rng.block(_AUDIT_KIND, 0)``.
+    point.  Family k = 1 .. floor(N / 2) is the curve of points with k
+    coordinates t / k and N - k coordinates (1 - t) / (N - k); k > N / 2
+    repeats family N - k, and every family passes through I / N at t = k / N.
+    Each family is scanned on ``_AUDIT_LOGITS`` plus its maximally mixed
+    point, scored with the sampler's own :func:`_log_ratio_from_invariants`,
+    and its best grid point is refined by a golden-section search between
+    the grid points beside it.  No random numbers are drawn.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    check_stream(rng)
-    gen = rng.block(_AUDIT_KIND, 0)
-    bound = exp(_log_envelope_bound(dim))
-
-    lam = np.concatenate([gen.dirichlet(np.ones(dim), size=probes - probes // 2),
-                          gen.dirichlet(np.full(dim, 0.1), size=probes // 2)])
-    ratios = np.exp(_log_ratio_g_over_induced(lam))
-    best_idx = int(np.argmax(ratios))
-    max_ratio = float(ratios[best_idx])
-    argmax = lam[best_idx]
-
-    starts = np.concatenate([lam[np.argsort(-ratios)[:3]], np.full((1, dim), 1.0 / dim)])
-    polished, log_ratio = _polish_log_ratio(starts)
-    best = int(np.argmax(log_ratio))
-    if exp(log_ratio[best]) > max_ratio:
-        max_ratio = exp(log_ratio[best])
-        argmax = polished[best]
-
-    return EnvelopeAudit(dim=dim, bound=bound, max_ratio=max_ratio, argmax=argmax)
+    k = np.arange(1, dim // 2 + 1)[:, None]
+    x = np.sort(np.concatenate([np.broadcast_to(_AUDIT_LOGITS, (len(k), len(_AUDIT_LOGITS))),
+                                np.log(k / (dim - k))], axis=1), axis=1)
+    score = _family_log_ratio(dim, k, x)
+    rows = np.arange(len(k))
+    best = np.argmax(score, axis=1)
+    lo = x[rows, np.maximum(best - 1, 0)]
+    hi = x[rows, np.minimum(best + 1, x.shape[1] - 1)]
+    k = k[:, 0]
+    for _ in range(_AUDIT_GOLDEN_STEPS):
+        inner = np.stack([hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)])
+        left, right = _family_log_ratio(dim, k, inner)
+        keep_left = left >= right   # the maximum lies in [lo, inner[1]]
+        lo, hi = np.where(keep_left, lo, inner[0]), np.where(keep_left, inner[1], hi)
+    mid = 0.5 * (lo + hi)
+    candidates = np.concatenate([x[rows, best], mid])
+    scores = np.concatenate([score[rows, best], _family_log_ratio(dim, k, mid)])
+    top = int(np.argmax(scores))   # a NaN score is taken first, and fails the audit
+    family = k[top % len(k)]
+    a, b = _family_values(dim, family, candidates[top])
+    return EnvelopeAudit(dim=dim, bound=exp(_log_envelope_bound(dim)),
+                         max_ratio=float(np.exp(scores[top])),
+                         argmax=np.concatenate([np.full(family, a), np.full(dim - family, b)]))
 
 
 def _audit_gate(dim: int):
@@ -572,8 +537,7 @@ def _audit_gate(dim: int):
     with _audit_gate_lock:
         audit = _audit_gate_cache.get(dim)
         if audit is None:
-            audit = audit_sup_density_ratio(dim, RngStream(_AUDIT_GATE_SEED, dim),
-                                            _AUDIT_GATE_PROBES)
+            audit = audit_sup_density_ratio(dim)
             _audit_gate_cache[dim] = audit
     if not audit.passed:
         raise EnvelopeAuditError(
@@ -665,7 +629,7 @@ def sample_g_rejection_batch(dim: int, count: int, rng: RngStream,
     for start, stop, gen in blocks:
         z = _laguerre_tridiagonal(dim, stop - start, _induced_exponent(dim), gen)
         trace, log_ratio = _log_ratio_of_tridiagonal(z)
-        if not np.all(log_ratio <= log_bound + 1e-9):   # a NaN fails too
+        if not np.all(log_ratio <= log_bound + _ENVELOPE_TOLERANCE):   # a NaN fails too
             raise EnvelopeAuditError(
                 "proposal density ratio exceeded the envelope bound; aborting")
         u = gen.random(stop - start)

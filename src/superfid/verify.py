@@ -20,9 +20,11 @@ unitaries, tangent directions, inverse-CDF uniforms) read block 0 of
 Monte-Carlo constants, the purity suite's moments) are drawn from keyed
 blocks split between the drawing thread and a helper of its own, which does
 not change their values either.  The sampler-suite helper's working sets
-are bounded by blocks (Bures states, simplex cells), so its allocations
-peak below 6 MB at scale 1, which bounds what its own malloc arena adds to
-the peak RSS.
+are bounded by blocks (Bures states, simplex cells), so once the process
+has made its first-use imports its allocations peak below 6 MB at scale 1
+(``tracemalloc`` reads ~3.5 MB), which bounds what its own malloc arena
+adds to the peak RSS.  A cold first run traces ~17 MB: the first
+``import scipy.special`` alone traces ~13.6 MB of it.
 """
 from __future__ import annotations
 
@@ -275,7 +277,8 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     out.append(_result("sampler", "g-qubit-lambda-max-law", median == 0.5 and res.p_value > 0.01,
                        f"F_G,2(1/2) = {median!r}, KS p = {res.p_value:.4f} vs reflected F_G,2"))
 
-    audit = sm.audit_sup_density_ratio(3, RngStream(seed, 75), n)
+    # stream 75 is unused: the audit draws nothing, so this line depends on neither seed nor scale
+    audit = sm.audit_sup_density_ratio(3)
     out.append(_result("sampler", "envelope-audit-qutrit", audit.passed,
                        f"max ratio {audit.max_ratio:.12f} vs bound {audit.bound:.12f}"))
 

@@ -21,8 +21,8 @@ from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, 
                       sample_batch, sample_blocks, sample_g_rejection_batch, sample_hs_batch,
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
-from superfid.eigendensities import c_g_exact, c_hs, normalized_density
-from superfid.rng import AUDIT_KIND, GOF_SHUFFLE_KIND, VERIFY_KIND
+from superfid.eigendensities import _g_radicand, c_g_exact, c_hs, normalized_density
+from superfid.rng import GOF_SHUFFLE_KIND, VERIFY_KIND
 
 
 def _log_c_induced(dim, s):
@@ -41,6 +41,14 @@ def _induced_acceptance_rate(dim):
     s = 0.75 / (dim - 1)
     log_m = -s * dim * np.log(dim) - 0.5 * np.log1p(-1.0 / dim)
     return np.exp(_log_c_induced(dim, s) - log_m) / c_g_exact(dim).value
+
+
+def log_ratio_of_spectra(eigs):
+    """The sampler's log rejection ratio at a (..., N) stack of simplex points."""
+    eigs = np.asarray(eigs, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_prod = np.sum(np.log(eigs), axis=-1)
+    return samplers._log_ratio_from_invariants(eigs.shape[-1], log_prod, _g_radicand(eigs))
 
 
 def sample_bures_batch(dim, count, rng):
@@ -375,37 +383,48 @@ class TestEnvelope:
         assert abs(sup_density_ratio_unnormalized(3) - expected) <= 1e-15
 
     def test_audit_passes(self):
-        # the polish meets non-finite gradients near the vertices
+        # the scan reaches within 1e-16 of the vertices without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for dim in range(2, 9):
-                audit = audit_sup_density_ratio(dim, RngStream(30 + dim), probes=20_000)
+                audit = audit_sup_density_ratio(dim)
                 assert isinstance(audit, EnvelopeAudit)
                 assert audit.passed
-                assert audit.max_ratio <= audit.bound + 1e-9
+                assert audit.max_ratio <= audit.bound * (1 + 1e-9)
 
-    @pytest.mark.parametrize("probes", [0, -4])
-    def test_audit_needs_a_probe(self, probes):
-        with pytest.raises(ValueError, match="probes"):
-            audit_sup_density_ratio(3, RngStream(33), probes=probes)
-
-    def test_audit_refuses_a_generator(self):
-        with pytest.raises(TypeError, match="RngStream"):
-            audit_sup_density_ratio(3, RngStream(33).block(VERIFY_KIND, 0), probes=100)
+    @pytest.mark.parametrize("dim", [*range(2, 13), 20, 50, 100])
+    def test_gate_passes(self, monkeypatch, dim):
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})
+        samplers._audit_gate(dim)
+        audit = samplers._audit_gate_cache[dim]
+        assert audit.passed
+        assert abs(audit.max_ratio / audit.bound - 1) <= 1e-14
 
     def test_audit_maximum_sits_at_barycenter(self):
-        audit = audit_sup_density_ratio(3, RngStream(33), probes=20_000)
+        audit = audit_sup_density_ratio(3)
         assert np.max(np.abs(audit.argmax - 1 / 3)) <= 1e-8
 
     @pytest.mark.parametrize("dim", range(3, 9))
-    def test_polish_finds_the_barycenter_from_random_starts(self, dim):
-        # no maximally mixed start: the ascent alone must reach the sup
-        starts = RngStream(40, dim).block(VERIFY_KIND, 0).dirichlet(np.ones(dim), size=16)
-        polished, log_ratio = samplers._polish_log_ratio(starts)
-        best = int(np.argmax(log_ratio))
-        assert np.max(np.abs(polished[best] - 1 / dim)) <= 1e-8
-        bound = np.exp(samplers._log_envelope_bound(dim))
-        assert abs(np.exp(log_ratio[best]) / bound - 1) <= 1e-12
+    def test_no_random_point_beats_the_audit(self, dim):
+        # scored from the points' coordinates, not from the families' closed forms
+        gen = RngStream(40, dim).block(VERIFY_KIND, 0)
+        points = np.concatenate([gen.dirichlet(np.ones(dim), size=10_000),
+                                 gen.dirichlet(np.full(dim, 0.1), size=10_000)])
+        audit = audit_sup_density_ratio(dim)
+        assert np.max(log_ratio_of_spectra(points)) <= np.log(audit.max_ratio)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7, 12])
+    def test_family_invariants_match_the_points(self, dim):
+        # from 1e-16 of one end of each family to 1e-16 of the other
+        x = np.linspace(-37.0, 37.0, 101)
+        for k in range(1, dim // 2 + 1):
+            a, b = samplers._family_values(dim, k, x)
+            points = np.concatenate([np.repeat(a[:, None], k, axis=1),
+                                     np.repeat(b[:, None], dim - k, axis=1)], axis=1)
+            assert np.max(np.abs(points.sum(axis=1) - 1)) <= 1e-15
+            log_prod, radicand = samplers._family_invariants(dim, k, a, b)
+            assert np.allclose(log_prod, np.sum(np.log(points), axis=1), rtol=1e-14, atol=0)
+            assert np.allclose(radicand, _g_radicand(points), rtol=1e-12, atol=0)
 
     def test_vertices_give_zero_ratio_without_warnings(self):
         # Sum log l = -inf meets -1/2 log(radicand) = +inf at a vertex
@@ -414,8 +433,8 @@ class TestEnvelope:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for vertex in ([1.0, 0.0, 0.0], [1.0, 0.0]):
-                assert np.exp(samplers._log_ratio_g_over_induced(np.array(vertex))) == 0.0
-            vals = np.exp(samplers._log_ratio_g_over_induced(stack))
+                assert np.exp(log_ratio_of_spectra(np.array(vertex))) == 0.0
+            vals = np.exp(log_ratio_of_spectra(stack))
             assert np.array_equal(vals == 0.0, [True, False, True, True, False])
             assert np.all(np.isfinite(vals))
 
@@ -427,7 +446,7 @@ class TestEnvelopeFailsClosed:
         # vertices, so the maximally mixed point is no longer the sup
         monkeypatch.setattr(samplers, "_induced_exponent", lambda n: 0.3 / (n - 1))
         monkeypatch.setattr(samplers, "_audit_gate_cache", {})
-        audit = audit_sup_density_ratio(dim, RngStream(62, dim), probes=20_000)
+        audit = audit_sup_density_ratio(dim)
         assert not audit.passed
         with pytest.raises(EnvelopeAuditError, match=f"envelope audit failed for dim {dim}"):
             sample_g_rejection_batch(dim, 10, RngStream(62))
@@ -606,7 +625,7 @@ class TestRejectionSampler:
         # the spectrum, which eigvalsh(W) would miss by up to ~3e-9 in the log
         z, _, eigs = self.proposals_and_spectra(dim, 58)
         trace, got = samplers._log_ratio_of_tridiagonal(z)
-        assert np.max(np.abs(got - samplers._log_ratio_g_over_induced(eigs))) <= 1e-9
+        assert np.max(np.abs(got - log_ratio_of_spectra(eigs))) <= 1e-9
         # the accepted spectra, from eigvalsh of W and the exact determinant
         assert np.max(np.abs(samplers._induced_spectra(z, trace) - eigs)) <= 1e-14
 
@@ -800,10 +819,10 @@ class TestKeyedBlockContract:
 
     def test_one_kind_per_sampler(self):
         assert sorted(kind for _, kind, _ in self.SAMPLERS.values()) == list(range(5))
-        # then one kind per reader outside the samplers: all eight kinds are distinct
-        assert (AUDIT_KIND, GOF_SHUFFLE_KIND, VERIFY_KIND) == (5, 6, 7)
+        # then one kind per reader outside the samplers; kind 5 is retired
+        assert (GOF_SHUFFLE_KIND, VERIFY_KIND) == (6, 7)
         kinds = [kind for _, kind, _ in self.SAMPLERS.values()]
-        assert sorted(kinds + [AUDIT_KIND, GOF_SHUFFLE_KIND, VERIFY_KIND]) == list(range(8))
+        assert sorted(kinds + [GOF_SHUFFLE_KIND, VERIFY_KIND]) == [0, 1, 2, 3, 4, 6, 7]
 
     @staticmethod
     def recorded_calls(monkeypatch):
@@ -816,11 +835,6 @@ class TestKeyedBlockContract:
 
         monkeypatch.setattr(RngStream, "block", recorded)
         return calls
-
-    def test_the_audit_reads_block_0_of_its_kind(self, monkeypatch):
-        calls = self.recorded_calls(monkeypatch)
-        audit_sup_density_ratio(3, RngStream(34), probes=100)
-        assert calls == [(AUDIT_KIND, 0)]
 
     def test_the_simplex_test_reads_block_0_of_its_kind(self, monkeypatch):
         eigs = RngStream(35).block(VERIFY_KIND, 0).dirichlet(np.ones(3), size=500)
@@ -840,7 +854,7 @@ class TestKeyedBlockContract:
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_block_b_draws_from_its_own_keyed_generator(self, name, monkeypatch):
         draw, kind, b = self.SAMPLERS[name]
-        samplers._audit_gate(3)   # the gate's audit reads a block of its own kind
+        monkeypatch.setattr(samplers, "_audit_gate_cache", {})   # the gate's audit draws no block
         calls = self.recorded_calls(monkeypatch)
         draw(2 * b + 5, RngStream(28))
         # the rejection sampler draws as many proposal blocks as it needs
