@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InstabilityWarning, SingularityError, UnsupportedDimensionError
 from .qstate import Measure, _maybe_scalar
 from .rng import RngStream
-from .statlab import mc_mean, simplex_quadrature
+from .statlab import hurwitz_zeta, mc_mean, simplex_quadrature
 
 __all__ = [
     "NormalizationEstimate", "DensityGrid",
@@ -44,6 +44,7 @@ DISCARD_WARN_FRACTION = 1e-4      # "instability" threshold on the discard rate
 QUBIT_TAIL_U = 0.999              # N = 2 Monte Carlo: sampled for u <= U, exact tail above
 _ZETA_HALF = 1.4603545088095868   # |zeta(1/2)|; strip-mass constant for u^(-1/2) edges
 _GRID_BLOCK = 4096                # lattice points per density call in density_grid_qutrit
+_GRID_INTEGRAL_MIN_RESOLUTION = 100   # grid_integral's totals lie within 5% of 1 from here up
 _LOG_FLOAT_MAX = log(np.finfo(float).max)   # 709.78; exp overflows float64 above it
 
 
@@ -260,16 +261,14 @@ def _series_tail(terms: np.ndarray, alpha: float) -> tuple[float, tuple[float, f
     Either tail is linear in t_{K-1} and t_K.  Returns the tail and its two
     parts, the one proportional to t_{K-1} and the one proportional to t_K.
     """
-    from scipy.special import zeta  # deferred: scipy.special is slow to import
-
     def scaled(k):  # t_k k^alpha
         return float(np.exp(np.log(terms[k]) + alpha * log(k))) if terms[k] > 0 else 0.0
 
     k_last = len(terms) - 1
     g = scaled(k_last)
-    z = float(zeta(alpha, k_last + 1))
+    z = hurwitz_zeta(alpha, k_last + 1)
     if k_last >= 2:
-        g_prev, z1 = scaled(k_last - 1), float(zeta(alpha + 1, k_last + 1))
+        g_prev, z1 = scaled(k_last - 1), hurwitz_zeta(alpha + 1, k_last + 1)
         b = (g_prev - g) * k_last * (k_last - 1)
         a = g - b / k_last
         tail = a * z + b * z1
@@ -517,13 +516,24 @@ def grid_integral(grid: DensityGrid) -> float:
     term keeps a normal gradient from being misread as a singularity.  This
     recovers the boundary mass that pointwise samples cannot see, which for
     the Bures measure is substantial (~24% of the total at resolution 400).
-    The qutrit grids integrate to 1.0043 (HS), 1.0192 (Bures) and 1.0079
-    (G) at resolution 200, and to 1.0005, 1.0074 and 1.0011 at resolution
-    400, so the Bures error is ~2e-2 at 200.
+    The qutrit grids integrate to:
+
+    ==========  ======  ======  ======
+    resolution  HS      Bures   G
+    ==========  ======  ======  ======
+    40          1.3215  1.0681  1.3892
+    100         1.0316  1.0440  1.0491
+    200         1.0043  1.0192  1.0079
+    400         1.0005  1.0074  1.0011
+    ==========  ======  ======  ======
+
+    The fit breaks down on coarse grids, so resolutions below 100 raise
+    ``ValueError``: at 99 the G total is already 1.0504, more than 5% off.
     """
     res = grid.resolution
-    if res < 6:
-        raise ValueError("grid_integral needs resolution >= 6")
+    if res < _GRID_INTEGRAL_MIN_RESOLUTION:
+        raise ValueError(f"grid_integral needs resolution >= {_GRID_INTEGRAL_MIN_RESOLUTION}, "
+                         f"got {res}")
     h = 1.0 / res
     _, _, full = _lattice(grid)
 

@@ -20,11 +20,10 @@ unitaries, tangent directions, inverse-CDF uniforms) read block 0 of
 Monte-Carlo constants, the purity suite's moments) are drawn from keyed
 blocks split between the drawing thread and a helper of its own, which does
 not change their values either.  The sampler-suite helper's working sets
-are bounded by blocks (Bures states, simplex cells), so once the process
-has made its first-use imports its allocations peak below 6 MB at scale 1
-(``tracemalloc`` reads ~3.5 MB), which bounds what its own malloc arena
-adds to the peak RSS.  A cold first run traces ~17 MB: the first
-``import scipy.special`` alone traces ~13.6 MB of it.
+are bounded by blocks (Bures states, simplex cells), so its allocations
+peak below 6 MB at scale 1 (``tracemalloc`` reads ~4.2 MB for a first run
+in a fresh process, envelope audit included, and ~3.5 MB warm), which
+bounds what its own malloc arena adds to the peak RSS.
 """
 from __future__ import annotations
 

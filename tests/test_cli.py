@@ -488,15 +488,59 @@ class TestDeterminism:
         sample = ("sample", "--measure", "hs", "--dim", "2", "--count", "20", "--seed", "3")
         assert run(*sample) == run(*sample)
 
-    # each takes a large share of the import time; the functions that use
-    # them import them when they run, and no command starts a process pool
+    # every subcommand, and every estimate method, at small sizes
+    EVERY_COMMAND = [
+        *(["sample", "--measure", m, "--dim", str(d), "--count", "50", "--full-matrix"]
+          for m in ("hs", "bures", "g") for d in (2, 3)),
+        *(["grid", "--measure", m, "--resolution", "30"] for m in ("g", "bures")),
+        *(["estimate", "--dim", "3", "--method", m, "--samples", "2000"]
+          for m in ("exact", "jensen", "series", "mc", "quadrature")),
+        ["verify", "all", "--seed", "0", "--scale", "1"],
+    ]
+
+    @pytest.fixture(scope="class")
+    def loaded_modules(self):
+        """The modules loaded by ``import superfid.cli``, and after every command."""
+        code = ("import io, json, os, sys; from contextlib import redirect_stdout; "
+                "from superfid import cli; loaded = sorted(sys.modules)\n"
+                "with redirect_stdout(io.StringIO()):\n"
+                "    codes = [cli.main(argv + ['--out', os.devnull]) for argv in %r]\n"
+                "print(json.dumps([codes, loaded, sorted(sys.modules)]))" % self.EVERY_COMMAND)
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True, env=CHILD_ENV)
+        codes, after_import, after_commands = json.loads(result.stdout)
+        assert codes == [0] * len(self.EVERY_COMMAND)
+        return set(after_import), set(after_commands)
+
+    # scipy is not a run-time dependency, and no command starts a process pool
     @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special",
                                         "concurrent.futures"])
-    def test_import_leaves_scipy_unloaded(self, module):
-        result = subprocess.run(
-            [sys.executable, "-c", f"import sys, superfid.cli; print({module!r} in sys.modules)"],
-            capture_output=True, text=True, check=True, env=CHILD_ENV)
-        assert result.stdout.strip() == "False"
+    def test_import_leaves_scipy_unloaded(self, module, loaded_modules):
+        after_import, after_commands = loaded_modules
+        assert module not in after_import
+        assert module not in after_commands
+        assert not [m for m in after_commands if m.split(".")[0] == "scipy"]
+
+    def test_every_command_runs_with_scipy_blocked(self):
+        # None in sys.modules makes every import of scipy or a submodule raise ImportError
+        code = """if True:
+            import io, os, sys
+            from contextlib import redirect_stdout
+            sys.modules["scipy"] = None
+            import numpy as np
+            from superfid import RngStream, cli, ks_test_two_sample
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli.main(["verify", "all", "--seed", "0", "--scale", "1"])
+            print(code, buf.getvalue().splitlines()[-1])
+            print([cli.main(["estimate", "--dim", str(dim), "--method", "series",
+                             "--out", os.devnull]) for dim in (2, 3, 4, 5)])
+            gen = RngStream(1).block(0, 0)
+            print(ks_test_two_sample(gen.random(200), gen.random(300)).p_value > 0)
+        """
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True, env=CHILD_ENV)
+        assert result.stdout.splitlines() == ["0 39/39 checks passed", "[0, 0, 0, 0]", "True"]
 
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_rejection_gate_loads_no_scipy(self, dim, tmp_path):

@@ -451,6 +451,15 @@ class TestDensityGrid:
             total = grid_integral(density_grid_qutrit(200, measure))
             assert abs(total - 1.0) <= 0.02
 
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_grid_integral_within_5_percent_from_resolution_100(self, measure):
+        assert abs(grid_integral(density_grid_qutrit(100, measure)) - 1.0) <= 0.05
+
+    def test_grid_integral_refuses_unchecked_resolutions(self):
+        # at resolution 40 the G total is 1.39
+        with pytest.raises(ValueError, match="resolution >= 100"):
+            grid_integral(density_grid_qutrit(99, Measure.SUPERFIDELITY))
+
     def test_bures_constant_from_quadrature(self):
         # the qubit value is 2/pi
         assert abs(c_bures(2).value - 2 / np.pi) <= 1e-9

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,83 @@ class TestMcSummaries:
         x = gen.normal(scale=2.0, size=200_000)
         var, se = mc_variance(x)
         assert abs(var - 4.0) <= 3 * se
+
+
+CHI2_ULPS = 3   # the worst chi2_sf error over TestSpecialFunctions' grid
+
+
+def chi2_sf_50_digits(dof, x):
+    """The chi-square survival function Q(dof/2, x/2) as a 50-digit mpmath value."""
+    import mpmath
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                               regularized=True)
+
+
+def ulps_off(value, exact):
+    """|value - exact| in units of the last place of exact rounded to a float."""
+    return float(abs(value - exact)) / math.ulp(float(exact))
+
+
+class TestSpecialFunctions:
+    """The pure-Python special functions against 50-digit mpmath values.
+
+    Each bound is the worst error measured on the grid of its test.
+    """
+
+    def test_kolmogorov_sf(self):
+        import mpmath
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x in np.linspace(0.05, 3.0, 2951).tolist():
+                # P(K > x) = 1 - theta_4(0, e^(-2 x^2))
+                exact = 1 - mpmath.jtheta(4, 0, mpmath.exp(-2 * mpmath.mpf(x) ** 2))
+                worst = max(worst, float(abs(statlab.kolmogorov_sf(x) - exact)))
+        assert worst <= 1.5e-16
+
+    def test_kolmogorov_sf_edges(self):
+        assert statlab.kolmogorov_sf(0.0) == statlab.kolmogorov_sf(-1.0) == 1.0
+        assert statlab.kolmogorov_sf(1e-3) == 1.0
+        assert statlab.kolmogorov_sf(30.0) == 0.0
+
+    def test_chi2_sf(self):
+        worst = 0.0
+        for dof in range(1, 201):
+            for x in np.geomspace(1e-3, 3e3, 61).tolist():
+                exact = chi2_sf_50_digits(dof, x)
+                if exact >= 1e-300:
+                    worst = max(worst, ulps_off(statlab.chi2_sf(dof, x), exact))
+        assert worst <= CHI2_ULPS
+
+    def test_chi2_sf_edges(self):
+        assert statlab.chi2_sf(3, 0.0) == statlab.chi2_sf(4, -1.0) == 1.0
+        assert statlab.chi2_sf(3, np.inf) == 0.0
+        assert np.isnan(statlab.chi2_sf(3, np.nan))
+        # past the underflow of the whole sum
+        assert statlab.chi2_sf(2, 1e6) == 0.0 and statlab.chi2_sf(3, 1e6) == 0.0
+        for dof in (0, 2.5):
+            with pytest.raises(ValueError, match="dof"):
+                statlab.chi2_sf(dof, 1.0)
+
+    def test_hurwitz_zeta(self):
+        import mpmath
+        worst = 0.0
+        for dim in range(2, 16):
+            for s in ((dim - 1) ** 2 + 0.5, (dim - 1) ** 2 + 1.5):
+                for q in range(2, 62):
+                    # mpmath's Hurwitz zeta at 50 digits keeps only ~13 of them at
+                    # s = 25.5, q = 61; at 100 it agrees with 150 to 3e-28
+                    with mpmath.workdps(100):
+                        exact = mpmath.zeta(s, q)
+                        if exact >= np.finfo(float).tiny:
+                            worst = max(worst, float(abs(statlab.hurwitz_zeta(s, q) - exact)
+                                                     / exact))
+        assert worst <= 1.9e-16
+
+    def test_hurwitz_zeta_domain(self):
+        for s, q in ((1.0, 2.0), (2.5, 0.0)):
+            with pytest.raises(ValueError):
+                statlab.hurwitz_zeta(s, q)
 
 
 class TestKsTest:
@@ -111,13 +190,13 @@ class TestChiSquare:
                                    lambda lam: np.full(lam.shape[:-1], np.inf),
                                    grid=10, rng=RngStream(0))
 
-    def test_p_values_equal_scipy_chi2_sf(self):
-        from scipy.stats import chi2
+    def test_p_values_equal_the_chi2_survival_function(self):
         _, eigs, _ = sample_batch(Measure.HILBERT_SCHMIDT, 3, 2000, RngStream(15))
         for grid in (3, 8, 12):
             res = chi_square_gof_simplex(eigs, density_hs_unnormalized,
                                          grid=grid, rng=RngStream(15, grid))
-            assert res.p_value == chi2.sf(res.statistic, res.bins_or_n - 1)
+            exact = chi2_sf_50_digits(res.bins_or_n - 1, res.statistic)
+            assert ulps_off(res.p_value, exact) <= CHI2_ULPS
 
     @pytest.mark.parametrize("grid", [10, 12])
     def test_simplex_cell_masses_sum_to_one(self, grid):
