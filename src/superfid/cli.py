@@ -11,6 +11,10 @@ Subcommands::
     superfid verify    {metric,density,sampler,purity,all} [--dim N] [--scale X]
                        [--seed S] [--format {text,json}] [--out PATH]
 
+Importing this module loads the superfid modules that ``sample`` runs
+(errors, qstate, rng, statlab, eigendensities, samplers) and no other:
+``grid`` and ``estimate`` need no more of them, and ``verify`` imports
+``superfid.verify``, and with it ``superfid.similarity``, when it starts.
 The master seed falls back to the SUPERFID_SEED environment variable, then 0.
 The parsed arguments go straight to the command's handler; each value is
 checked by the library function that uses it.
@@ -62,11 +66,11 @@ import numpy as np
 
 from . import eigendensities as ed
 from . import samplers as sm
-from . import verify as vf
 from .errors import (EnvelopeAuditError, InverseCDFError, QuadratureError,
                      SamplingBudgetError, StepSizeError)
 from .qstate import Measure
 from .rng import RngStream, seed_from_env
+from .statlab import SUITE_NAMES
 
 SCHEMA_VERSION = 2
 
@@ -377,7 +381,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = vf.run_suite(args.suite, args.seed, args.scale, dim=args.dim)
+    from . import verify   # the only command that needs verify and similarity
+    results = verify.run_suite(args.suite, args.seed, args.scale, dim=args.dim)
     failures = [r for r in results if not r.passed]
     lines = []
     for r in results:
@@ -443,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)   # a grid draws nothing
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("suite", choices=list(vf.SUITE_NAMES))
+    p.add_argument("suite", choices=list(SUITE_NAMES))
     p.add_argument("--dim", type=int, default=None,
                    help="restrict the purity suite to one dimension")
     p.add_argument("--scale", type=float, default=1.0,

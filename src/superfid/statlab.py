@@ -23,6 +23,7 @@ density integrates to 1/C_HS (1/3 for N=2, 1/1680 for N=3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import erfc, exp, factorial, frexp, fsum, inf, isnan, log, pi, sqrt
 
 import numpy as np
@@ -35,6 +36,11 @@ __all__ = [
     "ks_test", "ks_test_two_sample", "chi_square_gof_simplex", "simplex_quadrature",
     "kolmogorov_sf", "chi2_sf", "hurwitz_zeta",
 ]
+
+# The suites of superfid.verify, in the order of its report.  They are named
+# here, in a module every command loads, so that the CLI can offer them
+# without importing verify.
+SUITE_NAMES = ("metric", "density", "sampler", "purity", "all")
 
 
 @dataclass(frozen=True)
@@ -249,7 +255,16 @@ def _sin2_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.sin(phi) ** 2, np.cos(phi) ** 2, 0.25 * np.pi * w * np.sin(2.0 * phi)
 
 
-_SIN2_RULES = [_sin2_rule(n) for n in (32, 48)]  # coarse, fine
+@cache
+def _sin2_rules() -> tuple:
+    """The coarse and the fine rule (32 and 48 nodes), built on first use.
+
+    Two threads that miss the cache together build equal rules, and one of
+    them is kept.
+    """
+    return _sin2_rule(32), _sin2_rule(48)
+
+
 # Cells per density call, so the fine rule's 2304 nodes per cell keep the
 # scratch near 1 MB.
 _CELL_CHUNK = 4
@@ -291,7 +306,7 @@ def _simplex_cell_masses(density, grid: int) -> np.ndarray:
             cells[i, j] = h * h * np.sum(f * shrink * ww, axis=(1, 2))
         return cells
 
-    coarse, masses = (cell_masses(rule) for rule in _SIN2_RULES)
+    coarse, masses = (cell_masses(rule) for rule in _sin2_rules())
     total = masses.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError(f"density integral is not finite/positive: {total}")
@@ -422,7 +437,7 @@ def simplex_quadrature(f, dim: int, tolerance: float = 1e-9) -> float:
     """
     if dim not in (2, 3, 4, 5):
         raise ValueError(f"simplex_quadrature supports dim 2 to 5, got {dim}")
-    coarse, fine = (_simplex_rule(f, dim, rule) for rule in _SIN2_RULES)
+    coarse, fine = (_simplex_rule(f, dim, rule) for rule in _sin2_rules())
     if not (np.isfinite(fine) and abs(fine - coarse) <= tolerance):
         raise QuadratureError(f"32- and 48-node rules give {coarse:.17g} and {fine:.17g}, "
                               f"more than {tolerance:.2e} apart", partial_estimate=float(fine))

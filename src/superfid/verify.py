@@ -40,8 +40,7 @@ from . import statlab as st
 from .qstate import (Measure, _dagger, check_density_matrix, haar_unitary_batch,
                      random_tangent_batch)
 from .rng import VERIFY_KIND, RngStream
-
-SUITE_NAMES = ("metric", "density", "sampler", "purity", "all")
+from .statlab import SUITE_NAMES
 
 
 @dataclass(frozen=True)

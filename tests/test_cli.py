@@ -111,7 +111,7 @@ class TestUnwritableOut:
         "grid": (["grid", "--measure", "g", "--resolution", "4"],
                  cli.ed, "density_grid_qutrit"),
         "verify": (["verify", "purity", "--dim", "2", "--scale", "0.05"],
-                   cli.vf, "run_suite"),
+                   verify, "run_suite"),
     }
 
     @pytest.mark.parametrize("command", list(COMMANDS))
@@ -201,7 +201,7 @@ class TestFailClosedExit:
         "quadrature": (["estimate", "--dim", "4", "--method", "quadrature"],
                        _raising(cli.ed, "c_g_quadrature", QuadratureError), QuadratureError),
         "step-size": (["verify", "metric", "--scale", "0.05"],
-                      _raising(cli.vf, "run_suite", StepSizeError), StepSizeError),
+                      _raising(verify, "run_suite", StepSizeError), StepSizeError),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -271,6 +271,26 @@ class TestEstimateCommand:
         assert code == 0
         doc = json.loads(out)
         assert np.isfinite(doc["value"]) and doc["std_error"] > 0
+
+    # the values printed before the bar was mended; mending it moves none
+    SERIES_VALUES = {12: 1.0402360215462637e+168, 13: 2.3029781039116412e+204,
+                     14: 4.380834862799363e+244, 15: 8.344114983643282e+288}
+
+    @pytest.mark.parametrize("k_max", [20, 40])
+    @pytest.mark.parametrize("dim", sorted(SERIES_VALUES))
+    def test_series_bar_is_finite_where_terms_underflow(self, dim, k_max):
+        # in units of C_N the last terms are subnormal from N = 15 and are 0 at
+        # k_max = 40, where the bar was NaN, which JSON cannot hold
+        code, out = run_cli(["estimate", "--dim", str(dim), "--method", "series",
+                             "--k-max", str(k_max), "--samples", "2000", "--seed", "1"])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert np.isfinite(doc["std_error"]) and doc["std_error"] > 0
+        assert doc["value"] == self.SERIES_VALUES[dim]
 
     def test_exact_unsupported_dim_is_usage_error(self, capsys):
         assert cli.main(["estimate", "--dim", "4", "--method", "exact"]) == 2
@@ -492,6 +512,7 @@ class TestDeterminism:
     EVERY_COMMAND = [
         *(["sample", "--measure", m, "--dim", str(d), "--count", "50", "--full-matrix"]
           for m in ("hs", "bures", "g") for d in (2, 3)),
+        ["sample", "--measure", "g", "--dim", "4", "--count", "20", "--format", "json"],
         *(["grid", "--measure", m, "--resolution", "30"] for m in ("g", "bures")),
         *(["estimate", "--dim", "3", "--method", m, "--samples", "2000"]
           for m in ("exact", "jensen", "series", "mc", "quadrature")),
@@ -500,26 +521,52 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def loaded_modules(self):
-        """The modules loaded by ``import superfid.cli``, and after every command."""
-        code = ("import io, json, os, sys; from contextlib import redirect_stdout; "
-                "from superfid import cli; loaded = sorted(sys.modules)\n"
-                "with redirect_stdout(io.StringIO()):\n"
-                "    codes = [cli.main(argv + ['--out', os.devnull]) for argv in %r]\n"
-                "print(json.dumps([codes, loaded, sorted(sys.modules)]))" % self.EVERY_COMMAND)
+        """The modules loaded by ``import superfid.cli``, then after each command in turn."""
+        code = ("import io, json, os, sys; from contextlib import redirect_stdout\n"
+                "import superfid.cli as cli\n"
+                "loaded, codes = [sorted(sys.modules)], []\n"
+                "for argv in %r:\n"
+                "    with redirect_stdout(io.StringIO()):\n"
+                "        codes.append(cli.main(argv + ['--out', os.devnull]))\n"
+                "    loaded.append(sorted(sys.modules))\n"
+                "print(json.dumps([codes, loaded]))" % self.EVERY_COMMAND)
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True, check=True, env=CHILD_ENV)
-        codes, after_import, after_commands = json.loads(result.stdout)
+        codes, loaded = json.loads(result.stdout)
         assert codes == [0] * len(self.EVERY_COMMAND)
-        return set(after_import), set(after_commands)
+        return [set(modules) for modules in loaded]
+
+    def loaded_after(self, loaded_modules, commands):
+        """The modules loaded once the leading ``commands`` of EVERY_COMMAND have run."""
+        n = next(i for i, argv in enumerate(self.EVERY_COMMAND) if argv[0] not in commands)
+        assert n > 0
+        return loaded_modules[n]
 
     # scipy is not a run-time dependency, and no command starts a process pool
     @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special",
                                         "concurrent.futures"])
     def test_import_leaves_scipy_unloaded(self, module, loaded_modules):
-        after_import, after_commands = loaded_modules
+        after_import, after_commands = loaded_modules[0], loaded_modules[-1]
         assert module not in after_import
         assert module not in after_commands
         assert not [m for m in after_commands if m.split(".")[0] == "scipy"]
+
+    def test_import_loads_only_what_sample_runs(self, loaded_modules):
+        loaded = {m for m in loaded_modules[0] if m.split(".")[0] == "superfid"}
+        assert loaded == {"superfid", "superfid.cli", "superfid.errors", "superfid.qstate",
+                          "superfid.rng", "superfid.statlab", "superfid.eigendensities",
+                          "superfid.samplers"}
+
+    @pytest.mark.parametrize("module", ["superfid.verify", "superfid.similarity",
+                                        "numpy.polynomial"])
+    def test_sample_leaves_unloaded(self, module, loaded_modules):
+        assert module not in loaded_modules[0]
+        assert module not in self.loaded_after(loaded_modules, {"sample"})
+
+    @pytest.mark.parametrize("module", ["superfid.verify", "superfid.similarity"])
+    def test_grid_and_estimate_leave_unloaded(self, module, loaded_modules):
+        assert module not in self.loaded_after(loaded_modules, {"sample", "grid", "estimate"})
+        assert module in loaded_modules[-1]   # verify loads both
 
     def test_every_command_runs_with_scipy_blocked(self):
         # None in sys.modules makes every import of scipy or a submodule raise ImportError
@@ -553,6 +600,65 @@ class TestDeterminism:
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True, check=True, env=CHILD_ENV)
         assert result.stdout.strip() == "0 []"
+
+
+class TestPublicApi:
+    # the names that ``from superfid import *`` bound before the API became lazy
+    EXPORTED = {
+        "DensityGrid", "DomainError", "EnvelopeAudit", "EnvelopeAuditError", "GofResult",
+        "InstabilityWarning", "InvalidDimensionError", "InvalidStateError", "InverseCDFError",
+        "Measure", "NormalizationEstimate", "QuadratureError", "RejectionReport", "RngStream",
+        "SamplingBudgetError", "SingularityError", "StepSizeError",
+        "UnsupportedDimensionError", "audit_sup_density_ratio", "c_bures",
+        "c_bures_quadrature", "c_g_exact", "c_g_jensen_bound", "c_g_monte_carlo",
+        "c_g_quadrature", "c_g_series", "c_hs", "cdf_g2", "check_density_matrix",
+        "check_tangent", "chi_square_gof_simplex", "density_bures_unnormalized",
+        "density_g_unnormalized", "density_grid_qutrit", "density_hs_unnormalized", "dist_g",
+        "eigendensities", "errors", "fd_second_derivative", "fidelity", "ginibre_batch",
+        "grid_integral", "haar_unitary_batch", "hs_purity_batch", "invert_cdf_g2", "ks_test",
+        "ks_test_two_sample", "line_element_bprime", "line_element_g",
+        "log_rejection_constant_c", "mc_mean", "mc_variance", "pdf_g2_marginal",
+        "purity_mean_hs", "purity_variance_hs", "qstate", "random_tangent_batch",
+        "rejection_constant_c", "rng", "sample_batch", "sample_blocks",
+        "sample_g_rejection_batch", "sample_hs_batch", "samplers", "seed_from_env",
+        "similarity", "simplex_quadrature", "statlab", "sup_density_ratio_unnormalized",
+        "superfidelity",
+    }
+    SUBMODULES = ("cli", "eigendensities", "errors", "qstate", "rng", "samplers",
+                  "similarity", "statlab", "verify")
+
+    def test_star_import_binds_the_exported_names(self):
+        namespace = {}
+        exec("from superfid import *", namespace)
+        assert set(namespace) - {"__builtins__"} == self.EXPORTED
+        assert set(superfid.__all__) == self.EXPORTED
+
+    def test_every_name_resolves_in_a_fresh_process(self):
+        # each name is the object of the submodule it comes from
+        code = ("import json, types, superfid\n"
+                "names, found = %r, {}\n"
+                "for name in names:\n"
+                "    value = getattr(superfid, name)\n"
+                "    if isinstance(value, types.ModuleType):\n"
+                "        found[name] = value.__name__\n"
+                "    else:\n"
+                "        home = superfid.__dict__[value.__module__.split('.')[1]]\n"
+                "        found[name] = getattr(home, name) is value\n"
+                "print(json.dumps(found))" % sorted(self.EXPORTED | set(self.SUBMODULES)))
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True, env=CHILD_ENV)
+        found = json.loads(result.stdout)
+        assert {name: found[name] for name in self.SUBMODULES} == {
+            name: f"superfid.{name}" for name in self.SUBMODULES}
+        assert [name for name in self.EXPORTED - set(self.SUBMODULES)
+                if found[name] is not True] == []
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            superfid.nonexistent
+
+    def test_dir_lists_the_lazy_names(self):
+        assert self.EXPORTED | set(self.SUBMODULES) <= set(dir(superfid))
 
 
 class TestBoundedMemory:
