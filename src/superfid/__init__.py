@@ -7,13 +7,14 @@ routes, exact and rejection samplers, and a statistical toolkit used to verify
 all of the quantitative claims at desk scale.
 
 The public API is lazy (PEP 562): ``import superfid`` loads no submodule.
-Each name below, and each ``superfid.<submodule>``, is imported on its first
-access and then bound here, so ``superfid.fidelity`` is the very function
-``superfid.similarity.fidelity`` was at that access.  ``from superfid import
-*`` binds every name of ``__all__`` (the exported names and the seven
-library submodules), which loads all of them.  ``import superfid.cli``
-therefore loads only the modules its commands need at start-up; see
-:mod:`superfid.cli`.
+Each exported name (``_EXPORTS`` below), and each of the seven library
+submodules, is imported on its first access.  A name is looked up in its submodule on every access and
+never bound here, so ``superfid.fidelity`` is always what
+``superfid.similarity.fidelity`` is at that moment: a patch of the submodule
+shows through the package, and undoing it restores both.  ``from superfid
+import *`` binds every name of ``__all__`` (the exported names and the seven
+submodules), which loads all of them.  ``import superfid.cli`` therefore
+loads only the modules its commands need at start-up; see :mod:`superfid.cli`.
 """
 from importlib import import_module as _import_module
 
@@ -46,23 +47,17 @@ _EXPORTS = {
         "mc_variance", "simplex_quadrature"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-# every submodule resolves as an attribute; the front ends are not in __all__
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "verify"}
-
 __all__ = sorted([*_ORIGIN, *_EXPORTS])
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
     if name in _ORIGIN:
-        value = getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
-    elif name in _SUBMODULES:
-        value = _import_module(f"{__name__}.{name}")
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value   # later lookups skip this function
-    return value
+        return getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if name in _EXPORTS:   # importing a submodule binds it in the package
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__})

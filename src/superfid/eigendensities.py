@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
 from math import asin, lgamma, log, pi, sqrt
 from typing import Literal
 
@@ -309,25 +308,17 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     p = _hs_purities(dim, samples, rng)
     coeff = series_coefficients(k_max)
 
-    moments = np.empty(k_max + 1)   # c_k E[p^k]: the terms in units of 1/C_HS
+    terms = np.empty(k_max + 1)
     p_pow = np.ones_like(p)
     for k in range(k_max + 1):
         if k > 0:
             p_pow = p_pow * p
-        moments[k] = coeff[k] * float(p_pow.mean())
-    terms = moments * inv_chs
+        terms[k] = coeff[k] * float(p_pow.mean()) * inv_chs
     partial = np.cumsum(terms)
-    alpha = (dim - 1) ** 2 + 0.5
-    tail, tail_parts = _series_tail(terms, alpha)
+    tail, tail_parts = _series_tail(terms, (dim - 1) ** 2 + 0.5)
+    # F(p) / (1/C_HS), so that its variance cannot underflow where 1/C_HS is tiny;
+    # a last term that is 0 in units of C_N (N = 15) has no tail part to scale by
     last = terms[-2:]
-    if last.min() < np.finfo(float).tiny:
-        # subnormal terms have lost digits, and 0 ones give 0/0 (N = 15 at
-        # k_max = 40): the tail parts over their terms are then formed in units
-        # of 1/C_HS, where the terms stay normal below N = 16 for moderate
-        # k_max; a term that is 0 even there has no tail part
-        _, tail_parts = _series_tail(moments, alpha)
-        last = moments[-2:]
-    # F(p) / (1/C_HS), so that its variance cannot underflow where 1/C_HS is tiny
     f_coeff = coeff.copy()
     f_coeff[-2:] *= 1.0 + np.divide(tail_parts, last, out=np.zeros(2), where=last > 0)
     _, se_ratio = mc_mean(np.polynomial.polynomial.polyval(p, f_coeff))
@@ -506,19 +497,13 @@ def _lattice(grid: DensityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, full
 
 
-@cache
-def _edge_basis_inv() -> np.ndarray:
-    """Inverse of the edge fit's basis, built on first use.
-
-    Fit f(u) = a u^(-1/2) + b + c u on rows u = h, 2h, 3h; columns are the
-    basis evaluated with a scaled as a*h^(-1/2) and c as c*h.  Two threads
-    that miss the cache together build equal inverses, and one is kept.
-    """
-    return np.linalg.inv(np.array([
-        [1.0, 1.0, 1.0],
-        [1.0 / sqrt(2.0), 1.0, 2.0],
-        [1.0 / sqrt(3.0), 1.0, 3.0],
-    ]))
+# Fit f(u) = a u^(-1/2) + b + c u on rows u = h, 2h, 3h; columns are the
+# basis evaluated with a scaled as a*h^(-1/2) and c as c*h.
+_EDGE_BASIS_INV = np.linalg.inv(np.array([
+    [1.0, 1.0, 1.0],
+    [1.0 / sqrt(2.0), 1.0, 2.0],
+    [1.0 / sqrt(3.0), 1.0, 3.0],
+]))
 
 
 def grid_integral(grid: DensityGrid) -> float:
@@ -566,9 +551,8 @@ def grid_integral(grid: DensityGrid) -> float:
     ]
     corr = 0.0
     sqrt_h = sqrt(h)
-    basis_inv = _edge_basis_inv()
     for rows in edges:
-        coef = basis_inv @ np.nan_to_num(rows)
+        coef = _EDGE_BASIS_INV @ np.nan_to_num(rows)
         a = coef[0] * sqrt_h
         b = coef[1]
         c = coef[2] / h

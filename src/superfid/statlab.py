@@ -37,11 +37,6 @@ __all__ = [
     "kolmogorov_sf", "chi2_sf", "hurwitz_zeta",
 ]
 
-# The suites of superfid.verify, in the order of its report.  They are named
-# here, in a module every command loads, so that the CLI can offer them
-# without importing verify.
-SUITE_NAMES = ("metric", "density", "sampler", "purity", "all")
-
 
 @dataclass(frozen=True)
 class GofResult:

@@ -37,10 +37,10 @@ from . import eigendensities as ed
 from . import samplers as sm
 from . import similarity as si
 from . import statlab as st
+from .cli import SUITE_NAMES
 from .qstate import (Measure, _dagger, check_density_matrix, haar_unitary_batch,
                      random_tangent_batch)
 from .rng import VERIFY_KIND, RngStream
-from .statlab import SUITE_NAMES
 
 
 @dataclass(frozen=True)

@@ -276,11 +276,12 @@ class TestEstimateCommand:
     SERIES_VALUES = {12: 1.0402360215462637e+168, 13: 2.3029781039116412e+204,
                      14: 4.380834862799363e+244, 15: 8.344114983643282e+288}
 
-    @pytest.mark.parametrize("k_max", [20, 40])
+    @pytest.mark.parametrize("k_max", [20, 40, 100])
     @pytest.mark.parametrize("dim", sorted(SERIES_VALUES))
     def test_series_bar_is_finite_where_terms_underflow(self, dim, k_max):
         # in units of C_N the last terms are subnormal from N = 15 and are 0 at
-        # k_max = 40, where the bar was NaN, which JSON cannot hold
+        # k_max = 40, where the bar was NaN, which JSON cannot hold; in units
+        # of 1/C_HS they stay normal, but t_k k^alpha overflows at k_max = 100
         code, out = run_cli(["estimate", "--dim", str(dim), "--method", "series",
                              "--k-max", str(k_max), "--samples", "2000", "--seed", "1"])
         assert code == 0
@@ -624,8 +625,8 @@ class TestPublicApi:
         "similarity", "simplex_quadrature", "statlab", "sup_density_ratio_unnormalized",
         "superfidelity",
     }
-    SUBMODULES = ("cli", "eigendensities", "errors", "qstate", "rng", "samplers",
-                  "similarity", "statlab", "verify")
+    SUBMODULES = ("eigendensities", "errors", "qstate", "rng", "samplers", "similarity",
+                  "statlab")
 
     def test_star_import_binds_the_exported_names(self):
         namespace = {}
@@ -659,6 +660,20 @@ class TestPublicApi:
 
     def test_dir_lists_the_lazy_names(self):
         assert self.EXPORTED | set(self.SUBMODULES) <= set(dir(superfid))
+
+    def test_a_name_follows_its_submodule_through_a_patch(self, monkeypatch):
+        from superfid import similarity
+
+        original = similarity.fidelity
+
+        def patched(rho, sigma):
+            return 1.0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "fidelity", patched)
+            assert superfid.fidelity is patched
+        assert superfid.fidelity is original
+        assert "fidelity" not in vars(superfid)
 
 
 class TestBoundedMemory:

@@ -13,7 +13,7 @@ from superfid import (GofResult, Measure, QuadratureError, RngStream, c_hs,
                       density_g_unnormalized, density_hs_unnormalized, ks_test,
                       ks_test_two_sample, mc_mean, mc_variance, sample_batch,
                       simplex_quadrature)
-from superfid import eigendensities, statlab
+from superfid import statlab
 from superfid.eigendensities import normalized_density
 from superfid.rng import VERIFY_KIND
 
@@ -275,20 +275,12 @@ class TestSimplexQuadrature:
         assert traced_peak(simplex_quadrature, density_g_unnormalized, 5, 1e-9) < 64 * 2 ** 20
 
 
-def _leaves(value):
-    """The arrays of a nested tuple of arrays, in order."""
-    if isinstance(value, tuple):
-        return [leaf for item in value for leaf in _leaves(item)]
-    return [value]
-
-
 class TestBuiltOnFirstUse:
-    # the Gauss rules and the edge-fit inverse are cached on first use, where
-    # the two threads of `verify all` can both miss the cache
-    @pytest.mark.parametrize("build", [statlab._sin2_rules, eigendensities._edge_basis_inv],
-                             ids=["sin2-rules", "edge-basis-inv"])
-    def test_threads_that_miss_together_get_the_same_values(self, build):
-        expected = _leaves(build.__wrapped__())
+    # the Gauss rules are cached on first use, where the two threads of
+    # `verify all` can both miss the cache
+    def test_threads_that_miss_together_get_the_same_rules(self):
+        build = statlab._sin2_rules
+        expected = [a for rule in build.__wrapped__() for a in rule]
         build.cache_clear()
         results = []
         threads = [threading.Thread(target=lambda: results.append(build())) for _ in range(8)]
@@ -304,9 +296,9 @@ class TestBuiltOnFirstUse:
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == len(threads)
         for result in results:
-            leaves = _leaves(result)
-            assert len(leaves) == len(expected)
-            assert all(np.array_equal(a, b) for a, b in zip(leaves, expected))
+            arrays = [a for rule in result for a in rule]
+            assert len(arrays) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, expected))
 
 
 class TestRecordTypes:
