@@ -6,7 +6,7 @@
 ``superfid.cli._repr_pairs`` finds ``repr``'s digits with numpy and leaves
 to ``repr`` itself only the values outside its range.  This script feeds it
 N values (default 10^7) in ``cli._REPR_CHUNK`` slices, drawn in equal shares
-from nine families:
+from ten families:
 
 - ``uniform``: uniform on [0, 1), the eigenvalues and purities of ``sample``;
 - ``signed``: uniform on (-1, 1), the matrix entries of ``--full-matrix``;
@@ -20,7 +20,9 @@ from nine families:
 - ``near-edges``: the doubles within 40 steps of ±1e-4, 1e-3, 0.01, 0.1
   and 1, and of short decimals, where a carry is likeliest;
 - ``dyadic``: odd multiples of 2^-p for p <= 60, among them the only
-  values whose digits end in an exact tie.
+  values whose digits end in an exact tie;
+- ``zeros``: 0.0 and -0.0 between values of ``signed``, as the imaginary
+  parts of a ``--full-matrix`` diagonal lie between its other entries.
 
 It prints one line per family (values, values left to ``repr``, mismatches)
 and the first few mismatches, if any.
@@ -35,7 +37,7 @@ import numpy as np
 from superfid import cli
 
 FAMILIES = ("uniform", "signed", "log-uniform", "grid", "short", "bits", "range-bits",
-            "near-edges", "dyadic")
+            "near-edges", "dyadic", "zeros")
 
 
 def _draw(family: str, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -70,6 +72,9 @@ def _draw(family: str, n: int, gen: np.random.Generator) -> np.ndarray:
         p = gen.integers(1, 61, n)
         odd = 2 * gen.integers(0, 2 ** (p - 1).clip(max=52)) + 1
         return np.ldexp(odd.astype(np.float64), -p.astype(np.int32))
+    if family == "zeros":
+        zeros = np.where(gen.random(n) < 0.5, 0.0, -0.0)
+        return np.where(gen.random(n) < 0.5, zeros, gen.uniform(-1.0, 1.0, n))
     raise ValueError(f"unknown family {family!r}")
 
 

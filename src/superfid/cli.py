@@ -24,7 +24,10 @@ Outputs carry no timestamps and format floats via ``repr``, so a fixed
 stream ``RngStream(seed)``, each block's values depending only on (seed,
 sampler, block), so the records of each whole block are the same for every
 ``sample --count`` that covers it.  The estimates' HS purity blocks are split
-between this thread and one helper thread, which does not change a byte.
+between this thread and one helper thread, which does not change a byte, and
+each block is reduced (to its moments, or to its power sums for ``series``)
+on the thread that drew it, so ``estimate``'s memory does not grow with
+``--samples`` beyond a few numbers per block of 4096 purities.
 ``sample`` and ``grid`` write their rows chunk by chunk (at most 8192 floats
 per chunk), each chunk through one row template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that
@@ -33,13 +36,14 @@ from its sampler to the writer before the next one is drawn, so its memory
 does not grow with ``--count``, except for G at N >= 3, whose rejection
 totals head the output and whose spectra (and matrices) are therefore held
 until every state is drawn.  Floats still print as their ``repr``, but
-numpy finds those digits: a float in 1e-4 <= |v| < 1 goes out as a fixed
-prefix such as ``"0.00"`` and an int, which Python formats several times
-faster than a float, and only the other floats go through ``repr``.
+numpy finds those digits: a float in 1e-4 <= |v| < 1, or an exact ±0.0,
+goes out as a fixed prefix such as ``"0.00"`` and an int, which Python
+formats several times faster than a float, and only the other floats go
+through ``repr``.
 ``verify all`` runs the sampler suite on one helper thread beside the other
 three suites; its output is the same bytes as a serial run, whatever the
 scheduling, and the helper's allocations stay below 6 MB at scale 1, in a
-fresh process too (``tracemalloc`` reads ~4.2 MB cold, ~3.5 MB warm).
+fresh process too (``tracemalloc`` reads ~5.2 MB cold, ~3.7 MB warm).
 Exit codes: 0 success, 1 verification failure, 2 usage error (a rejected
 value, or an ``--out`` that cannot be opened for writing), 3 sampling budget
 exhausted, 4 a numerical self-check failed closed (the envelope audit, a
@@ -195,15 +199,17 @@ def _repr_pairs(x: np.ndarray) -> np.ndarray:
     - The digits are y rounded to the nearest multiple of 10^j, for the
       largest j at which such a multiple lies within h of y.
 
-    Every other float gets the pair ("", v), which prints it through
-    ``repr``: |v| >= 1, |v| < 1e-4, zeros, nan and inf, powers of two (the
-    gap below them is half the gap above), ties at the rounding step, and
-    digits that end in 0.
+    An exact zero gets ("0.", 0), or ("-0.", 0) when negative.  Every other
+    float gets the pair ("", v), which prints it through ``repr``: |v| >= 1,
+    0 < |v| < 1e-4, nan and inf, powers of two (the gap below them is half
+    the gap above), ties at the rounding step, and digits that end in 0.
     """
     bits = x.view(np.uint64)
     a = np.abs(x)
-    with np.errstate(all="ignore"):   # nan, inf and zeros are left to repr below
+    zero = a == 0.0
+    with np.errstate(all="ignore"):   # nan and inf are left to repr below
         k = (a >= 0.001).astype(np.intp) + (a >= 0.01) + (a >= 0.1)   # e + 4
+        k[zero] = 3   # a zero's prefix is "0." or "-0."
         scale = _SCALES[k]
         d, f = _scaled(a, scale)
         h = np.spacing(a) * scale * 0.5
@@ -216,8 +222,8 @@ def _repr_pairs(x: np.ndarray) -> np.ndarray:
         p = _POW10[j]
         r = d % p
         half = (p - 2 * r) * 0.5   # y rounds up to the next multiple of p when f > half
-        digits = d // p + (f > half)
-        found = candidate & (f != half) & (digits % 10 != 0)
+        digits = d // p + (f > half)   # 0 for a zero: d = 0 and f = 0 < half
+        found = (candidate & (f != half) & (digits % 10 != 0)) | zero
     pairs = np.empty((len(x), 2), dtype=object)
     pairs[:, 0] = _PREFIXES[k + 4 * (bits >> 63).astype(np.intp)]
     pairs[:, 1] = digits

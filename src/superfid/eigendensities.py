@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import asin, lgamma, log, pi, sqrt
+from math import asin, fsum, lgamma, log, pi, sqrt
 from typing import Literal
 
 import numpy as np
@@ -25,7 +25,10 @@ import numpy as np
 from .errors import DomainError, InstabilityWarning, SingularityError, UnsupportedDimensionError
 from .qstate import Measure, _maybe_scalar
 from .rng import RngStream
-from .statlab import hurwitz_zeta, mc_mean, simplex_quadrature
+from .statlab import Moments, hurwitz_zeta, simplex_quadrature
+# perfbench/tracing.py wraps ed.mc_mean, which nothing here calls any more; drop this
+# import with the next change to the benchmark
+from .statlab import mc_mean  # noqa: F401
 
 __all__ = [
     "NormalizationEstimate", "DensityGrid",
@@ -173,9 +176,9 @@ def c_g_jensen_bound(dim: int) -> NormalizationEstimate:
     return NormalizationEstimate(dim=dim, value=value, method="jensen-upper-bound")
 
 
-def _hs_purities(dim: int, samples: int, rng: RngStream) -> np.ndarray:
+def _reduce_hs_purities(dim: int, samples: int, rng: RngStream, reduce) -> list:
     from . import samplers  # deferred: samplers imports this module at top level
-    return samplers.hs_purity_batch(dim, samples, rng)
+    return samplers.reduce_hs_purities(dim, samples, rng, reduce)
 
 
 def _reciprocal_radical_mean(dim: int, samples: int,
@@ -194,33 +197,42 @@ def _reciprocal_radical_mean(dim: int, samples: int,
     arcsin U + U sqrt(1 - U^2)) is added.  The sampled part is bounded, so
     the standard error covers.  Numerically pure draws lie above U, so none
     is discarded.
+
+    Each block of purities is reduced to its :class:`Moments` (and its
+    discard count) on the thread that drew it, so memory does not grow with
+    ``samples``; the blocks are merged in order.
     """
-    p = _hs_purities(dim, samples, rng)
+    u = QUBIT_TAIL_U
+
+    def radical(start: int, p: np.ndarray):
+        if dim == 2:
+            above = p > 0.5 * (1.0 + u * u)   # u = sqrt(2p - 1) > U
+            p[above] = 0.0                    # a finite radical, set to 0 once formed
+            y, discarded = p, 0
+        else:
+            keep = p < 1.0 - PURE_DISCARD_EPS
+            discarded = len(p) - int(np.count_nonzero(keep))
+            y = p[keep] if discarded else p
+        # 1 / sqrt(1 - p) formed in place
+        np.subtract(1.0, y, out=y)
+        np.sqrt(y, out=y)
+        np.divide(1.0, y, out=y)
+        if dim == 2:
+            y[above] = 0.0
+        return Moments.of(y), discarded
+
+    parts = _reduce_hs_purities(dim, samples, rng, radical)
+    discarded = sum(d for _, d in parts)
+    if discarded > DISCARD_WARN_FRACTION * samples:
+        warnings.warn(
+            f"{discarded}/{samples} samples at numerically pure states were discarded",
+            InstabilityWarning, stacklevel=3)
+    moments = Moments.merge(m for m, _ in parts)
+    mean, se = moments.mean_se()
     tail = 0.0
     if dim == 2:
-        u = QUBIT_TAIL_U
         tail = 1.5 * sqrt(2.0) * (0.5 * pi - asin(u) + u * sqrt(1.0 - u * u))
-        above = p > 0.5 * (1.0 + u * u)   # u = sqrt(2p - 1) > U
-        p[above] = 0.0                    # a finite radical, set to 0 once formed
-        y = p
-    else:
-        keep = p < 1.0 - PURE_DISCARD_EPS
-        discarded = int(samples - keep.sum())
-        if discarded > DISCARD_WARN_FRACTION * samples:
-            warnings.warn(
-                f"{discarded}/{samples} samples at numerically pure states were discarded",
-                InstabilityWarning, stacklevel=3)
-        # 1 / sqrt(1 - p) formed in place: in p itself unless some were discarded
-        y = p[keep] if discarded else p
-        del keep
-    del p
-    np.subtract(1.0, y, out=y)
-    np.sqrt(y, out=y)
-    np.divide(1.0, y, out=y)
-    if dim == 2:
-        y[above] = 0.0
-    mean, se = mc_mean(y)
-    return mean + tail, se, len(y)
+    return mean + tail, se, moments.count
 
 
 def c_g_monte_carlo(dim: int, samples: int, rng: RngStream) -> NormalizationEstimate:
@@ -278,6 +290,20 @@ def _series_tail(terms: np.ndarray, alpha: float) -> tuple[float, tuple[float, f
     return g * z, (0.0, g * z)
 
 
+def _power_sums(p: np.ndarray, m_max: int) -> np.ndarray:
+    """sum_i p_i^m for m = 0 .. ``m_max``.
+
+    p^m = p^(m-1) p is formed in one scratch, and each power is summed on
+    its own (pairwise, as ``np.sum`` sums), so a sum does not depend on ``m_max``.
+    """
+    sums = np.empty(m_max + 1)
+    power = np.ones_like(p)
+    for m in range(m_max + 1):
+        sums[m] = power.sum()
+        power *= p
+    return sums
+
+
 def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
                return_partial_sums: bool = False):
     """Series estimator 1/C_G = (1/C_HS) sum_k c_k E[(tr rho^2)^k] with a tail estimate.
@@ -294,26 +320,30 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     is still reported as ``truncation_last_term``.  All purity moments come
     from one Hilbert-Schmidt Monte-Carlo batch of ``samples`` >= 2 states.
     The tail is linear in the last two term means, so 1/C is the sample mean
-    of one polynomial F(p): the series with each of those two terms scaled
-    by 1 + (its tail part) / (the term).  ``std_error`` carries the standard
-    error of that mean through the reciprocal (delta method), so it covers
-    the tail's sampling noise as well; the fit's bias stays uncovered.
-    C_HS is formed first, so a dimension where it overflows fails before any draw.
+    of one polynomial F(p) = sum_k f_k p^k: the series with each of those two
+    terms scaled by 1 + (its tail part) / (the term).  ``std_error`` carries
+    the standard error of that mean through the reciprocal (delta method),
+    so it covers the tail's sampling noise as well; the fit's bias stays
+    uncovered.  Each block of purities is reduced on the thread that drew it
+    to its power sums sum p^m, m <= 2 ``k_max`` (:func:`_power_sums`), and
+    each power's block sums are added with ``fsum``, so memory does not grow
+    with ``samples``: the sums give the term means E[p^k] and
+    Var F = sum_m (f * f)_m E[p^m] - (sum_k f_k E[p^k])^2, with f * f the
+    coefficients of F^2.  C_HS is formed first, so a dimension where it
+    overflows fails before any draw.
     """
     inv_chs = 1.0 / c_hs(dim).value
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    p = _hs_purities(dim, samples, rng)
+    m_max = 2 * k_max
+    parts = _reduce_hs_purities(dim, samples, rng, lambda start, p: _power_sums(p, m_max))
+    # E[p^m], from each power's block sums
+    means = np.array([fsum(column) for column in zip(*parts)]) / samples
     coeff = series_coefficients(k_max)
 
-    terms = np.empty(k_max + 1)
-    p_pow = np.ones_like(p)
-    for k in range(k_max + 1):
-        if k > 0:
-            p_pow = p_pow * p
-        terms[k] = coeff[k] * float(p_pow.mean()) * inv_chs
+    terms = coeff * means[:k_max + 1] * inv_chs
     partial = np.cumsum(terms)
     tail, tail_parts = _series_tail(terms, (dim - 1) ** 2 + 0.5)
     # F(p) / (1/C_HS), so that its variance cannot underflow where 1/C_HS is tiny;
@@ -321,7 +351,9 @@ def c_g_series(dim: int, k_max: int, rng: RngStream, samples: int = 10 ** 5,
     last = terms[-2:]
     f_coeff = coeff.copy()
     f_coeff[-2:] *= 1.0 + np.divide(tail_parts, last, out=np.zeros(2), where=last > 0)
-    _, se_ratio = mc_mean(np.polynomial.polynomial.polyval(p, f_coeff))
+    var_f = float(np.dot(np.convolve(f_coeff, f_coeff), means)
+                  - np.dot(f_coeff, means[:k_max + 1]) ** 2)
+    se_ratio = sqrt(max(var_f, 0.0) / (samples - 1))
 
     inv_c = float(partial[k_max] + tail)
     estimate = NormalizationEstimate(
@@ -438,7 +470,8 @@ def pdf_g2_marginal(t):
 class DensityGrid:
     """Normalized qutrit eigenvalue density sampled on a barycentric lattice.
 
-    Lattice points are (i/R, j/R, 1-(i+j)/R) for i + j <= R.  Points where
+    Lattice points are (i/R, j/R, 1-(i+j)/R) for i + j <= R, in i-major
+    order: i ascending, and j ascending within each i.  Points where
     the density diverges are flagged and carry NaN instead of a value: the
     three pure corners for the superfidelity measure, the whole simplex
     boundary for Bures.
@@ -464,7 +497,7 @@ def density_grid_qutrit(resolution: int,
     measure = Measure(measure)
 
     r = np.arange(resolution + 1)
-    ii, jj = np.nonzero(np.add.outer(r, r) <= resolution)  # i-major order
+    ii, jj = np.nonzero(np.less_equal.outer(r, resolution - r))  # i-major order
     kk = resolution - ii - jj
     if measure is Measure.BURES:
         singular = (ii == 0) | (jj == 0) | (kk == 0)
@@ -484,17 +517,16 @@ def density_grid_qutrit(resolution: int,
                        lambda2=jj / resolution, density=density, singular=singular)
 
 
-def _lattice(grid: DensityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice indices (i, j) of a grid's points and its (R+1, R+1) array.
+def _lattice(grid: DensityGrid) -> np.ndarray:
+    """A grid's (R+1, R+1) array: the density at [i, j] and NaN off the triangle.
 
-    The array holds the density at [i, j] and NaN off the triangle.
+    The grid's points are read in i-major order, the order of
+    :func:`density_grid_qutrit` and of ``superfid grid``'s rows.
     """
-    res = grid.resolution
-    i = np.rint(grid.lambda1 * res).astype(int)
-    j = np.rint(grid.lambda2 * res).astype(int)
-    full = np.full((res + 1, res + 1), np.nan)
-    full[i, j] = grid.density
-    return i, j, full
+    r = np.arange(grid.resolution + 1)
+    full = np.full((len(r), len(r)), np.nan)
+    full[np.less_equal.outer(r, grid.resolution - r)] = grid.density   # i + j <= R
+    return full
 
 
 # Fit f(u) = a u^(-1/2) + b + c u on rows u = h, 2h, 3h; columns are the
@@ -537,11 +569,7 @@ def grid_integral(grid: DensityGrid) -> float:
         raise ValueError(f"grid_integral needs resolution >= {_GRID_INTEGRAL_MIN_RESOLUTION}, "
                          f"got {res}")
     h = 1.0 / res
-    _, _, full = _lattice(grid)
-
-    ii, jj = np.meshgrid(np.arange(res + 1), np.arange(res + 1), indexing="ij")
-    interior = (ii >= 1) & (jj >= 1) & (ii + jj <= res - 1)
-    plain = float(np.nansum(np.where(interior, full, 0.0)) * h * h)
+    full = _lattice(grid)
 
     k = np.arange(1, res - 3)  # stations whose three rows are all interior
     edges = [
@@ -549,6 +577,14 @@ def grid_integral(grid: DensityGrid) -> float:
         np.stack([full[k, 1], full[k, 2], full[k, 3]]),                            # l2 = 0
         np.stack([full[k, res - 1 - k], full[k, res - 2 - k], full[k, res - 3 - k]]),  # l3 = 0
     ]
+    # the interior points i, j >= 1, i + j <= res - 1, NaN counting as 0: the
+    # rest of full is zeroed in place, and the sum runs over the same array
+    r = np.arange(res + 1)
+    full[0] = 0.0
+    full[:, 0] = 0.0
+    full[np.greater_equal.outer(r, res - r)] = 0.0   # i + j >= res
+    full[np.isnan(full)] = 0.0
+    plain = float(full.sum() * h * h)
     corr = 0.0
     sqrt_h = sqrt(h)
     for rows in edges:

@@ -108,8 +108,10 @@ def ginibre_batch(dim: int, count: int, gen: np.random.Generator) -> np.ndarray:
     if not isinstance(gen, np.random.Generator):
         raise TypeError(f"expected numpy Generator, got {type(gen)!r}")
     z = gen.standard_normal((count, dim, dim, 2))
-    # each (re, im) pair of normals read in place as one complex entry
-    return z.view(complex)[..., 0] / np.sqrt(2.0)
+    # each (re, im) pair of normals read in place as one complex entry, and scaled in place
+    g = z.view(complex)[..., 0]
+    g /= np.sqrt(2.0)
+    return g
 
 
 def _qr_phase_fixed(g: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ block b of its output draws everything it needs from ``rng.block(kind, b)``
 alone, in a fixed order, so a value depends only on (seed, stream, kind, b,
 block size).  A shorter run gives the whole blocks of a longer one as a
 prefix, and the HS purities' blocks can be split between the calling thread
-and one helper thread without changing a value.
+and one helper thread without changing a value (:func:`reduce_hs_purities`).
 
 :func:`sample_blocks` is the one state front end: it routes a measure and a
 dimension to a sampler and returns ``(report_or_None, blocks)``, a stream of
@@ -45,8 +45,9 @@ exception: its report holds totals that a writer prints before the rows, so
 it draws every state first and its held arrays are handed out in blocks.
 :func:`sample_batch` gathers those blocks into plain arrays,
 ``(matrices_or_None, eigs, report_or_None)``.  HS matrices without spectra
-(:func:`sample_hs_batch`) and HS purities (:func:`hs_purity_batch`) have
-functions of their own.
+(:func:`sample_hs_batch`) and HS purities have functions of their own: the
+purities come block by block to a reduction (:func:`reduce_hs_purities`), or
+whole (:func:`hs_purity_batch`).
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ from .rng import RngStream, check_stream
 
 __all__ = [
     "RejectionReport", "EnvelopeAudit",
-    "sample_hs_batch", "hs_purity_batch", "invert_cdf_g2",
+    "sample_hs_batch", "hs_purity_batch", "reduce_hs_purities", "invert_cdf_g2",
     "sup_density_ratio_unnormalized", "audit_sup_density_ratio",
     "rejection_constant_c", "log_rejection_constant_c",
     "sample_g_rejection_batch",
@@ -80,6 +81,7 @@ __all__ = [
 DEFAULT_MAX_PROPOSALS = 10_000        # per accepted sample; ~2.1 are needed at any N
 _BLOCK = 4096                         # states per block: HS, rejection proposals, qubit G
 _BURES_BLOCK = 1024                   # Bures states per block: ~6 such stacks are ~1 MB at N = 3
+_GRAM_CHUNK = 512                     # states per product of _normalized_gram: ~128 kB at N = 4
 _NEWTON_STEPS = 6                     # inverse CDF: 4 reach round-off from the starter
 _AUDIT_LOGITS = np.linspace(-37.0, 37.0, 2049)   # t = 1 / (1 + e^-x) within 8.5e-17 of 0 and 1
 _AUDIT_GOLDEN_STEPS = 50              # shrink a 2-step bracket by 0.618^50 = 3.6e-11
@@ -188,16 +190,20 @@ def _trace_and_e2(z: np.ndarray, e2: np.ndarray | None = None):
 
 
 def _normalized_gram(a: np.ndarray) -> np.ndarray:
-    """a a^dag / tr(a a^dag) for a (n, N, N) stack, exactly Hermitian.
+    """a a^dag / tr(a a^dag) for a (n, N, N) stack, exactly Hermitian, written over a.
 
-    The complex product leaves ~1e-18 imaginary parts on the diagonal and
-    lets w_ij and conj(w_ji) differ in the last bit, so before normalizing,
-    the upper triangle is overwritten in place with the conjugate of the
-    lower one and the diagonal's imaginary part is zeroed.  Neither the
-    trace's real part nor ``eigvalsh`` (lower triangle, real diagonal) reads
-    what changed, so spectra are unchanged.
+    The product is formed ``_GRAM_CHUNK`` states at a time, so its scratch
+    is that of a chunk, not of the stack.  It leaves ~1e-18 imaginary parts
+    on the diagonal and lets w_ij and conj(w_ji) differ in the last bit, so
+    before normalizing, the upper triangle is overwritten in place with the
+    conjugate of the lower one and the diagonal's imaginary part is zeroed.
+    Neither the trace's real part nor ``eigvalsh`` (lower triangle, real
+    diagonal) reads what changed, so spectra are unchanged.
     """
-    w = a @ _dagger(a)
+    for start in range(0, len(a), _GRAM_CHUNK):
+        chunk = a[start:start + _GRAM_CHUNK]
+        chunk[...] = chunk @ _dagger(chunk)
+    w = a
     for i in range(w.shape[-1]):
         w[:, i, i + 1:] = w[:, i + 1:, i].conj()
         w.imag[:, i, i] = 0.0
@@ -237,63 +243,85 @@ def sample_hs_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
     return out
 
 
-def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
-    """Purities of ``count`` Hilbert-Schmidt states without forming any matrix.
+def reduce_hs_purities(dim: int, count: int, rng: RngStream, reduce) -> list:
+    """``reduce(start, p)`` for the purities p of each block of ``count`` HS states.
 
     For beta = 2 the spectrum of G G^dag (G an N x N Ginibre matrix) is that
     of the tridiagonal W of :func:`_laguerre_tridiagonal` at s = 0, so the
     purity 1 - 2 e_2(W) / (tr W)^2 (:func:`_trace_and_e2`) is a few row
     operations on 2N - 1 gamma draws per state.
 
-    Block b of ``_BLOCK`` states draws from ``rng.block(_HS_PURITY_KIND, b)``
-    and fills its own slice of the result.  When there are two blocks or
-    more, the odd blocks are drawn on one helper thread while the calling
-    thread draws the even ones; ``standard_gamma`` releases the GIL.  Each
-    thread reuses one (2N - 1, ``_BLOCK``) scratch allocated here before the
-    helper starts and works in place, so memory is that scratch plus the 8 B
-    per state of the result.  The helper is joined before this returns or
-    raises, and an exception it raised is raised here.
+    Block b of ``_BLOCK`` states, whose first state is ``start``, draws from
+    ``rng.block(_HS_PURITY_KIND, b)``.  Its purities are handed to
+    ``reduce`` in a scratch row that the thread's next block overwrites, so
+    ``reduce`` may change them in place but must return a result that does
+    not refer to them.  Returns the results in block order.  When there are
+    two blocks or more, the odd blocks are drawn and reduced on one helper
+    thread while the calling thread takes the even ones; ``standard_gamma``
+    releases the GIL.  Each thread reuses one (2N, ``_BLOCK``) scratch
+    allocated here before the helper starts and draws in place, so memory is
+    that scratch, what ``reduce`` allocates, and the results.  The helper is
+    joined before this returns or raises, and an exception it raised is
+    raised here.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     _check_stream(rng, count)
-    out = np.empty(count)
     blocks = -(-count // _BLOCK)
-    scratch = np.empty((min(blocks, 2), 2 * dim - 1, _BLOCK))
+    results = [None] * blocks
+    scratch = np.empty((min(blocks, 2), 2 * dim, _BLOCK))
 
-    def draw(first: int, z: np.ndarray):
+    def run(first: int, z: np.ndarray):
         for b in range(first, blocks, 2):
-            result = out[b * _BLOCK:(b + 1) * _BLOCK]
+            start = b * _BLOCK
+            n = min(_BLOCK, count - start)
+            p = z[-1, :n]
             trace, e2 = _trace_and_e2(
-                _laguerre_tridiagonal(dim, len(result), 0.0, rng.block(_HS_PURITY_KIND, b),
-                                      out=z[:, :len(result)]), result)
+                _laguerre_tridiagonal(dim, n, 0.0, rng.block(_HS_PURITY_KIND, b),
+                                      out=z[:-1, :n]), p)
             # 1 - 2 e2 / (trace * trace), in place and in that order
             e2 *= 2.0
             np.multiply(trace, trace, out=trace)
             e2 /= trace
             np.subtract(1.0, e2, out=e2)
+            results[b] = reduce(start, p)
 
     if blocks < 2:
         for z in scratch:   # none when count is 0
-            draw(0, z)
-        return out
+            run(0, z)
+        return results
     errors = []
 
-    def draw_odd_blocks():
+    def run_odd_blocks():
         try:
-            draw(1, scratch[1])
+            run(1, scratch[1])
         except BaseException as exc:   # raised again on the calling thread
             errors.append(exc)
 
     # a daemon, so that an interrupted run can exit without waiting for it
-    helper = threading.Thread(target=draw_odd_blocks, name="superfid-hs-purity", daemon=True)
+    helper = threading.Thread(target=run_odd_blocks, name="superfid-hs-purity", daemon=True)
     helper.start()
     try:
-        draw(0, scratch[0])
+        run(0, scratch[0])
     finally:
         helper.join()
     if errors:
         raise errors[0]
+    return results
+
+
+def hs_purity_batch(dim: int, count: int, rng: RngStream) -> np.ndarray:
+    """Purities of ``count`` Hilbert-Schmidt states without forming any matrix.
+
+    The blocks of :func:`reduce_hs_purities`, copied into the result: memory
+    is their scratch plus the 8 B per state of the result.
+    """
+    out = np.empty(max(count, 0))   # reduce_hs_purities checks count
+
+    def copy(start: int, p: np.ndarray):
+        out[start:start + len(p)] = p
+
+    reduce_hs_purities(dim, count, rng, copy)
     return out
 
 

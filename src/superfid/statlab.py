@@ -22,9 +22,10 @@ density integrates to 1/C_HS (1/3 for N=2, 1/1680 for N=3).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from math import erfc, exp, factorial, frexp, fsum, inf, isnan, log, pi, sqrt
+from math import comb, erfc, exp, factorial, frexp, fsum, inf, isnan, log, pi, sqrt
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import QuadratureError
 from .rng import GOF_SHUFFLE_KIND, RngStream, check_stream
 
 __all__ = [
-    "GofResult", "mc_mean", "mc_variance",
+    "GofResult", "Moments", "mc_mean", "mc_variance",
     "ks_test", "ks_test_two_sample", "chi_square_gof_simplex", "simplex_quadrature",
     "kolmogorov_sf", "chi2_sf", "hurwitz_zeta",
 ]
@@ -53,13 +54,88 @@ class GofResult:
 # Monte-Carlo summaries
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Moments:
+    """Count, sum and central power sums of a set of values.
+
+    ``central[k - 2]`` is sum (x - mean)^k for k = 2 .. ``order``.  It
+    summarizes one block of values (:meth:`of`) or several merged
+    (:meth:`merge`), so a Monte-Carlo mean or variance with its standard
+    error can be formed block by block, without holding the values.
+    """
+
+    count: int
+    total: float
+    central: tuple[float, ...]
+
+    @classmethod
+    def of(cls, values: np.ndarray, order: int = 2) -> "Moments":
+        """The moments of one block of values, ``order`` 2 or 4.
+
+        The central sums are taken about the block's own mean, as numpy's
+        ``var`` takes them: with one block, :meth:`mean_se` is ``mean`` and
+        ``std(ddof=1) / sqrt(n)`` bit for bit.
+        """
+        if order not in (2, 4):
+            raise ValueError(f"order must be 2 or 4, got {order}")
+        values = np.asarray(values, dtype=float)
+        n = values.size
+        if n == 0:
+            return cls(0, 0.0, (0.0,) * (order - 1))
+        total = float(values.sum())
+        c = values - total / n
+        if order == 2:
+            return cls(n, total, (float(np.square(c, out=c).sum()),))
+        c2 = np.square(c)
+        m2, m3 = float(c2.sum()), float(np.dot(c2, c))
+        return cls(n, total, (m2, m3, float(np.square(c2, out=c2).sum())))
+
+    @classmethod
+    def merge(cls, parts: Iterable["Moments"]) -> "Moments":
+        """The moments of the values of all ``parts`` together.
+
+        Each part's central sums are moved to the common mean by the binomial
+        shift sum (x - m)^k = sum_j C(k, j) M_j d^(k - j), d = (part mean) - m,
+        M_0 = n and M_1 = 0; the sums over the parts are formed with ``fsum``,
+        so the result does not depend on their order either.
+        """
+        parts = [m for m in parts if m.count]
+        if not parts:
+            return cls(0, 0.0, ())
+        count = sum(m.count for m in parts)
+        total = fsum(m.total for m in parts)
+        shifts = [m.total / m.count - total / count for m in parts]
+        central = []
+        for k in range(2, len(parts[0].central) + 2):
+            central.append(fsum(
+                m.count * d ** k + sum(comb(k, j) * m.central[j - 2] * d ** (k - j)
+                                       for j in range(2, k + 1))
+                for m, d in zip(parts, shifts)))
+        return cls(count, total, tuple(central))
+
+    def mean_se(self) -> tuple[float, float]:
+        """Sample mean and its standard error (sample stdev / sqrt(n))."""
+        n = self.count
+        if n < 2:
+            raise ValueError(f"need at least 2 values, got {n}")
+        return self.total / n, sqrt(self.central[0] / (n - 1)) / sqrt(n)
+
+    def variance_se(self) -> tuple[float, float]:
+        """Unbiased sample variance and its (asymptotic) standard error.
+
+        Var(s^2) ~ (m4 - s^4) / n with m4 the fourth central moment; needs order 4.
+        """
+        n = self.count
+        if n < 4:
+            raise ValueError(f"need at least 4 values, got {n}")
+        m2, _, m4 = self.central
+        s2 = m2 / (n - 1)
+        return s2, sqrt(max(m4 / n - s2 * s2, 0.0) / n)
+
+
 def mc_mean(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (sample stdev / sqrt(n))."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 2:
-        raise ValueError(f"need at least 2 values, got {n}")
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
+    return Moments.of(values).mean_se()
 
 
 def mc_variance(values: np.ndarray) -> tuple[float, float]:
@@ -67,15 +143,7 @@ def mc_variance(values: np.ndarray) -> tuple[float, float]:
 
     Var(s^2) ~ (m4 - s^4) / n with m4 the fourth central moment.
     """
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 4:
-        raise ValueError(f"need at least 4 values, got {n}")
-    s2 = values.var(ddof=1)
-    centered = values - values.mean()
-    m4 = np.mean(centered ** 4)
-    se = np.sqrt(max(m4 - s2 * s2, 0.0) / n)
-    return float(s2), float(se)
+    return Moments.of(values, order=4).variance_se()
 
 
 # ---------------------------------------------------------------------------

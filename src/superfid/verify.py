@@ -17,13 +17,19 @@ States come from :func:`~superfid.samplers.sample_batch`, except HS matrices
 without spectra and HS purities, and this module's own draws (Haar
 unitaries, tangent directions, inverse-CDF uniforms) read block 0 of
 ``VERIFY_KIND`` of their stream.  HS purities (the density suite's
-Monte-Carlo constants, the purity suite's moments) are drawn from keyed
-blocks split between the drawing thread and a helper of its own, which does
-not change their values either.  The sampler-suite helper's working sets
-are bounded by blocks (Bures states, simplex cells), so its allocations
-peak below 6 MB at scale 1 (``tracemalloc`` reads ~4.2 MB for a first run
-in a fresh process, envelope audit included, and ~3.5 MB warm), which
-bounds what its own malloc arena adds to the peak RSS.
+Monte-Carlo and series constants, the purity suite's moments) are drawn
+from keyed blocks split between the drawing thread and a helper of its own,
+which does not change their values either, and each block is reduced where
+it was drawn (:func:`~superfid.samplers.reduce_hs_purities`), so no check
+holds its purities; the G qubit purities are reduced block by block too.
+The density suite builds its two qutrit grids one at a time, and the
+triangle check evaluates d_G on slices of its stacks.  The sampler-suite
+helper's working sets are bounded by blocks (Bures states, simplex cells),
+so its allocations peak below 6 MB at scale 1 (``tracemalloc`` reads
+~5.2 MB for a first run in a fresh process, envelope audit included, and
+~3.7 MB warm, on a helper thread with numpy 2.4), which bounds what its own
+malloc arena adds to the peak RSS.  Warm, the caller-side suites peak at
+~6.3 MB (metric), ~5.1 MB (density) and ~1.7 MB (purity).
 """
 from __future__ import annotations
 
@@ -43,6 +49,9 @@ from .qstate import (Measure, _dagger, check_density_matrix, haar_unitary_batch,
 from .rng import VERIFY_KIND, RngStream
 
 
+_SLICE = 1024   # states per dist_g call of the triangle check
+
+
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -56,8 +65,21 @@ def _result(suite, name, passed, detail):
 
 
 def _hs_stacks(dim: int, count: int, stacks: int, rng: RngStream):
-    """``stacks`` stacks of ``count`` Hilbert-Schmidt states: one draw from ``rng``, split."""
-    return np.split(sm.sample_hs_batch(dim, stacks * count, rng), stacks)
+    """``stacks`` stacks of ``count`` Hilbert-Schmidt states: one draw from ``rng``, split.
+
+    The draw's blocks are copied into one array per stack as they come, so no
+    array holds the whole draw.
+    """
+    out = [np.empty((count, dim, dim), dtype=complex) for _ in range(stacks)]
+    start = 0
+    for block in sm._hs_blocks(dim, stacks * count, rng):
+        stop = start + len(block)
+        for k, stack in enumerate(out):   # the block's rows that fall in stack k
+            lo, hi = max(start, k * count), min(stop, (k + 1) * count)
+            if lo < hi:
+                stack[lo - k * count:hi - k * count] = block[lo - start:hi - start]
+        start = stop
+    return out
 
 
 def _tangent_lines(dim: int, count: int, rng: RngStream):
@@ -95,10 +117,12 @@ def _metric_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
     worst_slack = -np.inf
     worst_self = 0.0
     for dim in (2, 3, 4):
-        x, y, z = _hs_stacks(dim, max(200, int(3000 * scale)), 3, RngStream(seed, 10 + dim))
-        viol = si.dist_g(x, z) - si.dist_g(x, y) - si.dist_g(y, z)
-        worst_slack = max(worst_slack, float(viol.max()))
-        worst_self = max(worst_self, float(np.max(si.dist_g(x, x))))
+        stacks = _hs_stacks(dim, max(200, int(3000 * scale)), 3, RngStream(seed, 10 + dim))
+        for start in range(0, len(stacks[0]), _SLICE):   # bounds dist_g's temporaries
+            x, y, z = (stack[start:start + _SLICE] for stack in stacks)
+            viol = si.dist_g(x, z) - si.dist_g(x, y) - si.dist_g(y, z)
+            worst_slack = max(worst_slack, float(viol.max()))
+            worst_self = max(worst_self, float(np.max(si.dist_g(x, x))))
     out.append(_result("metric", "triangle-inequality",
                        worst_slack <= 1e-12, f"max violation = {worst_slack:.2e}"))
     out.append(_result("metric", "zero-self-distance",
@@ -216,24 +240,34 @@ def _density_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
                        f"k_max=20 estimate {est.value:.4f}, rel error {rel:.1e} vs closed form"))
 
     res = 400  # the acceptance resolution; boundary extrapolation holds from ~200 up
-    grids = [ed.density_grid_qutrit(res, m) for m in (Measure.SUPERFIDELITY, Measure.BURES)]
-    totals = [ed.grid_integral(g) for g in grids]
+    measures = (Measure.SUPERFIDELITY, Measure.BURES)
+    totals, symmetric = [], True
+    for measure in measures:   # one grid at a time
+        grid = ed.density_grid_qutrit(res, measure)
+        totals.append(ed.grid_integral(grid))
+        symmetric = symmetric and _permutation_symmetric(grid)
+        del grid
     out.append(_result("density", "qutrit-grid-integrates-to-one",
                        all(abs(t - 1.0) <= 0.02 for t in totals),
-                       "; ".join(f"{g.measure.value}@res{res}: {t:.4f}"
-                                 for g, t in zip(grids, totals))))
-    out.append(_result("density", "qutrit-grid-permutation-symmetric",
-                       all(_permutation_symmetric(g) for g in grids),
+                       "; ".join(f"{m.value}@res{res}: {t:.4f}"
+                                 for m, t in zip(measures, totals))))
+    out.append(_result("density", "qutrit-grid-permutation-symmetric", symmetric,
                        f"g, bures@res{res}: equal values at permuted lattice points"))
     return out
 
 
 def _permutation_symmetric(grid: ed.DensityGrid) -> bool:
-    """Whether a qutrit grid holds one value (or NaN) at all permutations of each point."""
-    i, j, full = ed._lattice(grid)
-    # a swap and a 3-cycle of the lattice indices (i, j, k) generate all six permutations
-    return all(np.array_equal(grid.density, full[a, b], equal_nan=True)
-               for a, b in ((j, i), (j, grid.resolution - i - j)))
+    """Whether a qutrit grid holds one value (or NaN) at all permutations of each point.
+
+    The swaps of (i, j) and of (j, k), k = R - i - j, generate all six
+    permutations of the lattice indices: the first transposes the grid's
+    (R+1, R+1) array, the second reverses its row i over j = 0 .. R - i.
+    """
+    full = ed._lattice(grid)
+    res = grid.resolution
+    return (np.array_equal(full, full.T, equal_nan=True)
+            and all(np.array_equal(row[:res + 1 - i], row[res - i::-1], equal_nan=True)
+                    for i, row in enumerate(full)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +357,26 @@ def _sampler_checks(seed: int, scale: float = 1.0) -> list[CheckResult]:
 # purity suite
 # ---------------------------------------------------------------------------
 
+def _hs_purity_moments(dim: int, count: int, rng: RngStream, order: int = 2,
+                       squared: bool = False) -> st.Moments:
+    """The :class:`~superfid.statlab.Moments` of ``count`` HS purities p, or of p^2.
+
+    Each block is reduced on the thread that drew it, so nothing of size
+    ``count`` is held.
+    """
+    def moments(start, p):
+        return st.Moments.of(np.square(p, out=p) if squared else p, order)
+    return st.Moments.merge(sm.reduce_hs_purities(dim, count, rng, moments))
+
+
 def _purity_checks(seed: int, scale: float = 1.0,
                    dims: tuple[int, ...] = (2, 3)) -> list[CheckResult]:
     out = []
     n = max(50_000, int(200_000 * scale))
     for dim in dims:
-        p = sm.hs_purity_batch(dim, n, RngStream(seed, 100 + dim))
-        mean, se_m = st.mc_mean(p)
-        var, se_v = st.mc_variance(p)
+        moments = _hs_purity_moments(dim, n, RngStream(seed, 100 + dim), order=4)
+        mean, se_m = moments.mean_se()
+        var, se_v = moments.variance_se()
         ok = (abs(mean - ed.purity_mean_hs(dim)) <= 3 * se_m
               and abs(var - ed.purity_variance_hs(dim)) <= 3 * se_v)
         out.append(_result("purity", f"hs-purity-moments-n{dim}", ok,
@@ -344,9 +390,9 @@ def _purity_checks(seed: int, scale: float = 1.0,
                        abs(mean - target) <= 3 * se,
                        f"E[1/sqrt(1-purity)] = {mean:.5f}, expect {target:.5f} +- {3 * se:.1e}"))
 
-    _, eg, _ = sm.sample_batch(Measure.SUPERFIDELITY, 2, n, RngStream(seed, 111))
-    pg = np.sum(eg ** 2, axis=-1)
-    mean, se = st.mc_mean(pg)
+    _, blocks = sm.sample_blocks(Measure.SUPERFIDELITY, 2, n, RngStream(seed, 111))
+    mean, se = st.Moments.merge(st.Moments.of(np.sum(eigs ** 2, axis=-1))
+                                for _, eigs in blocks).mean_se()
     g2 = ed.normalized_density(Measure.SUPERFIDELITY, 2)
     quad = st.simplex_quadrature(lambda lam: np.sum(lam ** 2, axis=-1) * g2(lam), 2, 1e-9)
     ok = abs(mean - quad) <= 3 * se and mean > ed.purity_mean_hs(2)
@@ -361,7 +407,7 @@ def _purity_checks(seed: int, scale: float = 1.0,
     out.append(_result("purity", "g-qutrit-purity-exceeds-hs",
                        z > 5.0, f"mean {mean:.5f} vs HS 0.6, z = {z:.1f}"))
 
-    moment, se = st.mc_mean(sm.hs_purity_batch(2, n, RngStream(seed, 113)) ** 2)
+    moment, se = _hs_purity_moments(2, n, RngStream(seed, 113), squared=True).mean_se()
     target = ed.purity_mean_hs(2) ** 2 + ed.purity_variance_hs(2)
     out.append(_result("purity", "hs-second-purity-moment",
                        abs(moment - target) <= 3 * se,

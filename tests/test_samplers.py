@@ -114,6 +114,18 @@ class TestHsPurityBatch:
             got = hs_purity_batch(dim, count, RngStream(count, dim))
             assert got.tobytes() == self.serial_reference(dim, count, RngStream(count, dim)).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_reduced_blocks_are_the_batch(self, dim):
+        # the block loop hands each block's purities to reduce once, and returns
+        # the results in block order: here they are the blocks of the batch
+        b = self.BLOCK
+        for count in (0, 1, b, 3 * b + 5):
+            blocks = samplers.reduce_hs_purities(dim, count, RngStream(count, dim),
+                                                 lambda start, p: (start, p.copy()))
+            assert [start for start, _ in blocks] == list(range(0, count, b))
+            got = np.concatenate([np.empty(0)] + [p for _, p in blocks])
+            assert got.tobytes() == hs_purity_batch(dim, count, RngStream(count, dim)).tobytes()
+
     def test_a_prefix_of_whole_blocks_is_a_shorter_run(self):
         b = self.BLOCK
         whole = hs_purity_batch(4, 5 * b + 7, RngStream(25))

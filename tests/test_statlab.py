@@ -13,7 +13,7 @@ from superfid import (GofResult, Measure, QuadratureError, RngStream, c_hs,
                       density_g_unnormalized, density_hs_unnormalized, ks_test,
                       ks_test_two_sample, mc_mean, mc_variance, sample_batch,
                       simplex_quadrature)
-from superfid import statlab
+from superfid import samplers, statlab
 from superfid.eigendensities import normalized_density
 from superfid.rng import VERIFY_KIND
 
@@ -49,6 +49,52 @@ class TestMcSummaries:
         x = gen.normal(scale=2.0, size=200_000)
         var, se = mc_variance(x)
         assert abs(var - 4.0) <= 3 * se
+
+
+class TestMoments:
+    """``statlab.Moments``: one block is ``mc_mean`` and ``mc_variance``; blocks merge."""
+
+    BLOCK = samplers._BLOCK
+
+    @staticmethod
+    def values(n, seed=5):
+        # a skewed law, shifted far from 0, so that the central sums matter
+        return 1.0 + RngStream(seed).block(VERIFY_KIND, 0).random(n) ** 3
+
+    def test_one_block_is_numpys_mean_std_and_var(self):
+        x = self.values(3 * self.BLOCK + 5)
+        assert mc_mean(x) == (float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size)))
+        # the fourth power as the square of the square, which libm's pow never sees
+        s2 = x.var(ddof=1)
+        m4 = np.mean(np.square(np.square(x - x.mean())))
+        assert mc_variance(x) == (float(s2), float(np.sqrt((m4 - s2 * s2) / x.size)))
+
+    @pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, 3 * BLOCK + 5, 49 * BLOCK - 17])
+    def test_merged_blocks_agree_with_the_whole_array(self, n):
+        # whole blocks and a partial last one, merged in order
+        x = self.values(n)
+        for order in (2, 4):
+            merged = statlab.Moments.merge(statlab.Moments.of(x[a:a + self.BLOCK], order)
+                                           for a in range(0, n, self.BLOCK))
+            assert merged.count == n
+            assert all(ulps_off(got, want) <= 4
+                       for got, want in zip(merged.mean_se(), mc_mean(x)))
+            if order == 4:
+                assert all(ulps_off(got, want) <= 4
+                           for got, want in zip(merged.variance_se(), mc_variance(x)))
+
+    def test_empty_blocks_count_for_nothing(self):
+        x = self.values(100)
+        parts = [statlab.Moments.of(x[:0]), statlab.Moments.of(x), statlab.Moments.of(x[:0])]
+        assert statlab.Moments.merge(parts) == statlab.Moments.of(x)
+        with pytest.raises(ValueError, match="at least 2 values, got 0"):
+            statlab.Moments.merge(parts[:1]).mean_se()
+
+    def test_order_is_2_or_4(self):
+        with pytest.raises(ValueError, match="order"):
+            statlab.Moments.of(np.ones(5), order=3)
+        with pytest.raises(ValueError, match="at least 4 values"):
+            statlab.Moments.of(np.ones(3), order=4).variance_se()
 
 
 CHI2_ULPS = 3   # the worst chi2_sf error over TestSpecialFunctions' grid
