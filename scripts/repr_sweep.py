@@ -3,10 +3,14 @@
 
     PYTHONPATH=src python scripts/repr_sweep.py [--values N] [--seed S]
 
-``superfid.cli._repr_pairs`` finds ``repr``'s digits with numpy and leaves
-to ``repr`` itself only the values outside its range.  This script feeds it
-N values (default 10^7) in ``cli._REPR_CHUNK`` slices, drawn in equal shares
-from ten families:
+``superfid.cli._rows`` prints every float as its ``repr``: numpy finds the
+digits of the values in its range and lays the text out as bytes, and only
+the other values go through ``repr`` itself.  This script prints N values
+(default 10^7) through ``_rows``, one value per row, in ``cli._REPR_CHUNK``
+slices, twice: as CSV lines (``"%r\\n"``) and as a JSON-style list
+(``"%r"`` joined by ``","``), and compares both texts with the same values
+printed by ``repr``.  The values are drawn in equal shares from ten
+families:
 
 - ``uniform``: uniform on [0, 1), the eigenvalues and purities of ``sample``;
 - ``signed``: uniform on (-1, 1), the matrix entries of ``--full-matrix``;
@@ -24,8 +28,9 @@ from ten families:
 - ``zeros``: 0.0 and -0.0 between values of ``signed``, as the imaginary
   parts of a ``--full-matrix`` diagonal lie between its other entries.
 
-It prints one line per family (values, values left to ``repr``, mismatches)
-and the first few mismatches, if any.
+It prints the seed first, so that a failure can be rerun, then one line per
+family (values, values left to ``repr``, mismatches) and the first few
+mismatches, if any.
 """
 from __future__ import annotations
 
@@ -78,21 +83,34 @@ def _draw(family: str, n: int, gen: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _mismatches(x: np.ndarray, show: int) -> int:
+    """The values of ``x`` that ``_rows`` prints other than ``repr``, in either layout."""
+    want = [repr(v) for v in x.tolist()]
+    column = [[x[:, None]]]
+    csv = "".join(cli._rows(column, "%r\n", ""))
+    listed = "[" + "".join(cli._rows(column, "%r", ",")) + "]"
+    if csv == "\n".join(want) + "\n" and listed == "[" + ",".join(want) + "]":
+        return 0
+    bad = 0
+    for got in (csv[:-1].split("\n"), listed[1:-1].split(",")):
+        if len(got) != len(want):
+            print(f"  {len(got)} values printed for {len(want)}")
+            return len(want)
+        for v, g, w in zip(x.tolist(), got, want):
+            if g != w:
+                bad += 1
+                if bad <= show:
+                    print(f"  mismatch: repr {w}, writer {g} (bits {np.float64(v).view(np.uint64):#x})")
+    return bad
+
+
 def sweep(family: str, n: int, gen: np.random.Generator, show: int = 5):
     """(values, left to repr, mismatches) over ``n`` values of ``family``."""
     fallback = mismatches = 0
     for start in range(0, n, cli._REPR_CHUNK):
         x = _draw(family, min(cli._REPR_CHUNK, n - start), gen)
-        pairs = cli._repr_pairs(x)
-        got = ("%s%s" * len(x)) % tuple(pairs.ravel().tolist())
-        fallback += int(np.count_nonzero(pairs[:, 0] == ""))
-        if got == ("%r" * len(x)) % tuple(x.tolist()):
-            continue
-        for v, (prefix, digits) in zip(x.tolist(), pairs.tolist()):
-            if f"{prefix}{digits}" != repr(v):
-                mismatches += 1
-                if mismatches <= show:
-                    print(f"  mismatch: repr {v!r}, kernel {prefix}{digits}")
+        fallback += int(np.count_nonzero(~cli._repr_digits(x)[3]))
+        mismatches += _mismatches(x, show - mismatches)
     return n, fallback, mismatches
 
 
@@ -101,6 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument("--values", type=int, default=10 ** 7)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    print(f"seed={args.seed} values={args.values}", flush=True)
     gen = np.random.default_rng(args.seed)
     total = bad = 0
     for family in FAMILIES:

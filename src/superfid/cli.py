@@ -28,7 +28,7 @@ between this thread and one helper thread, which does not change a byte, and
 each block is reduced (to its moments, or to its power sums for ``series``)
 on the thread that drew it, so ``estimate``'s memory does not grow with
 ``--samples`` beyond a few numbers per block of 4096 purities.
-``sample`` and ``grid`` write their rows chunk by chunk (at most 8192 floats
+``sample`` and ``grid`` write their rows chunk by chunk (at most 4096 floats
 per chunk), each chunk through one row template, so neither the whole output
 text nor a per-record object is ever held; the JSON layout is exactly that
 of ``json.dumps(indent=1)``.  ``sample`` streams: each block of states goes
@@ -36,10 +36,13 @@ from its sampler to the writer before the next one is drawn, so its memory
 does not grow with ``--count``, except for G at N >= 3, whose rejection
 totals head the output and whose spectra (and matrices) are therefore held
 until every state is drawn.  Floats still print as their ``repr``, but
-numpy finds those digits: a float in 1e-4 <= |v| < 1, or an exact ±0.0,
-goes out as a fixed prefix such as ``"0.00"`` and an int, which Python
-formats several times faster than a float, and only the other floats go
-through ``repr``.
+numpy finds those digits and lays out the text as bytes: a float in
+1e-4 <= |v| < 1, or an exact ±0.0, goes into a fixed 28-byte slot as a
+NUL-padded prefix such as ``"0.00"`` and five 4-digit groups from a table,
+its leading positions blanked, and only the other floats go through
+``repr``, whose bytes fill their slot.  Each row is the template's literal
+pieces, NUL-padded to 4 bytes, with one slot per float between them, and one
+``bytes.translate`` per chunk deletes the NULs.
 ``verify all`` runs the sampler suite on one helper thread beside the other
 three suites; its output is the same bytes as a serial run, whatever the
 scheduling, and the helper's allocations stay below 6 MB at scale 1, in a
@@ -59,6 +62,7 @@ run that fails while streaming may leave part of its output on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -131,13 +135,13 @@ def _emit(chunks: Iterable[str], out: str | None):
         raise
 
 
-# _repr_pairs: the text before the digits of a v with 10^e <= |v| < 10^(e + 1),
+# _repr_digits: the text before the digits of a v with 10^e <= |v| < 10^(e + 1),
 # at index e + 4, plus 4 when v is negative
-_PREFIXES = np.array(["0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0."],
-                     dtype=object)
+_PREFIXES = ("0.000", "0.00", "0.0", "0.", "-0.000", "-0.00", "-0.0", "-0.")
 _SCALES = np.array([1e20, 1e19, 1e18, 1e17])   # 10^(16 - e), at the same index
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
-_REPR_CHUNK = 8192   # floats per chunk of _rows, which bounds its temporaries
+_SLOT = 28   # bytes of text per float: an 8-byte prefix and 20 digit positions
+_REPR_CHUNK = 4096   # floats per chunk of _rows, which bounds its temporaries
 
 
 def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,14 +181,16 @@ def _shortest_exponent(below: np.ndarray, top: np.ndarray) -> np.ndarray:
     return j
 
 
-def _repr_pairs(x: np.ndarray) -> np.ndarray:
-    """An (n, 2) object array of (prefix, digits) pairs, one per float of ``x``.
+def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(prefix, digits, lead, found)``: ``repr``'s text of each float of ``x``.
 
-    ``"%s%s"`` of a pair prints ``repr`` of its float.  For 1e-4 <= |v| < 1,
-    ``repr`` prints "0.", -e - 1 zeros (10^e <= |v| < 10^(e + 1)) and the
-    fewest significant digits that read back as v, the ones nearest v when
-    several are that short (Steele & White 1990).  The prefix is looked up,
-    and the digits are an int, found exactly in float64 and int64:
+    Where ``found``, ``repr(v)`` is ``_PREFIXES[prefix]`` followed by the
+    decimal digits of the int64 ``digits``, of which there are 20 - ``lead``.
+    For 1e-4 <= |v| < 1, ``repr`` prints "0.", -e - 1 zeros
+    (10^e <= |v| < 10^(e + 1)) and the fewest significant digits that read
+    back as v, the ones nearest v when several are that short (Steele &
+    White 1990).  The prefix is looked up, and the digits are found exactly
+    in float64 and int64:
 
     - e comes from comparisons with 0.1, 0.01 and 0.001; each of these
       doubles lies above its decimal value, so the comparisons are exact.
@@ -197,17 +203,18 @@ def _repr_pairs(x: np.ndarray) -> np.ndarray:
       whether the ends count does not matter.  f and h are multiples of
       2^-47, so their sums below 64 are exact, and so is each ``floor``.
     - The digits are y rounded to the nearest multiple of 10^j, for the
-      largest j at which such a multiple lies within h of y.
+      largest j at which such a multiple lies within h of y; they are
+      17 - j digits, so lead = 3 + j.
 
-    An exact zero gets ("0.", 0), or ("-0.", 0) when negative.  Every other
-    float gets the pair ("", v), which prints it through ``repr``: |v| >= 1,
+    An exact zero is found too, as "0." or "-0." and the one digit 0 (lead
+    19).  Every other float is not found, and its digits are 0: |v| >= 1,
     0 < |v| < 1e-4, nan and inf, powers of two (the gap below them is half
     the gap above), ties at the rounding step, and digits that end in 0.
     """
     bits = x.view(np.uint64)
     a = np.abs(x)
     zero = a == 0.0
-    with np.errstate(all="ignore"):   # nan and inf are left to repr below
+    with np.errstate(all="ignore"):   # nan and inf are left to repr
         k = (a >= 0.001).astype(np.intp) + (a >= 0.01) + (a >= 0.1)   # e + 4
         k[zero] = 3   # a zero's prefix is "0." or "-0."
         scale = _SCALES[k]
@@ -224,13 +231,61 @@ def _repr_pairs(x: np.ndarray) -> np.ndarray:
         half = (p - 2 * r) * 0.5   # y rounds up to the next multiple of p when f > half
         digits = d // p + (f > half)   # 0 for a zero: d = 0 and f = 0 < half
         found = (candidate & (f != half) & (digits % 10 != 0)) | zero
-    pairs = np.empty((len(x), 2), dtype=object)
-    pairs[:, 0] = _PREFIXES[k + 4 * (bits >> 63).astype(np.intp)]
-    pairs[:, 1] = digits
+    digits[~found] = 0
+    lead = j + 3
+    lead[zero] = 19
+    return k + 4 * (bits >> 63).astype(np.intp), digits, lead, found
+
+
+@functools.cache
+def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(prefixes, groups, masks)``, the words that ``_fill_slots`` writes.
+
+    Column i of ``prefixes`` is ``_PREFIXES[i]``, NUL-padded to 8 bytes;
+    ``groups[g]`` is the 4 digits of g < 10^4 with leading zeros; column
+    ``lead`` of ``masks`` keeps the last 20 - lead of 20 bytes and zeroes
+    the rest.  All are uint32 words of ASCII bytes in memory order, built on
+    first use, in numpy.
+    """
+    prefixes = np.array(_PREFIXES, dtype="S8").view(np.uint32).reshape(8, 2).T
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)   # groups[a, b, c, d] = "abcd"
+    for place in range(4):
+        groups[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
+    masks = (np.arange(20) >= np.arange(21)[:, None]).astype(np.uint8) * np.uint8(0xFF)
+    return (np.ascontiguousarray(prefixes), groups.view(np.uint32).ravel(),
+            np.ascontiguousarray(masks.view(np.uint32).T))
+
+
+def _fill_slots(words: np.ndarray, at: np.ndarray, x: np.ndarray) -> None:
+    """Write ``repr`` of each float of ``x`` into its ``_SLOT``-byte slot of ``words``.
+
+    The slot of ``x[i]`` is the uint32 words ``words[at[i]:at[i] + 7]``,
+    which its text fills from the first byte on, NUL-padded.  A found float
+    (``_repr_digits``) gets its prefix in the first 8 bytes and its digits
+    right-aligned in the last 20, as five 4-digit groups with the leading
+    positions blanked; every other float gets its ``repr``, at most 24
+    bytes, at the start.
+    """
+    prefix, digits, lead, found = _repr_digits(x)
+    prefixes, groups, masks = _slot_tables()
+    for k in range(2):   # words[k:][at] is word k of each slot
+        words[k:][at] = prefixes[k][prefix]
+    for i in range(4, -1, -1):   # the last group first: digits % 10^4
+        above = digits // 10 ** 4
+        words[2 + i:][at] = groups[digits - 10 ** 4 * above] & masks[i][lead]
+        digits = above
     rest = np.flatnonzero(~found)
-    pairs[rest, 0] = ""
-    pairs[rest, 1] = x[rest]   # a Python float, which %s prints as its repr
-    return pairs
+    if len(rest):
+        text = np.array(list(map(repr, x[rest].tolist())), dtype=f"S{_SLOT}")
+        words[at[rest, None] + np.arange(_SLOT // 4)] = text.view(np.uint32).reshape(
+            len(rest), -1)
+
+
+def _padded_words(text: str) -> np.ndarray:
+    """The ASCII bytes of ``text``, NUL-padded to a multiple of 4, as uint32 words."""
+    data = text.encode("ascii")
+    return np.frombuffer(data.ljust(-(-len(data) // 4) * 4, b"\0"), dtype=np.uint32)
 
 
 def _rows(blocks: Iterable[list[np.ndarray]], template: str, sep: str) -> Iterator[str]:
@@ -240,24 +295,38 @@ def _rows(blocks: Iterable[list[np.ndarray]], template: str, sep: str) -> Iterat
     lie side by side in the table.  A chunk holds as many rows as fit in
     ``_REPR_CHUNK`` floats, and at least one, wherever the blocks end: the
     rows of a block that do not fill a chunk wait for the next block.  Each
-    row fills ``template``, which holds one ``%r`` per column, and rows are
-    joined by ``sep``, also across chunks.  Every float prints as its
-    ``repr``, as ``json.dumps`` prints it too, but ``%r`` is not what prints
-    it: each ``%r`` becomes ``%s%s``, filled by the (prefix, digits) pair of
-    ``_repr_pairs``, so Python formats an int where it would have formatted
-    a float.  A chunk costs one ``_repr_pairs`` and one ``%`` call.
+    row fills ``template``, which holds one ``%r`` per column and otherwise
+    literal ASCII text, and rows are joined by ``sep``, also across chunks.
+    Every float prints as its ``repr``, as ``json.dumps`` prints it too.
+
+    A chunk is built as bytes: each row is a fixed run of uint32 words, the
+    template's literal pieces (``sep`` folded into the first) NUL-padded to
+    4 bytes, with one ``_fill_slots`` slot per float between them.  One
+    ``translate`` then deletes every NUL, and the bytes decode as ASCII.
     """
-    template = template.replace("%r", "%s%s")
-    lead = []   # a leading "" puts sep before every chunk but the first
+    texts = template.split("%r")
+    columns, width = len(texts) - 1, _SLOT // 4
+    step = max(1, _REPR_CHUNK // columns)   # rows per chunk
+    pieces = [_padded_words(sep + texts[0])] + [_padded_words(text) for text in texts[1:]]
+    # a row: each piece but the last, then a slot (zeros for now), and the last piece
+    row = np.concatenate([part for piece in pieces[:-1]
+                          for part in (piece, np.zeros(width, np.uint32))] + [pieces[-1]])
+    starts = np.cumsum([len(piece) for piece in pieces[:-1]]) + width * np.arange(columns)
+    # the first word of each slot of a chunk, row by row
+    at = ((np.arange(step) * len(row))[:, None] + starts).ravel()
     waiting, held = [], 0   # rows of the table not yet in a chunk, fewer than a chunk's
+    head = True   # the first chunk drops the sep before its first row
 
     def chunk():
         table = waiting[0] if len(waiting) == 1 else np.concatenate(waiting)
-        return sep.join(lead + [template] * len(table)) % tuple(
-            _repr_pairs(table.ravel()).ravel())
+        buf = bytearray(4 * len(table) * len(row))
+        words = np.frombuffer(buf, dtype=np.uint32)
+        words.reshape(len(table), -1)[:] = row
+        _fill_slots(words, at[:table.size], table.ravel())
+        text = buf.translate(None, b"\0").decode("ascii")
+        return text[len(sep):] if head else text
 
     for block in blocks:
-        step = max(1, _REPR_CHUNK // sum(part.shape[1] for part in block))
         start, rows = 0, len(block[0])
         while start < rows:
             stop = min(rows, start + step - held)
@@ -266,7 +335,7 @@ def _rows(blocks: Iterable[list[np.ndarray]], template: str, sep: str) -> Iterat
             start = stop
             if held == step:
                 yield chunk()
-                lead, waiting, held = [""], [], 0
+                head, waiting, held = False, [], 0
     if waiting:
         yield chunk()
 

@@ -365,11 +365,19 @@ def invert_cdf_g2(u):
     if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
     v = np.minimum(u_arr, 1.0 - u_arr)
-    psi = np.maximum(pi * v, pi - np.cbrt(6.0 * pi * (1.0 - 2.0 * v)))
-    # np.square, not ** 2: a NumPy scalar's power can differ from the array
-    # loop in the last bit, and scalar and batch results must agree bitwise
+    psi = np.maximum(pi * v, pi - np.cbrt(6.0 * pi * (1.0 - 2.0 * v)), out=np.empty_like(u_arr))
+    # each step is psi - (psi + sin(psi) - 2 pi v) / (2 cos(psi / 2)^2), the
+    # same operations in the same order, in place.  np.square, not ** 2: a
+    # NumPy scalar's power can differ from the array loop in the last bit,
+    # and scalar and batch results must agree bitwise
+    two_pi_v = 2.0 * pi * v
+    step, denominator = np.empty_like(psi), np.empty_like(psi)
     for _ in range(_NEWTON_STEPS):
-        psi = psi - (psi + np.sin(psi) - 2.0 * pi * v) / (2.0 * np.square(np.cos(0.5 * psi)))
+        np.add(psi, np.sin(psi, out=step), out=step)
+        np.subtract(step, two_pi_v, out=step)
+        np.cos(np.multiply(0.5, psi, out=denominator), out=denominator)
+        np.multiply(2.0, np.square(denominator, out=denominator), out=denominator)
+        np.subtract(psi, np.divide(step, denominator, out=step), out=psi)
     t = np.where(u_arr > 0.5, np.square(np.cos(0.25 * psi)), np.square(np.sin(0.25 * psi)))
     t = np.where(u_arr == 0.5, 0.5, t)
     if np.any(np.abs(cdf_g2(t) - u_arr) > 3e-8):

@@ -828,6 +828,58 @@ class TestBlockWriter:
             assert list(cli._rows(blocks, template, sep)) == whole
             assert len(whole) == -(-len(table) // (cli._REPR_CHUNK // 3))
 
+    # literal pieces of every length 0..7, with and without a separator, and
+    # the JSON record of sample --full-matrix --format json at N = 2
+    TEMPLATES = [
+        ("%r", ""),
+        ("a%rbc", "\n"),
+        ("[%r,%r]", ",\n"),
+        ("".join("=" * n + "%r" for n in range(8)) + "+" * 7, "#"),
+        ("  {\n   " + ",\n   ".join([
+            '"eigenvalues": ' + cli._json_list(["%r"] * 2, 4),
+            '"matrix_re_im": ' + cli._json_list([cli._json_list(["%r", "%r"], 5)] * 4, 4),
+            '"purity": %r']) + "\n  }", ",\n"),
+    ]
+
+    @pytest.mark.parametrize("template,sep", TEMPLATES, ids=range(len(TEMPLATES)))
+    def test_templates_with_pieces_of_any_length(self, template, sep):
+        columns = template.count("%r")
+        step = max(1, cli._REPR_CHUNK // columns)
+        values = np.random.default_rng(columns).uniform(-1.0, 1.0, (2 * step + 1) * columns)
+        values[::7] = np.resize([0.0, -0.0, 1e-5, np.nan, 12.5, 0.25, -np.inf],
+                                len(values[::7]))
+        table = values.reshape(-1, columns)
+        got = "".join(cli._rows([[table]], template, sep))
+        _assert_same_pieces(got.split(sep or "\n"),
+                            _reference_rows(table, template, sep).split(sep or "\n"))
+        assert got == _reference_rows(table, template, sep)
+
+    @pytest.mark.parametrize("values", [
+        [-1.7976931348623157e308, -2.2250738585072014e-308],
+        [np.nan, -np.inf],
+    ], ids=["24-character-reprs", "nan-and-minus-inf"])
+    def test_tables_that_fall_back_to_repr_everywhere(self, values):
+        # every float is left to repr; the longest reprs fill 24 of a slot's 28 bytes
+        assert max(len(repr(v)) for v in values) <= cli._SLOT
+        table = np.resize(values, (cli._REPR_CHUNK + 3, 2))
+        assert not cli._repr_digits(table.ravel())[3].any()
+        for template, sep in (("%r,%r\n", ""), ("[%r,%r]", ",\n")):
+            got = "".join(cli._rows([[table]], template, sep))
+            assert got == _reference_rows(table, template, sep)
+
+    def test_memory_does_not_grow_with_chunks(self):
+        # each chunk's buffers are freed before the next one is built
+        step = cli._REPR_CHUNK // 3
+        chunk = np.random.default_rng(3).random((step, 3))
+        chunk[::50] = [0.0, 1e-5, 12.5]
+
+        def drain(chunks):
+            table = np.tile(chunk, (chunks, 1))   # allocated before the trace starts
+            return traced_peak(lambda: sum(map(len, cli._rows([[table]], "%r,%r,%r\n", ""))))
+
+        drain(2)   # first-use allocations, such as the digit tables, outside the trace
+        assert drain(32) - drain(2) <= 4 * 1024
+
 
 def _assert_same_pieces(got, want):
     """``got == want`` for two lists of text pieces, reporting only the first differences.
@@ -885,8 +937,17 @@ class TestFloatWriterOracle:
 
     def test_zeros_take_the_fast_path(self):
         # the imaginary parts of every --full-matrix diagonal are exact zeros
-        pairs = cli._repr_pairs(np.array([0.0, -0.0, 0.3, 5e-324]))
-        assert pairs.tolist() == [["0.", 0], ["-0.", 0], ["0.", 3], ["", 5e-324]]
+        x = np.array([0.0, -0.0, 0.3, 5e-324])
+        prefix, digits, lead, found = cli._repr_digits(x)
+        assert found.tolist() == [True, True, True, False]
+        assert [cli._PREFIXES[i] for i in prefix[:3]] == ["0.", "-0.", "0."]
+        assert digits.tolist() == [0, 0, 3, 0]
+        assert lead[:3].tolist() == [19, 19, 19]   # one digit each
+        words = np.zeros(len(x) * cli._SLOT // 4, dtype=np.uint32)
+        cli._fill_slots(words, np.arange(len(x)) * (cli._SLOT // 4), x)
+        slots = words.tobytes()
+        assert [slots[i:i + cli._SLOT].translate(None, b"\0")
+                for i in range(0, len(slots), cli._SLOT)] == [b"0.0", b"-0.0", b"0.3", b"5e-324"]
 
     def test_exact_ties_of_dyadic_values(self):
         # odd multiples of 2^-p whose shortest digits end in a tie

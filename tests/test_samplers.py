@@ -306,6 +306,28 @@ class TestInverseCdf:
         for u, t in zip(us, vec):
             assert invert_cdf_g2(float(u)) == t
 
+    def test_in_place_newton_steps_match_the_expression_form(self):
+        # invert_cdf_g2 runs each Newton step in place; the same operations in
+        # the same order give the same bits as the plain expression
+        def expression_form(u):
+            v = np.minimum(u, 1.0 - u)
+            psi = np.maximum(np.pi * v, np.pi - np.cbrt(6.0 * np.pi * (1.0 - 2.0 * v)))
+            for _ in range(samplers._NEWTON_STEPS):
+                psi = psi - ((psi + np.sin(psi) - 2.0 * np.pi * v)
+                             / (2.0 * np.square(np.cos(0.5 * psi))))
+            t = np.where(u > 0.5, np.square(np.cos(0.25 * psi)), np.square(np.sin(0.25 * psi)))
+            return np.where(u == 0.5, 0.5, t)
+
+        gen = np.random.default_rng(2011)
+        uniform = gen.random(200_000)
+        edges = np.array([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324,
+                          1.0 - 1e-16, 1.0])
+        for u in (edges, uniform, uniform ** 8, 0.5 + gen.uniform(-1e-9, 1e-9, 200_000)):
+            got = np.asarray(invert_cdf_g2(u))
+            assert np.array_equal(got.view(np.uint64), expression_form(u).view(np.uint64))
+        for u in edges.tolist():
+            assert invert_cdf_g2(u) == float(expression_form(np.float64(u)))
+
     def test_relative_precision_of_small_eigenvalue(self, monkeypatch):
         # the smaller eigenvalue t = sin^2(psi/4) solves psi + sin psi = 2 pi u
         # to full relative precision, on both sides of u = 1/2
