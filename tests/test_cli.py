@@ -961,11 +961,11 @@ class TestFloatWriterOracle:
         _assert_rows_match_reference(
             gen.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64), ncol=4)
 
-    @pytest.mark.parametrize("ncol", [1, 3, 56, cli._REPR_CHUNK + 1])
+    @pytest.mark.parametrize("ncol", list(dict.fromkeys([1, 3, 56, 8193, cli._REPR_CHUNK + 1])))
     def test_chunk_seams(self, ncol):
         # each chunk holds as many whole rows as fit in _REPR_CHUNK floats, or
         # one row when a row is longer; these tables have two seams and one
-        # row more
+        # row more (8193 floats is a row of more than two chunks)
         step = max(1, cli._REPR_CHUNK // ncol)
         gen = np.random.default_rng(ncol)
         values = gen.uniform(-1.0, 1.0, (2 * step + 1) * ncol)
