@@ -24,7 +24,10 @@
   So the supremum lies on a two-value family, k coordinates t / k and
   N - k coordinates (1 - t) / (N - k) for some k <= N / 2 and t in (0, 1).
   Each proposal's ratio comes from the trace, determinant and e_2 of its
-  tridiagonal matrix, and only accepted proposals are diagonalized.
+  tridiagonal matrix, and only accepted proposals are diagonalized: at
+  N = 3 in closed form, from the roots of the characteristic cubic, with
+  ``eigvalsh`` for the rows that fail a check of the roots, and at N >= 4 by
+  ``eigvalsh``.
 
 Every sampler draws a stack of ``count`` states and vectorizes over the
 sample index; one state is a batch of one.  Every sampler takes only an
@@ -87,6 +90,7 @@ _AUDIT_LOGITS = np.linspace(-37.0, 37.0, 2049)   # t = 1 / (1 + e^-x) within 8.5
 _AUDIT_GOLDEN_STEPS = 50              # shrink a 2-step bracket by 0.618^50 = 3.6e-11
 _GOLDEN = 0.5 * (5.0 ** 0.5 - 1.0)
 _ENVELOPE_TOLERANCE = 1e-9            # log-ratio excess over the bound that counts as round-off
+_QUTRIT_MIN_GAP = 1e-4                # closer qutrit eigenvalues are left to eigvalsh
 _audit_gate_cache: dict[int, "EnvelopeAudit"] = {}
 _audit_gate_lock = threading.Lock()
 
@@ -603,14 +607,22 @@ def rejection_constant_c(dim: int) -> float:
     return float(exp(log_rejection_constant_c(dim)))
 
 
-def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """Descending, clamped spectra of W / tr W for the columns of a path block z.
+def _smallest_from_determinant(lam: np.ndarray, log_prod: np.ndarray) -> np.ndarray:
+    """Replace l_N of descending (n, N) spectra by prod l / prod_{i<N} l_i, at most l_{N-1}.
 
-    ``eigvalsh`` has an absolute error of ~1e-16, which leaves the smallest
-    eigenvalue with up to ~1e-8 relative error.  So it is taken as
-    prod l / prod_{i<N} l_i instead, with the exact log prod l of
-    :func:`_log_prod`: it then has the relative accuracy of the others.
+    A spectrum's l_N from ``eigvalsh`` or from a cubic has an absolute error
+    of ~1e-16, up to ~1e-8 relative error; the quotient with the exact log
+    prod l of :func:`_log_prod` has the relative accuracy of the others.
+    Where round-off in l_{N-1} would put the quotient above it, l_N is
+    bounded by l_{N-1}, so the spectrum stays descending.
     """
+    lam[:, -1] = np.exp(log_prod - np.sum(np.log(lam[:, :-1]), axis=-1))
+    np.minimum(lam[:, -1], lam[:, -2], out=lam[:, -1])
+    return lam
+
+
+def _tridiagonal_spectra(z: np.ndarray, trace: np.ndarray, log_prod: np.ndarray) -> np.ndarray:
+    """Descending spectra of W / tr W from a dense real tridiagonal ``eigvalsh``, at any N."""
     a2, b2 = z[0::2].T, z[1::2].T
     dim = a2.shape[-1]
     k = np.arange(dim)
@@ -618,8 +630,71 @@ def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
     w[:, k, k] = a2
     w[:, k[1:], k[1:]] += b2
     w[:, k[1:], k[:-1]] = w[:, k[:-1], k[1:]] = np.sqrt(a2[:, :-1] * b2)
-    lam = np.linalg.eigvalsh(w)[:, ::-1] / trace[:, None]
-    lam[:, -1] = np.exp(_log_prod(z, trace) - np.sum(np.log(lam[:, :-1]), axis=-1))
+    return _smallest_from_determinant(np.linalg.eigvalsh(w)[:, ::-1] / trace[:, None], log_prod)
+
+
+def _qutrit_spectra(z: np.ndarray, trace: np.ndarray, log_prod: np.ndarray):
+    """Spectra of W / tr W at N = 3 in closed form, and the mask of the rows that pass a check.
+
+    W has diagonal d = (z_0, z_1 + z_2, z_3 + z_4) and squared off-diagonal
+    (z_0 z_1, z_2 z_3).  With q = tr W / 3, p = ||W - q I||_F^2 / 6 and
+    phi = arccos(det(W - q I) / (2 p^(3/2))) / 3 in [0, pi / 3], the
+    eigenvalues are q + 2 sqrt(p) cos(phi) and q - sqrt(p) (cos(phi) -+
+    sqrt(3) sin(phi)), in descending order (Kopp, Int. J. Mod. Phys. C 19,
+    523 (2008), arXiv:physics/0610206).  Each is refined by one Newton step
+    on f(x) = det(W - x I), evaluated by the recurrence
+    f_k = (d_k - x) f_(k-1) - z_(2k-2) z_(2k-1) f_(k-2), and l_3 then comes
+    from the determinant (:func:`_smallest_from_determinant`).
+
+    A row passes when it sums to 1 within 1e-13, its e_2 is within 1e-12
+    relative of the exact e_2(W) / T^2 of :func:`_trace_and_e2`, l_3 > 0,
+    and both gaps are at least ``_QUTRIT_MIN_GAP``.  The invariants do not
+    see how a close pair splits, which the cubic resolves only to
+    ~(1e-16 p / gap)^2 / gap after the step, while ``eigvalsh`` keeps
+    ~1e-16.  A NaN or inf fails every comparison, and the gaps hold the
+    descending order, so rows that pass are finite and descending.  Rows
+    that fail are for :func:`_tridiagonal_spectra`.
+    """
+    d0, d1, d2 = z[0], z[1] + z[2], z[3] + z[4]
+    q = trace / 3.0
+    with np.errstate(all="ignore"):   # what goes non-finite here fails the check
+        c0, c1 = z[0] * z[1], z[2] * z[3]
+        s0, s1, s2 = d0 - q, d1 - q, d2 - q
+        p = (s0 * s0 + s1 * s1 + s2 * s2 + 2.0 * (c0 + c1)) / 6.0
+        half_det = 0.5 * (s0 * (s1 * s2 - c1) - c0 * s2)
+        root_p = np.sqrt(p)
+        phi = np.arccos(np.clip(half_det / (p * root_p), -1.0, 1.0)) / 3.0
+        cos = root_p * np.cos(phi)
+        sin = 3.0 ** 0.5 * root_p * np.sin(phi)
+        x = np.stack([q + 2.0 * cos, q - cos + sin, q - cos - sin])
+        t0, t1, t2 = d0 - x, d1 - x, d2 - x
+        f2 = t1 * t0 - c0
+        x -= (t2 * f2 - c1 * t0) / (c1 - f2 - t2 * (t0 + t1))
+        x /= trace
+        lam = _smallest_from_determinant(x.T.copy(), log_prod)
+    e2 = _trace_and_e2(z)[1] / (trace * trace)
+    l1, l2, l3 = lam.T
+    ok = ((np.abs(l1 + l2 + l3 - 1.0) <= 1e-13)
+          & (np.abs(l1 * l2 + l3 * (l1 + l2) - e2) <= 1e-12 * e2)
+          & (l1 - l2 >= _QUTRIT_MIN_GAP) & (l2 - l3 >= _QUTRIT_MIN_GAP) & (l3 > 0.0))
+    return lam, ok
+
+
+def _induced_spectra(z: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Descending, clamped spectra of W / tr W for the columns of a path block z.
+
+    At N = 3 (5 rows) each spectrum comes in closed form
+    (:func:`_qutrit_spectra`), and the rows that fail its check are taken
+    from the dense path instead, bit for bit as that path gives them.  At
+    N >= 4 every row takes the dense path (:func:`_tridiagonal_spectra`).
+    """
+    log_prod = _log_prod(z, trace)
+    if len(z) != 5:
+        return clamp_spectrum(_tridiagonal_spectra(z, trace, log_prod))
+    lam, ok = _qutrit_spectra(z, trace, log_prod)
+    if not ok.all():
+        bad = ~ok
+        lam[bad] = _tridiagonal_spectra(z[:, bad], trace[bad], log_prod[bad])
     return clamp_spectrum(lam)
 
 
@@ -634,7 +709,9 @@ def sample_g_rejection_batch(dim: int, count: int, rng: RngStream,
     (prod l)^s / sqrt(1 - sum l^2) and the bound its value at the maximally
     mixed point.  The ratio comes from the invariants of W, without
     eigenvalues (:func:`_log_ratio_of_tridiagonal`).  Every ratio is checked
-    against the bound, and only accepted proposals pay a dense ``eigvalsh``.
+    against the bound, and only accepted proposals are diagonalized
+    (:func:`_induced_spectra`: in closed form at N = 3, by a dense
+    ``eigvalsh`` at N >= 4 and for the qutrit rows that fail its check).
     The acceptance rate is C_s / (C_N^G M_s), about 0.48 at every N (0.4755
     at N = 3), with C_s the induced measure's constant and M_s the bound.
 

@@ -2,7 +2,7 @@ import sys
 import threading
 import time
 import warnings
-from math import lgamma
+from math import lgamma, log
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from superfid import (EnvelopeAudit, EnvelopeAuditError, InvalidDimensionError, 
                       simplex_quadrature, sup_density_ratio_unnormalized)
 from superfid import samplers
 from superfid.eigendensities import _g_radicand, c_g_exact, c_hs, normalized_density
+from superfid.qstate import clamp_spectrum
 from superfid.rng import GOF_SHUFFLE_KIND, VERIFY_KIND
 
 
@@ -49,6 +50,33 @@ def log_ratio_of_spectra(eigs):
     with np.errstate(divide="ignore"):
         log_prod = np.sum(np.log(eigs), axis=-1)
     return samplers._log_ratio_from_invariants(eigs.shape[-1], log_prod, _g_radicand(eigs))
+
+
+def svd_spectra(z, trace):
+    """Spectra of W / tr W for the columns of a path block z, as the squared singular
+    values of the bidiagonal factor, which keep full relative precision in the
+    small eigenvalues; eigvalsh(W) loses it there."""
+    dim = (len(z) + 1) // 2
+    k = np.arange(dim)
+    factor = np.zeros((z.shape[1], dim, dim))
+    factor[:, k, k] = np.sqrt(z[0::2].T)
+    factor[:, k[:-1], k[1:]] = np.sqrt(z[1::2].T)
+    return np.linalg.svd(factor, compute_uv=False) ** 2 / trace[:, None]
+
+
+def eigvalsh_and_determinant(z, trace):
+    """The dense spectra of W / tr W with lambda_N from det W and not bounded by
+    lambda_(N-1): eigvalsh of the tridiagonal W, descending."""
+    a2, b2 = z[0::2].T, z[1::2].T
+    dim = a2.shape[-1]
+    k = np.arange(dim)
+    w = np.zeros((len(a2), dim, dim))
+    w[:, k, k] = a2
+    w[:, k[1:], k[1:]] += b2
+    w[:, k[1:], k[:-1]] = w[:, k[:-1], k[1:]] = np.sqrt(a2[:, :-1] * b2)
+    lam = np.linalg.eigvalsh(w)[:, ::-1] / trace[:, None]
+    lam[:, -1] = np.exp(samplers._log_prod(z, trace) - np.sum(np.log(lam[:, :-1]), axis=-1))
+    return lam
 
 
 def sample_bures_batch(dim, count, rng):
@@ -639,19 +667,17 @@ class TestRejectionSampler:
         assert binomtest(report.accepted, report.proposed, rate).pvalue > 1e-3
 
     @staticmethod
-    def proposals_and_spectra(dim, seed):
-        """20 000 proposal blocks z, their traces, and their spectra as the squared
-        singular values of the bidiagonal factor, which keep full relative
-        precision in the small eigenvalues; eigvalsh(W) loses it there."""
-        n = 20_000
+    def proposals(dim, seed, n=20_000):
+        """``n`` proposal blocks z and their traces."""
         z = samplers._laguerre_tridiagonal(dim, n, samplers._induced_exponent(dim),
                                            RngStream(seed, dim).block(VERIFY_KIND, 0))
-        trace = samplers._trace_and_e2(z)[0]
-        k = np.arange(dim)
-        factor = np.zeros((n, dim, dim))
-        factor[:, k, k] = np.sqrt(z[0::2].T)
-        factor[:, k[:-1], k[1:]] = np.sqrt(z[1::2].T)
-        return z, trace, np.linalg.svd(factor, compute_uv=False) ** 2 / trace[:, None]
+        return z, samplers._trace_and_e2(z)[0]
+
+    @classmethod
+    def proposals_and_spectra(cls, dim, seed, n=20_000):
+        """``n`` proposal blocks z, their traces, and their spectra by :func:`svd_spectra`."""
+        z, trace = cls.proposals(dim, seed, n)
+        return z, trace, svd_spectra(z, trace)
 
     @pytest.mark.parametrize("dim", range(3, 9))
     def test_invariant_log_ratio_matches_the_spectrum(self, dim):
@@ -669,6 +695,78 @@ class TestRejectionSampler:
         z, trace, eigs = self.proposals_and_spectra(dim, 59)
         got = samplers._induced_spectra(z, trace)[:, -1]
         assert np.max(np.abs(got / eigs[:, -1] - 1.0)) <= 1e-12
+
+    def test_qutrit_closed_form_matches_the_svd_reference(self):
+        # every one of 2e5 proposals passes the closed form's check, so these
+        # bounds are the cubic's own: as tight as eigvalsh's ~1e-15, and
+        # lambda_min from the determinant as before
+        z, trace, eigs = self.proposals_and_spectra(3, 63, 200_000)
+        assert samplers._qutrit_spectra(z, trace, samplers._log_prod(z, trace))[1].all()
+        got = samplers._induced_spectra(z, trace)
+        assert np.max(np.abs(got - eigs)) <= 2e-15
+        assert np.max(np.abs(got[:, -1] / eigs[:, -1] - 1.0)) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(log(1e-16), log(1e3)), min_size=5, max_size=5),
+                    min_size=1, max_size=8))
+    def test_qutrit_spectra_are_no_worse_than_the_dense_path(self, log_z):
+        # z far wider than the sampler's gammas; a RuntimeWarning fails the test
+        z = np.exp(np.array(log_z).T)
+        trace = samplers._trace_and_e2(z)[0]
+        got = samplers._induced_spectra(z, trace)
+        dense = clamp_spectrum(samplers._tridiagonal_spectra(z, trace,
+                                                             samplers._log_prod(z, trace)))
+        want = svd_spectra(z, trace)
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got, axis=1) <= 0.0)
+        assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.all(np.abs(got - want) <= np.abs(dense - want) + 1e-15)
+
+    def test_qutrit_rows_that_fail_the_check_take_the_dense_path_bitwise(self):
+        # W = I (p = 0, so the cubic is 0 / 0), two exact double roots (a zero
+        # b_k^2 splits W into blocks that share an eigenvalue) and a pair
+        # 2.9e-7 apart, among proposals that pass
+        crafted = np.array([[1.0, 0.0, 1.0, 0.0, 1.0],
+                            [1.0, 0.0, 2.0, 1.0, 2.0],
+                            [2.0, 1.0, 2.0, 0.0, 1.0],
+                            [1.34019e-4, 5.77925e-5, 0.999671, 2.73802e-6, 1.34039e-4]]).T
+        z, _ = self.proposals(3, 64, 100)
+        z = np.concatenate([z[:, :50], crafted, z[:, 50:]], axis=1)
+        trace = samplers._trace_and_e2(z)[0]
+        log_prod = samplers._log_prod(z, trace)
+        fail = np.arange(50, 54)
+        assert np.array_equal(np.flatnonzero(~samplers._qutrit_spectra(z, trace, log_prod)[1]),
+                              fail)
+        got = samplers._induced_spectra(z, trace)
+        dense = clamp_spectrum(samplers._tridiagonal_spectra(z[:, fail], trace[fail],
+                                                             log_prod[fail]))
+        assert got[fail].tobytes() == dense.tobytes()
+        keep = np.delete(np.arange(z.shape[1]), fail)
+        assert got[keep].tobytes() == samplers._induced_spectra(z[:, keep], trace[keep]).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_spectra_descend_where_the_determinant_lifts_the_smallest(self, dim):
+        # a zero b_k^2 splits W into blocks that share their smallest
+        # eigenvalue: the spectrum is (4, 1, ..., 1) / (N + 3), and the
+        # determinant's lambda_N falls on either side of eigvalsh's
+        # lambda_(N-1) by round-off, so it is bounded by lambda_(N-1)
+        z = np.outer([1.0, 0.0] * (dim - 2) + [2.0, 1.0, 2.0], 2.0 ** np.arange(-8, 9))
+        trace = samplers._trace_and_e2(z)[0]
+        got = samplers._induced_spectra(z, trace)
+        assert np.all(np.diff(got, axis=1) <= 0.0)
+        want = np.array([4.0] + [1.0] * (dim - 1)) / (dim + 3)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # rows that descended before the bound are as they were, bit for bit
+        unbounded = eigvalsh_and_determinant(z, trace)
+        descending = np.all(np.diff(unbounded, axis=1) <= 0.0, axis=1)
+        assert got[descending].tobytes() == clamp_spectrum(unbounded[descending]).tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 5, 8])
+    def test_dense_spectra_of_descending_proposals_are_unchanged(self, dim):
+        z, trace = self.proposals(dim, 65)
+        unbounded = eigvalsh_and_determinant(z, trace)
+        assert np.all(np.diff(unbounded, axis=1) <= 0.0)
+        assert samplers._induced_spectra(z, trace).tobytes() == \
+            clamp_spectrum(unbounded).tobytes()
 
     def test_rate_stable_across_seeds(self):
         _, _, r1 = sample_g_rejection_batch(3, 20_000, RngStream(44))
